@@ -32,6 +32,7 @@ from .errors import (
     ResourceError,
 )
 from .evaluation import STATISTICS, averaged_adjacency, exact_log_lik, importance_estimate, mmd
+from .files import write_text_atomic
 from .models import (
     AdjacencyModel,
     AdjacencyModelConfig,
@@ -266,7 +267,7 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        write_text_atomic(out, text if text.endswith("\n") else text + "\n")
 
 
 def _graph_at(path: str, index: int):
@@ -331,7 +332,7 @@ def _cmd_train(args) -> None:
     model.save(out_dir / "model.json", {"epochs": rc.train.epochs})
     if rc.posterior_kind == "learned":
         q.save(out_dir / "posterior.json", {"epochs": rc.train.epochs})
-    (out_dir / "train_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    write_text_atomic(out_dir / "train_report.json", report.to_json())
 
 
 def _cmd_sample(args) -> None:

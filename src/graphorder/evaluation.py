@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -20,19 +21,6 @@ _IS_CHUNK = 512
 
 CLUSTERING_BINS = 100
 ORBIT_COUNT = 11
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    importance_samples: int = 1000
-    kernel_bandwidth: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.importance_samples < 1:
-            raise InputError("importance_samples must be at least 1")
-        if self.kernel_bandwidth <= 0:
-            raise InputError("kernel_bandwidth must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,24 +99,10 @@ def exact_log_lik(model: GraphModel, g: Graph, max_nodes: int = 8) -> float:
     return exact_marginal_log_prob(model, g, max_nodes=max_nodes)
 
 
-@dataclass(frozen=True)
-class GraphStatistics:
-    """Distributional summaries used by the MMD metrics.
-
-    degree_histogram: normalized counts over degrees 0..max degree.
-    clustering_histogram: per-node clustering coefficients on [0, 1] in
-    CLUSTERING_BINS equal bins, normalized.
-    orbit4_counts: (n, ORBIT_COUNT) per-node participation counts in the
-    node-orbits of the six connected 4-node graphlets.
-    """
-
-    degree_histogram: np.ndarray
-    clustering_histogram: np.ndarray
-    orbit4_counts: np.ndarray
-
-
 # orbit ids: path end/mid (0, 1), star leaf/center (2, 3), 4-cycle (4),
-# paw pendant/pair/apex (5, 6, 7), diamond side/hub (8, 9), clique (10)
+# paw pendant/pair/apex (5, 6, 7), diamond side/hub (8, 9), clique (10),
+# keyed by the edge count, then the sorted local degrees of the quad, then
+# the local degree of the node
 _M3_ORBITS = {
     (1, 1, 2, 2): {1: 0, 2: 1},
     (1, 1, 1, 3): {1: 2, 3: 3},
@@ -140,6 +114,32 @@ _M4_ORBITS = {
 _M5_ORBITS = {(2, 2, 3, 3): {2: 8, 3: 9}}
 _M6_ORBITS = {(3, 3, 3, 3): {3: 10}}
 _ORBIT_TABLES = {3: _M3_ORBITS, 4: _M4_ORBITS, 5: _M5_ORBITS, 6: _M6_ORBITS}
+
+# the six node pairs of a quad, and which of them touch each local node
+_QUAD_PAIRS = np.array(list(combinations(range(4), 2)))
+_PAIR_INCIDENCE = (_QUAD_PAIRS[:, :, None] == np.arange(4)).any(axis=1).astype(np.int64)
+
+
+def _orbit_lookup() -> np.ndarray:
+    """Orbit id per (edge count, sorted local degrees, local degree), -1
+    where the quad is disconnected or the degree does not occur."""
+    lookup = np.full((7, 4, 4, 4, 4, 4), -1, dtype=np.int64)
+    for m, table in _ORBIT_TABLES.items():
+        for degs, orbit_of in table.items():
+            for local, orbit in orbit_of.items():
+                lookup[(m, *degs, local)] = orbit
+    return lookup
+
+
+_ORBIT_LOOKUP = _orbit_lookup()
+
+
+@lru_cache(maxsize=32)
+def _quads(n: int) -> np.ndarray:
+    """All combinations(range(n), 4) as a read-only (C(n, 4), 4) array."""
+    quads = np.array(list(combinations(range(n), 4)), dtype=np.int64).reshape(-1, 4)
+    quads.setflags(write=False)
+    return quads
 
 
 def clustering_coefficients(g: Graph) -> np.ndarray:
@@ -156,36 +156,21 @@ def clustering_coefficients(g: Graph) -> np.ndarray:
 
 
 def orbit4_counts(g: Graph) -> np.ndarray:
-    """Per-node counts over the 11 connected 4-node graphlet orbits by
-    exhaustive subset enumeration."""
-    counts = np.zeros((g.n, ORBIT_COUNT), dtype=np.int64)
-    for quad in combinations(range(g.n), 4):
-        degs = [0, 0, 0, 0]
-        m = 0
-        for a, b in combinations(range(4), 2):
-            if g.has_edge(quad[a], quad[b]):
-                degs[a] += 1
-                degs[b] += 1
-                m += 1
-        table = _ORBIT_TABLES.get(m)
-        if table is None:
-            continue
-        orbit_of = table.get(tuple(sorted(degs)))
-        if orbit_of is None:
-            # three edges forming a triangle leave one node isolated
-            continue
-        for local, node in enumerate(quad):
-            counts[node, orbit_of[degs[local]]] += 1
-    return counts
+    """Per-node counts over the 11 connected 4-node graphlet orbits, shape
+    (n, ORBIT_COUNT).
 
-
-def compute_statistics(g: Graph) -> GraphStatistics:
-    degrees = np.array([g.degree(v) for v in range(g.n)])
-    degree_hist = np.bincount(degrees, minlength=1).astype(np.float64)
-    degree_hist /= degree_hist.sum()
-    cluster_hist, _ = np.histogram(clustering_coefficients(g), bins=CLUSTERING_BINS, range=(0.0, 1.0))
-    cluster_hist = cluster_hist.astype(np.float64) / g.n
-    return GraphStatistics(degree_hist, cluster_hist, orbit4_counts(g))
+    Every 4-node subset is classified at once: its six node pairs give the
+    edge count and the local degrees, and a lookup on (edge count, sorted
+    local degrees, local degree) names each node's orbit.  Time and memory
+    grow with C(n, 4)."""
+    quads = _quads(g.n)
+    pairs = adjacency_matrix(g).astype(np.int64)[quads[:, _QUAD_PAIRS[:, 0]], quads[:, _QUAD_PAIRS[:, 1]]]
+    degs = pairs @ _PAIR_INCIDENCE
+    s0, s1, s2, s3 = np.sort(degs, axis=1).T[:, :, None]
+    orbit = _ORBIT_LOOKUP[pairs.sum(axis=1, keepdims=True), s0, s1, s2, s3, degs]
+    found = orbit >= 0
+    counts = np.bincount(quads[found] * ORBIT_COUNT + orbit[found], minlength=g.n * ORBIT_COUNT)
+    return counts.reshape(g.n, ORBIT_COUNT)
 
 
 def _normalized(hist: np.ndarray) -> np.ndarray:
@@ -198,12 +183,18 @@ def _normalized(hist: np.ndarray) -> np.ndarray:
         return out
     return hist / total
 
+
 def degree_statistic(g: Graph) -> np.ndarray:
-    return compute_statistics(g).degree_histogram
+    """Normalized counts over degrees 0..max degree."""
+    hist = np.bincount(np.array([g.degree(v) for v in range(g.n)]), minlength=1).astype(np.float64)
+    return hist / hist.sum()
 
 
 def clustering_statistic(g: Graph) -> np.ndarray:
-    return compute_statistics(g).clustering_histogram
+    """Per-node clustering coefficients on [0, 1] in CLUSTERING_BINS equal
+    bins, as a share of the nodes."""
+    hist, _ = np.histogram(clustering_coefficients(g), bins=CLUSTERING_BINS, range=(0.0, 1.0))
+    return hist.astype(np.float64) / g.n
 
 
 def orbit_statistic(g: Graph) -> np.ndarray:
@@ -219,18 +210,32 @@ STATISTICS = {
 }
 
 
-def _pad_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    width = max(a.shape[0], b.shape[0])
-    return (
-        np.pad(a, (0, width - a.shape[0])),
-        np.pad(b, (0, width - b.shape[0])),
-    )
-
-
 def wasserstein1(a: np.ndarray, b: np.ndarray) -> float:
-    """First Wasserstein distance between histograms on unit-spaced bins."""
-    a, b = _pad_pair(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    """First Wasserstein distance between histograms on unit-spaced bins;
+    the shorter one is padded with zeros."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    width = max(a.shape[0], b.shape[0])
+    a, b = np.pad(a, (0, width - a.shape[0])), np.pad(b, (0, width - b.shape[0]))
     return float(np.abs(np.cumsum(a - b)).sum())
+
+
+def _pairwise_wasserstein1(xs: list[np.ndarray], ys: list[np.ndarray]) -> np.ndarray:
+    """wasserstein1(x, y) for every pair, shape (len(xs), len(ys)).
+
+    The histograms are stacked with zero padding.  Pairs are grouped by
+    their own padded width, so each distance sums exactly the terms, in the
+    order, that wasserstein1 sums for that pair."""
+    lens_x = np.array([h.shape[0] for h in xs])
+    lens_y = np.array([h.shape[0] for h in ys])
+    width = int(max(lens_x.max(), lens_y.max()))
+    stack_x = np.array([np.pad(h, (0, width - h.shape[0])) for h in xs])
+    stack_y = np.array([np.pad(h, (0, width - h.shape[0])) for h in ys])
+    widths = np.maximum(lens_x[:, None], lens_y[None, :])
+    out = np.empty(widths.shape)
+    for w in np.unique(widths):
+        i, j = np.nonzero(widths == w)
+        out[i, j] = np.abs(np.cumsum(stack_x[i, :w] - stack_y[j, :w], axis=1)).sum(axis=1)
+    return out
 
 
 def mmd(graphs_a, graphs_b, statistic="degree", bandwidth: float = 1.0) -> float:
@@ -238,7 +243,9 @@ def mmd(graphs_a, graphs_b, statistic="degree", bandwidth: float = 1.0) -> float
     Gaussian kernel on the Wasserstein distance of a chosen statistic.
 
     Biased V-statistic estimate: zero exactly on identical sets and
-    symmetric in its arguments."""
+    symmetric in its arguments.  The statistic runs once per graph and all
+    pairwise distances are computed together; each kernel mean is a
+    ``math.fsum``, so it does not depend on the order of the pairs."""
     if bandwidth <= 0:
         raise InputError("bandwidth must be positive")
     fn = STATISTICS.get(statistic, statistic)
@@ -247,18 +254,15 @@ def mmd(graphs_a, graphs_b, statistic="degree", bandwidth: float = 1.0) -> float
     graphs_a, graphs_b = list(graphs_a), list(graphs_b)
     if not graphs_a or not graphs_b:
         raise InputError("mmd needs two nonempty graph sets")
-    hists_a = [fn(g) for g in graphs_a]
-    hists_b = [fn(g) for g in graphs_b]
+    hists_a = [np.asarray(fn(g), dtype=np.float64) for g in graphs_a]
+    hists_b = [np.asarray(fn(g), dtype=np.float64) for g in graphs_b]
+    if any(h.ndim != 1 for h in hists_a + hists_b):
+        raise InputError("a statistic must return a 1-D histogram")
 
     def kernel_mean(xs, ys):
-        # fsum keeps the result independent of iteration order, so the
-        # estimate is exactly symmetric in its arguments
-        terms = []
-        for x in xs:
-            for y in ys:
-                d = wasserstein1(x, y)
-                terms.append(float(np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))))
-        return math.fsum(terms) / (len(xs) * len(ys))
+        d = _pairwise_wasserstein1(xs, ys)
+        terms = np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
+        return math.fsum(terms.ravel().tolist()) / terms.size
 
     value = (
         kernel_mean(hists_a, hists_a)

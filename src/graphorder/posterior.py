@@ -51,7 +51,6 @@ class OrderingSample:
 
     pi: Ordering
     log_q: float
-    per_step_logits: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -151,46 +150,48 @@ class OrderPosterior:
         logits = self._node_logits(self.store.bind(None), g, feats, None)
         return np.array(logits.data[0])
 
-    def sample_orderings(
-        self, g: Graph, count: int, rng: np.random.Generator, record_logits: bool = False
-    ) -> list[OrderingSample]:
+    def sample_orderings(self, g: Graph, count: int, rng: np.random.Generator) -> list[OrderingSample]:
         """Ancestral draws; each sample consumes an independent child stream
-        so any parallel split reproduces the sequential result."""
+        so any parallel split reproduces the sequential result.
+
+        Rows that have drawn the same prefix share one network evaluation:
+        each distinct prefix has a compact id, which after a draw becomes
+        ``id * n + node`` and is renumbered by ``np.unique``.  The last node
+        is the only candidate left, with log-probability exactly zero, so the
+        last step runs no network."""
         self._check_graph(g)
         if count < 1:
             raise InputError("count must be positive")
         n = g.n
         bound = self.store.bind(None)
         uniforms = np.stack([stream.random(n) for stream in rng.spawn(count)])
-        feats = np.zeros((count, n, self.cfg.d_model))
-        chosen = np.zeros((count, n), dtype=bool)
+        # marked features and chosen flags per distinct prefix; row i has
+        # drawn the prefix numbered prefix[i]
+        feats = np.zeros((1, n, self.cfg.d_model))
+        chosen = np.zeros((1, n), dtype=bool)
+        prefix = np.zeros(count, dtype=np.int64)
         pis = np.zeros((count, n), dtype=np.int64)
         log_q = np.zeros(count)
-        step_logits: list[np.ndarray] = []
         rows = np.arange(count)
-        for s in range(n):
+        for s in range(n - 1):
             logits = self._node_logits(bound, g, feats, None)
-            if record_logits:
-                step_logits.append(np.array(logits.data))
             lp = masked_log_softmax(logits, ~chosen).data
             probs = np.where(chosen, 0.0, np.exp(lp))
-            cum = np.cumsum(probs, axis=-1)
+            cum = np.cumsum(probs, axis=-1)[prefix]
             r = uniforms[:, s] * cum[:, -1]
             idx = np.minimum((cum <= r[:, None]).sum(axis=-1), n - 1)
-            for i in rows[probs[rows, idx] <= 0.0]:
-                idx[i] = int(np.flatnonzero(probs[i] > 0.0)[0])
-            log_q += lp[rows, idx]
+            for i in rows[probs[prefix, idx] <= 0.0]:
+                idx[i] = int(np.flatnonzero(probs[prefix[i]] > 0.0)[0])
+            log_q += lp[prefix, idx]
             pis[:, s] = idx
-            chosen[rows, idx] = True
-            feats[rows, idx] = self._pe[s + 1]
-        return [
-            OrderingSample(
-                tuple(int(v) for v in pis[i]),
-                float(log_q[i]),
-                tuple(arr[i] for arr in step_logits) if record_logits else None,
-            )
-            for i in range(count)
-        ]
+            _, first, prefix_next = np.unique(prefix * n + idx, return_index=True, return_inverse=True)
+            parents, picked = prefix[first], idx[first]
+            feats, chosen = feats[parents], chosen[parents]
+            feats[np.arange(len(first)), picked] = self._pe[s + 1]
+            chosen[np.arange(len(first)), picked] = True
+            prefix = prefix_next
+        pis[:, n - 1] = np.argmin(chosen[prefix], axis=-1)
+        return [OrderingSample(tuple(int(v) for v in pis[i]), float(log_q[i])) for i in range(count)]
 
     # -- persistence -----------------------------------------------------------
 
@@ -248,9 +249,7 @@ class UniformOrderer:
         validate_ordering(g, pi)
         return -math.lgamma(g.n + 1)
 
-    def sample_orderings(
-        self, g: Graph, count: int, rng: np.random.Generator, record_logits: bool = False
-    ) -> list[OrderingSample]:
+    def sample_orderings(self, g: Graph, count: int, rng: np.random.Generator) -> list[OrderingSample]:
         if count < 1:
             raise InputError("count must be positive")
         return [uniform_ordering(g, stream) for stream in rng.spawn(count)]

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
+from .files import write_text_atomic
 
 
 def _ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -518,10 +519,7 @@ def checkpoint_document(store: ParameterStore, model_kind: str, metadata: dict) 
 
 
 def save_checkpoint(path, store: ParameterStore, model_kind: str, metadata: dict) -> None:
-    Path(path).write_text(
-        json.dumps(checkpoint_document(store, model_kind, metadata), indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_text_atomic(path, json.dumps(checkpoint_document(store, model_kind, metadata), indent=1) + "\n")
 
 
 def parse_checkpoint(doc: dict) -> tuple[str, dict, dict[str, np.ndarray]]:

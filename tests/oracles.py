@@ -150,6 +150,38 @@ def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# orbit ids of loop_orbit4_counts, keyed by edge count, sorted local degrees
+# and local degree: path end/mid (0, 1), star leaf/center (2, 3), 4-cycle (4),
+# paw pendant/pair/apex (5, 6, 7), diamond side/hub (8, 9), clique (10)
+_ORBIT_TABLES = {
+    3: {(1, 1, 2, 2): {1: 0, 2: 1}, (1, 1, 1, 3): {1: 2, 3: 3}},
+    4: {(2, 2, 2, 2): {2: 4}, (1, 2, 2, 3): {1: 5, 2: 6, 3: 7}},
+    5: {(2, 2, 3, 3): {2: 8, 3: 9}},
+    6: {(3, 3, 3, 3): {3: 10}},
+}
+
+
+def loop_orbit4_counts(g: Graph) -> np.ndarray:
+    """Per-node counts over the 11 connected 4-node graphlet orbits, one
+    4-node subset at a time."""
+    counts = np.zeros((g.n, 11), dtype=np.int64)
+    for quad in combinations(range(g.n), 4):
+        degs = [0, 0, 0, 0]
+        m = 0
+        for a, b in combinations(range(4), 2):
+            if g.has_edge(quad[a], quad[b]):
+                degs[a] += 1
+                degs[b] += 1
+                m += 1
+        orbit_of = _ORBIT_TABLES.get(m, {}).get(tuple(sorted(degs)))
+        if orbit_of is None:
+            # fewer than three edges, or a triangle plus an isolated node
+            continue
+        for local, node in enumerate(quad):
+            counts[node, orbit_of[degs[local]]] += 1
+    return counts
+
+
 def central_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Componentwise central-difference gradient of scalar f at x."""
     grad = np.zeros_like(x, dtype=np.float64)

@@ -11,7 +11,6 @@ import math
 import time
 from collections import Counter
 from itertools import permutations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +74,6 @@ from graphorder.training import TrainConfig, grad_phi, grad_theta, train_loop
 from oracles import brute_canonical_form, central_difference, random_graph, search_automorphism_count
 
 ACCEPT_SEED = 90125
-ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 
 
 @pytest.fixture
@@ -782,7 +780,7 @@ def test_criterion_11_mmd_sanity_and_separation(report):
 # criterion 12 (reported, not gated)
 
 
-def test_criterion_12_averaged_adjacency_block_structure(report, community_run):
+def test_criterion_12_averaged_adjacency_block_structure(report, community_run, tmp_path):
     test_graphs, (model_a, q_a), _, _ = community_run
     g = test_graphs[0]
     matrix = averaged_adjacency(q_a, g, 200, spawn_rng(ACCEPT_SEED, 122))
@@ -794,8 +792,7 @@ def test_criterion_12_averaged_adjacency_block_structure(report, community_run):
     off_diag = ~np.eye(g.n, dtype=bool)
     in_mass = float(matrix[blocks].mean())
     cross_mass = float(matrix[off_diag & ~blocks].mean())
-    ARTIFACTS.mkdir(exist_ok=True)
-    path = ARTIFACTS / "averaged_adjacency.csv"
+    path = tmp_path / "averaged_adjacency.csv"
     lines = [",".join(f"{v:.10g}" for v in row) for row in matrix]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     ok = in_mass > cross_mass

@@ -175,7 +175,9 @@ class TestTrainCommand:
         lines = out.strip().split("\n")
         assert len(lines) == 2 and lines[0].startswith("epoch 0 elbo ")
         run_dir = tmp_path / "run"
-        report = json.loads((run_dir / "train_report.json").read_text())
+        report_text = (run_dir / "train_report.json").read_text()
+        assert report_text.endswith("}\n") and not report_text.endswith("\n\n")
+        report = json.loads(report_text)
         assert len(report["epochs"]) == 2
         model = load_model(run_dir / "model.json")
         assert model.kind == "adjacency"

@@ -10,10 +10,11 @@ import pytest
 
 from graphorder.errors import InputError, ResourceError
 from graphorder.evaluation import (
-    EvalConfig,
+    STATISTICS,
     averaged_adjacency,
     clustering_coefficients,
-    compute_statistics,
+    clustering_statistic,
+    degree_statistic,
     exact_log_lik,
     importance_estimate,
     importance_log_lik,
@@ -28,7 +29,7 @@ from graphorder.models import AdjacencyModel, AdjacencyModelConfig, exact_margin
 from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
 from graphorder.rng import root_rng, spawn_rng
 from graphorder.symmetry import orbit_partition
-from oracles import random_graph
+from oracles import loop_orbit4_counts, random_graph
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -117,24 +118,24 @@ class TestExactLogLik:
 
 class TestStatistics:
     def test_triangle(self):
-        stats = compute_statistics(K3)
-        assert np.allclose(stats.degree_histogram, [0, 0, 1])
-        assert stats.clustering_histogram[-1] == pytest.approx(1.0)
-        assert stats.clustering_histogram[:-1].sum() == 0
-        assert stats.orbit4_counts.shape == (3, 11)
-        assert stats.orbit4_counts.sum() == 0
+        assert np.allclose(degree_statistic(K3), [0, 0, 1])
+        clustering = clustering_statistic(K3)
+        assert clustering[-1] == pytest.approx(1.0)
+        assert clustering[:-1].sum() == 0
+        counts = orbit4_counts(K3)
+        assert counts.shape == (3, 11)
+        assert counts.sum() == 0
 
     def test_four_cycle(self):
         counts = orbit4_counts(C4)
         expect = np.zeros((4, 11))
         expect[:, 4] = 1
         assert np.array_equal(counts, expect)
-        assert np.allclose(compute_statistics(C4).degree_histogram, [0, 0, 1])
+        assert np.allclose(degree_statistic(C4), [0, 0, 1])
 
     def test_star_clustering_zero(self):
-        stats = compute_statistics(STAR4)
-        assert stats.clustering_histogram[0] == pytest.approx(1.0)
-        counts = stats.orbit4_counts
+        assert clustering_statistic(STAR4)[0] == pytest.approx(1.0)
+        counts = orbit4_counts(STAR4)
         assert counts[0, 3] == 1 and np.all(counts[1:, 2] == 1)
 
     def test_path_orbits(self):
@@ -191,6 +192,15 @@ class TestStatistics:
             )
             assert orbit4_counts(g).sum() == 4 * quads
 
+    def test_matches_loop_oracle(self):
+        rng = root_rng(25)
+        for n in range(1, 11):
+            for p in (0.2, 0.5, 0.8):
+                g = random_graph(rng, n, p)
+                counts = orbit4_counts(g)
+                assert counts.shape == (n, 11) and counts.dtype == np.int64
+                assert np.array_equal(counts, loop_orbit4_counts(g))
+
     def test_clustering_values(self):
         # node 2 of the paw touches all three others with one closed pair
         coeffs = clustering_coefficients(PAW)
@@ -208,6 +218,22 @@ class TestMmd:
     def test_identical_sets_zero(self):
         graphs = [K3, P3, C4]
         assert mmd(graphs, list(graphs), "degree") == 0.0
+
+    @pytest.mark.parametrize("stat", sorted(STATISTICS))
+    def test_matches_per_pair_wasserstein_loop(self, stat):
+        # mixed sizes, so degree histograms differ in length
+        a = [random_graph(spawn_rng(26, i), 4 + i % 7, 0.3) for i in range(9)]
+        b = [random_graph(spawn_rng(27, i), 3 + i % 9, 0.6) for i in range(7)]
+        fn = STATISTICS[stat]
+
+        def kernel_mean(xs, ys, bandwidth):
+            terms = [math.exp(-wasserstein1(fn(x), fn(y)) ** 2 / (2 * bandwidth**2)) for x in xs for y in ys]
+            return math.fsum(terms) / len(terms)
+
+        for bandwidth in (0.5, 1.0):
+            loop = kernel_mean(a, a, bandwidth) + kernel_mean(b, b, bandwidth) - 2 * kernel_mean(a, b, bandwidth)
+            assert mmd(a, b, stat, bandwidth) == pytest.approx(max(loop, 0.0), abs=1e-12)
+            assert mmd(a, a, stat, bandwidth) == 0.0
 
     def test_symmetry(self):
         a = [random_graph(spawn_rng(13, i), 8, 0.3) for i in range(5)]
@@ -265,13 +291,3 @@ class TestAveragedAdjacency:
     def test_guard(self):
         with pytest.raises(InputError):
             averaged_adjacency(UniformOrderer(), P3, 0, root_rng(24))
-
-
-class TestEvalConfig:
-    def test_validation(self):
-        with pytest.raises(InputError):
-            EvalConfig(importance_samples=0)
-        with pytest.raises(InputError):
-            EvalConfig(kernel_bandwidth=0.0)
-        cfg = EvalConfig()
-        assert cfg.importance_samples == 1000

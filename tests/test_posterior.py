@@ -122,11 +122,18 @@ class TestSampling:
         long = q.sample_orderings(g, 5, root_rng(46))
         assert [s.pi for s in short] == [s.pi for s in long[:3]]
 
-    def test_recorded_logits_shape(self):
+    def test_sampled_log_q_matches_teacher_forced(self):
+        """256 draws share prefixes and skip the network at the last step;
+        each log q must still equal the teacher-forced value."""
         q = tiny_posterior(seed=16)
-        sample = q.sample_orderings(P3, 1, root_rng(47), record_logits=True)[0]
-        assert len(sample.per_step_logits) == 3
-        assert all(arr.shape == (3,) for arr in sample.per_step_logits)
+        q.store.get("head.w")[:] *= 8.0
+        for n in (6, 7, 8):
+            g = random_graph(root_rng(47 + n), n, 0.4)
+            samples = q.sample_orderings(g, 256, root_rng(60 + n))
+            assert len({s.pi[:2] for s in samples}) < 256
+            pis = np.array([s.pi for s in samples])
+            teacher = q.log_probs_orderings(g, pis).data
+            assert np.allclose([s.log_q for s in samples], teacher, rtol=0.0, atol=1e-10)
 
     def test_deterministic_given_seed(self):
         q = tiny_posterior(seed=17)
