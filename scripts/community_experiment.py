@@ -18,6 +18,7 @@ import numpy as np
 
 from graphorder.data import gen_community_small
 from graphorder.evaluation import averaged_adjacency, importance_log_lik
+from graphorder.files import write_text_atomic
 from graphorder.models import AdjacencyModel, AdjacencyModelConfig
 from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
 from graphorder.rng import spawn_rng
@@ -78,8 +79,8 @@ def main() -> None:
     matrix = averaged_adjacency(learned_q, test_graphs[0], 200, spawn_rng(args.seed, 62))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "averaged_adjacency.csv"
-    csv_path.write_text(
-        "\n".join(",".join(f"{v:.10g}" for v in row) for row in matrix) + "\n", encoding="utf-8"
+    write_text_atomic(
+        csv_path, "\n".join(",".join(f"{v:.10g}" for v in row) for row in matrix) + "\n"
     )
     report = {
         "seed": args.seed,
@@ -93,7 +94,7 @@ def main() -> None:
         "uniform": uniform,
     }
     report_path = args.out_dir / "community_report.json"
-    report_path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    write_text_atomic(report_path, json.dumps(report, indent=1) + "\n")
     print(f"mean test log-lik: learned {learned['meanTestLogLik']:.3f}, uniform {uniform['meanTestLogLik']:.3f}")
     print(f"wrote {report_path} and {csv_path}")
 

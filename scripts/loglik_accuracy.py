@@ -12,6 +12,7 @@ import numpy as np
 
 from graphorder.data import gen_er
 from graphorder.evaluation import exact_log_lik, importance_log_lik
+from graphorder.files import write_text_atomic
 from graphorder.models import AdjacencyModel, AdjacencyModelConfig
 from graphorder.posterior import OrderPosterior, PosteriorConfig
 from graphorder.rng import spawn_rng
@@ -52,7 +53,7 @@ def main() -> None:
         rows.append((size, float(np.mean(errors))))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["sampleCount,meanAbsError"] + [f"{size},{err:.10g}" for size, err in rows]
-    args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(args.out, "\n".join(lines) + "\n")
     for size, err in rows:
         print(f"L={size:>5d}  mean |error| {err:.4f} nats")
     print(f"wrote {args.out}")

@@ -9,6 +9,7 @@ import argparse
 from pathlib import Path
 
 from graphorder.data import gen_er
+from graphorder.files import write_text_atomic
 from graphorder.models import AdjacencyModel, AdjacencyModelConfig
 from graphorder.posterior import OrderPosterior, PosteriorConfig
 from graphorder.rng import spawn_rng
@@ -44,7 +45,7 @@ def main() -> None:
     trace = variance_trace(model, q, g, sizes, args.trials, seed=args.seed)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["sampleCount,variance"] + [f"{size},{trace[size]:.10g}" for size in sizes]
-    args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(args.out, "\n".join(lines) + "\n")
     for size in sizes:
         print(f"S={size:>3d}  variance {trace[size]:.3e}")
     print(f"wrote {args.out}")

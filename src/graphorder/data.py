@@ -11,6 +11,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import GenerationError, InputError, ParseError
+from .files import write_text_atomic
 from .graphs import Graph, is_connected
 
 CONNECT_RETRY_CAP = 200
@@ -112,7 +113,7 @@ def load_dataset(path: str | Path) -> GraphDataset:
 
 
 def save_dataset(ds: GraphDataset, path: str | Path) -> None:
-    Path(path).write_bytes(format_graphs(ds.graphs).encode("utf-8"))
+    write_text_atomic(path, format_graphs(ds.graphs))
 
 
 def _er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:

@@ -1,4 +1,6 @@
-"""Immutable simple undirected graphs plus orderings, encodings, and sequences.
+"""Immutable simple undirected graphs plus orderings, encodings, and sequences,
+and the two routines every symmetry computation is built on: color refinement
+and a key-preserving isomorphism search.
 
 Adjacency is stored as one Python int bitmask per node, which keeps neighbour
 tests, induced subgraphs, and connectivity checks cheap at desk scale.
@@ -8,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError
 
 Ordering = tuple[int, ...]
+Coloring = tuple[int, ...]
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -211,42 +214,55 @@ def ordering_to_sequence(g: Graph, order: Sequence[int]) -> GraphSequence:
     return GraphSequence(tuple(induced_subgraph(g, pi[:t]) for t in range(1, g.n + 1)))
 
 
-def _joint_refinement(g1: Graph, g2: Graph) -> tuple[list[int], list[int]]:
-    """Stable colors comparable across the two graphs (refined on their union)."""
-    n1 = g1.n
-    adj = [g1.adj[u] for u in range(n1)] + [g2.adj[u] << n1 for u in range(g2.n)]
-    colors = [0] * (n1 + g2.n)
+def color_refinement(g: Graph, initial: Sequence[int] | None = None) -> Coloring:
+    """Stable coloring from iterated neighbour-multiset refinement.
+
+    Colors are dense ids assigned by lexicographic order of the
+    (old color, sorted neighbour colors) signatures, so they are deterministic
+    and only split (never merge) the initial classes.
+    """
+    if initial is None:
+        colors = [0] * g.n
+    else:
+        if len(initial) != g.n:
+            raise InputError("initial coloring must assign every node a color")
+        ids = {c: i for i, c in enumerate(sorted(set(initial)))}
+        colors = [ids[c] for c in initial]
     while True:
         sigs = [
-            (colors[u], tuple(sorted(colors[v] for v in bit_indices(adj[u]))))
-            for u in range(len(adj))
+            (colors[u], tuple(sorted(colors[v] for v in bit_indices(g.adj[u]))))
+            for u in range(g.n)
         ]
         ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ids[s] for s in sigs]
         if len(ids) == len(set(colors)):
-            return new[:n1], new[n1:]
+            return tuple(new)
         colors = new
 
 
-def isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: refinement-based pruning plus backtracking."""
-    if g1.n != g2.n:
-        return False
-    if degree_sequence(g1) != degree_sequence(g2):
-        return False
-    c1, c2 = _joint_refinement(g1, g2)
-    if sorted(c1) != sorted(c2):
-        return False
+def find_isomorphism(
+    g1: Graph, g2: Graph, keys1: Iterable[Hashable], keys2: Iterable[Hashable]
+) -> list[int] | None:
+    """A bijection f from g1's nodes onto g2's, or None if there is none.
+
+    f matches on adjacency and on the keys: u and w are adjacent in g1 exactly
+    when f(u) and f(w) are adjacent in g2, and keys1[u] == keys2[f(u)] for
+    every u.  The search backtracks over nodes in label order and tries only
+    the targets with an equal key, so finer keys prune more.
+    """
+    keys1, keys2 = list(keys1), list(keys2)
+    if g1.n != g2.n or sorted(keys1) != sorted(keys2):
+        return None
     n = g1.n
-    targets: dict[int, list[int]] = {}
-    for v in range(n):
-        targets.setdefault(c2[v], []).append(v)
+    targets: dict[Hashable, list[int]] = {}
+    for j, key in enumerate(keys2):
+        targets.setdefault(key, []).append(j)
     mapping = [-1] * n
 
     def extend(i: int, used: int) -> bool:
         if i == n:
             return True
-        for j in targets.get(c1[i], ()):
+        for j in targets.get(keys1[i], ()):
             if used >> j & 1:
                 continue
             if all((g1.adj[i] >> k & 1) == (g2.adj[j] >> mapping[k] & 1) for k in range(i)):
@@ -256,7 +272,22 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
         mapping[i] = -1
         return False
 
-    return extend(0, 0)
+    return mapping if extend(0, 0) else None
+
+
+def isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism test: is there a bijection of g1's nodes onto g2's
+    that maps edges onto edges and non-edges onto non-edges?
+
+    Degree sequences filter most non-isomorphic pairs.  The rest are refined
+    together as one disjoint union, so both graphs get colors from one
+    numbering, and ``find_isomorphism`` matches on those colors.
+    """
+    if g1.n != g2.n or degree_sequence(g1) != degree_sequence(g2):
+        return False
+    n = g1.n
+    colors = color_refinement(Graph(2 * n, g1.adj + tuple(row << n for row in g2.adj)))
+    return find_isomorphism(g1, g2, colors[:n], colors[n:]) is not None
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

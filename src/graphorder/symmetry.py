@@ -1,11 +1,18 @@
-"""Exact and approximate graph symmetry: color refinement, automorphism
-counting, node orbits, and the ordering multiplicities they induce.
+"""Exact and approximate graph symmetry: automorphism counting, node orbits,
+and the ordering multiplicities they induce.
 
 The number of orderings of a graph G that produce a given lower-triangular
 matrix A equals |Aut(G)|, and the number producing a given sequence of
 prefix isomorphism classes equals the product over steps t of the orbit size
 of the node added at t inside the t-node prefix.  Replacing true orbits with
 color-refinement classes gives a cheap upper bound on that product.
+
+Every exact answer takes one path: ``color_refinement`` colors the graph,
+``find_isomorphism`` (both from ``graphs``) searches for an automorphism
+that maps one individualized node to another, and ``_orbit`` collects the
+nodes such automorphisms reach.  ``orbit_of``, ``orbit_partition``,
+``automorphism_count`` and ``sequence_multiplicity_exact`` are built on
+``_orbit``.
 """
 
 from __future__ import annotations
@@ -14,44 +21,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, Ordering, bit_indices, induced_subgraph, isomorphic, validate_ordering
+from .graphs import (
+    Coloring,
+    Graph,
+    Ordering,
+    color_refinement,
+    find_isomorphism,
+    induced_subgraph,
+    validate_ordering,
+)
 
-Coloring = tuple[int, ...]
-
-DEFAULT_NODE_BUDGET = 128
-
-
-def color_refinement(g: Graph, initial: Sequence[int] | None = None) -> Coloring:
-    """Stable coloring from iterated neighbour-multiset refinement.
-
-    Colors are dense ids assigned by lexicographic order of the
-    (old color, sorted neighbour colors) signatures, so they are deterministic
-    and only split (never merge) the initial classes.
-    """
-    if initial is None:
-        colors = [0] * g.n
-    else:
-        if len(initial) != g.n:
-            raise InputError("initial coloring must assign every node a color")
-        ids = {c: i for i, c in enumerate(sorted(set(initial)))}
-        colors = [ids[c] for c in initial]
-    while True:
-        sigs = [
-            (colors[u], tuple(sorted(colors[v] for v in bit_indices(g.adj[u]))))
-            for u in range(g.n)
-        ]
-        ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ids[s] for s in sigs]
-        if len(ids) == len(set(colors)):
-            return tuple(new)
-        colors = new
-
-
-def _classes(colors: Sequence[int]) -> dict[int, list[int]]:
-    cells: dict[int, list[int]] = {}
-    for u, c in enumerate(colors):
-        cells.setdefault(c, []).append(u)
-    return cells
+# exact symmetry searches refuse graphs with more nodes than this
+NODE_BUDGET = 128
 
 
 def _individualize(g: Graph, colors: Sequence[int], v: int) -> Coloring:
@@ -60,149 +41,83 @@ def _individualize(g: Graph, colors: Sequence[int], v: int) -> Coloring:
     return color_refinement(g, marked)
 
 
-def _find_coloring_automorphism(
-    g: Graph, base: Coloring, src_colors: Coloring, dst_colors: Coloring
-) -> list[int] | None:
-    """A permutation f of g preserving adjacency and ``base`` pointwise with
-    src_colors[u] == dst_colors[f(u)] for all u, or None.
+def _orbit(g: Graph, colors: Coloring, v: int) -> set[int]:
+    """v's orbit under the automorphisms of g that preserve ``colors``.
 
-    The refined colorings prune the search; the base constraint keeps any
-    returned map inside the color-preserving subgroup the caller works in.
+    Each candidate u of v's color class not yet reached costs one search for
+    an automorphism mapping v to u.  The search keeps ``colors`` in its keys,
+    so a found map stays in the color-preserving subgroup, and the whole
+    cycle of that map through v joins the orbit.
     """
-    if sorted(src_colors) != sorted(dst_colors):
-        return None
-    n = g.n
-    targets: dict[tuple[int, int], list[int]] = {}
-    for j in range(n):
-        targets.setdefault((base[j], dst_colors[j]), []).append(j)
-    mapping = [-1] * n
-
-    def extend(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        for j in targets.get((base[i], src_colors[i]), ()):
-            if used >> j & 1:
-                continue
-            if all((g.adj[i] >> k & 1) == (g.adj[j] >> mapping[k] & 1) for k in range(i)):
-                mapping[i] = j
-                if extend(i + 1, used | 1 << j):
-                    return True
-        mapping[i] = -1
-        return False
-
-    return mapping if extend(0, 0) else None
-
-
-def _mapping_automorphism(g: Graph, colors: Coloring, src: int, dst: int) -> list[int] | None:
-    """Automorphism preserving ``colors`` that maps src to dst, or None."""
-    if colors[src] != colors[dst]:
-        return None
-    if src == dst:
-        return list(range(g.n))
-    return _find_coloring_automorphism(
-        g, colors, _individualize(g, colors, src), _individualize(g, colors, dst)
-    )
-
-
-def _check_budget(g: Graph, node_budget: int) -> None:
-    if g.n > node_budget:
-        raise ResourceError(
-            f"graph has {g.n} nodes, exceeding the exact-symmetry budget of {node_budget}"
-        )
-
-
-def automorphism_count(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """|Aut(g)| by orbit-stabilizer recursion over individualized refinements."""
-    _check_budget(g, node_budget)
-
-    def count(colors: Coloring) -> int:
-        cells = _classes(colors)
-        cell = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                cell = cells[c]
-                break
-        if cell is None:
-            return 1
-        v = cell[0]
-        orbit = 1 + sum(
-            1 for u in cell[1:] if _mapping_automorphism(g, colors, v, u) is not None
-        )
-        return orbit * count(_individualize(g, colors, v))
-
-    return count(color_refinement(g))
-
-
-def orbit_of(g: Graph, v: int, node_budget: int = DEFAULT_NODE_BUDGET) -> set[int]:
-    """The set of nodes some automorphism maps v to."""
-    _check_budget(g, node_budget)
-    if not 0 <= v < g.n:
-        raise InputError(f"node {v} out of range")
-    colors = color_refinement(g)
     orbit = {v}
-    for u in _classes(colors)[colors[v]]:
-        if u in orbit:
+    for u in range(g.n):
+        if colors[u] != colors[v] or u in orbit:
             continue
-        f = _mapping_automorphism(g, colors, v, u)
+        f = find_isomorphism(
+            g,
+            g,
+            zip(colors, _individualize(g, colors, v)),
+            zip(colors, _individualize(g, colors, u)),
+        )
         if f is None:
             continue
-        # every power of f keeps nodes inside their orbits; walk v's cycle
         w = f[v]
         while w != v:
             orbit.add(w)
             w = f[w]
-        orbit.add(u)
     return orbit
 
 
-def orbit_partition(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> list[set[int]]:
-    """Node orbits under Aut(g), sorted by smallest member."""
-    _check_budget(g, node_budget)
+def _check_budget(g: Graph) -> None:
+    if g.n > NODE_BUDGET:
+        raise ResourceError(
+            f"graph has {g.n} nodes, exceeding the exact-symmetry budget of {NODE_BUDGET}"
+        )
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(g)| by orbit-stabilizer recursion over individualized refinements."""
+    _check_budget(g)
+    value = 1
     colors = color_refinement(g)
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for cell in _classes(colors).values():
-        for u in cell[1:]:
-            if find(u) == find(cell[0]):
-                continue
-            f = _mapping_automorphism(g, colors, cell[0], u)
-            if f is not None:
-                for w in range(g.n):
-                    union(w, f[w])
-    cells: dict[int, set[int]] = {}
-    for u in range(g.n):
-        cells.setdefault(find(u), set()).add(u)
-    return sorted(cells.values(), key=min)
+    while len(set(colors)) < g.n:
+        # the first node of the lowest color class with more than one node
+        v = colors.index(min(c for c in colors if colors.count(c) > 1))
+        value *= len(_orbit(g, colors, v))
+        colors = _individualize(g, colors, v)
+    return value
 
 
-def adjacency_multiplicity(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """How many orderings of g produce any one of its lower-triangular
-    encodings; equals |Aut(g)|."""
-    return automorphism_count(g, node_budget)
+def orbit_of(g: Graph, v: int) -> set[int]:
+    """The set of nodes some automorphism maps v to."""
+    _check_budget(g)
+    if not 0 <= v < g.n:
+        raise InputError(f"node {v} out of range")
+    return _orbit(g, color_refinement(g), v)
 
 
-def sequence_multiplicity_exact(
-    g: Graph, order: Sequence[int], node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
+def orbit_partition(g: Graph) -> list[set[int]]:
+    """Node orbits under Aut(g), sorted by smallest member."""
+    _check_budget(g)
+    colors = color_refinement(g)
+    orbits: list[set[int]] = []
+    covered: set[int] = set()
+    for v in range(g.n):
+        if v not in covered:
+            orbits.append(_orbit(g, colors, v))
+            covered |= orbits[-1]
+    return orbits
+
+
+def sequence_multiplicity_exact(g: Graph, order: Sequence[int]) -> int:
     """Number of orderings whose prefix graphs match ``order``'s up to
     isomorphism: the product over t of the orbit size of the newest node."""
-    _check_budget(g, node_budget)
+    _check_budget(g)
     pi = validate_ordering(g, order)
     value = 1
     for t in range(1, g.n + 1):
         prefix = induced_subgraph(g, pi[:t])
-        value *= len(orbit_of(prefix, t - 1, node_budget))
+        value *= len(_orbit(prefix, color_refinement(prefix), t - 1))
     return value
 
 
@@ -218,24 +133,6 @@ def sequence_multiplicity_cr(
         colors = color_refinement(prefix)
         value *= sum(1 for c in colors if c == colors[t - 1])
     return value
-
-
-def orbit_by_deletion(
-    g: Graph, u: int, v: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[bool, bool]:
-    """(same orbit, vertex-deleted subgraphs isomorphic) for nodes u, v.
-
-    The two answers agree on every graph; computing both exercises the orbit
-    engine and the isomorphism engine against each other.
-    """
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise InputError("nodes out of range")
-    if g.n < 2:
-        raise InputError("deletion check needs at least two nodes")
-    same = u in orbit_of(g, v, node_budget)
-    rest_u = induced_subgraph(g, [w for w in range(g.n) if w != u])
-    rest_v = induced_subgraph(g, [w for w in range(g.n) if w != v])
-    return same, isomorphic(rest_u, rest_v)
 
 
 @dataclass(frozen=True)
@@ -268,7 +165,6 @@ def symmetry_report(
     g: Graph,
     order: Sequence[int] | None = None,
     exact_sequence: bool = True,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SymmetryReport:
     seq_exact = seq_bound = None
     pi = None
@@ -276,11 +172,11 @@ def symmetry_report(
         pi = validate_ordering(g, order)
         seq_bound = sequence_multiplicity_cr(g, pi)
         if exact_sequence:
-            seq_exact = sequence_multiplicity_exact(g, pi, node_budget)
+            seq_exact = sequence_multiplicity_exact(g, pi)
     return SymmetryReport(
         node_count=g.n,
-        aut_count=automorphism_count(g, node_budget),
-        orbits=tuple(tuple(sorted(cell)) for cell in orbit_partition(g, node_budget)),
+        aut_count=automorphism_count(g),
+        orbits=tuple(tuple(sorted(cell)) for cell in orbit_partition(g)),
         stable_coloring=color_refinement(g),
         order=pi,
         sequence_multiplicity=seq_exact,

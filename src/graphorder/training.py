@@ -166,6 +166,9 @@ def train_loop(
             backward(tape, loss)
             q.store.accumulate_from_tape(tape)
             model.store.accumulate_from_tape(tape)
+            # each tensor points back to the tape; emptying the tape breaks
+            # that cycle, so the step is freed by reference counting
+            tape.nodes.clear()
             if q.store.parameter_count():
                 q.store.adam_step(cfg.lr_posterior)
             model.store.adam_step(cfg.lr_model)
@@ -200,6 +203,7 @@ def _per_sample_phi_grads(model, q, g, count: int, rng, mode: str) -> np.ndarray
         signal = float(rep.data[s] - log_mult[s] - log_q.data[0])
         backward(tape, mul(mean(log_q), signal))
         q.store.accumulate_from_tape(tape)
+        tape.nodes.clear()
         rows.append(q.store.grad_vector())
         q.store.zero_grads()
     return np.stack(rows)

@@ -93,6 +93,8 @@ class TestRoundTrip:
         path = tmp_path / "two.txt"
         save_dataset(ds, path)
         assert path.read_bytes() == b"1 0\n\n3 3\n0 1\n0 2\n1 2\n"
+        # the write goes through a temporary file that must not be left behind
+        assert [p.name for p in tmp_path.iterdir()] == ["two.txt"]
 
     @given(st.lists(graph_strategy(max_nodes=7), min_size=0, max_size=5))
     @settings(max_examples=50, deadline=None)

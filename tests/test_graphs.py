@@ -201,6 +201,13 @@ class TestIsomorphic:
     def test_size_mismatch(self):
         assert not isomorphic(path(3), path(4))
 
+    def test_exhaustive_four_nodes(self):
+        small = list(all_graphs(4))
+        forms = [brute_canonical_form(g) for g in small]
+        for g1, f1 in zip(small, forms):
+            for g2, f2 in zip(small, forms):
+                assert isomorphic(g1, g2) == (f1 == f2)
+
     @settings(max_examples=20)
     @given(graphs(1, 5), graphs(1, 5))
     def test_matches_canonical_form_oracle(self, g1, g2):

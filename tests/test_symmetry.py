@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from graphorder.errors import InputError, ResourceError
 from graphorder.graphs import Graph, all_graphs
 from graphorder.symmetry import (
-    adjacency_multiplicity,
     automorphism_count,
     color_refinement,
-    orbit_by_deletion,
     orbit_of,
     orbit_partition,
     sequence_multiplicity_cr,
@@ -105,6 +103,7 @@ class TestAutomorphismCount:
             (cycle(5), 10),
             (Graph.from_edges(1, []), 1),
             (Graph.from_edges(4, []), 24),
+            (path(3), 2),
         ],
     )
     def test_known_groups(self, g, expected):
@@ -116,9 +115,10 @@ class TestAutomorphismCount:
         assert search_automorphism_count(g) == 120
 
     def test_exhaustive_small(self):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             for g in all_graphs(n):
                 assert automorphism_count(g) == brute_automorphism_count(g)
+                assert orbit_partition(g) == brute_orbits(g)
 
     @settings(max_examples=40)
     @given(graphs(5, 7))
@@ -126,8 +126,15 @@ class TestAutomorphismCount:
         assert automorphism_count(g) == brute_automorphism_count(g)
 
     def test_budget(self):
+        g = path(129)
         with pytest.raises(ResourceError):
-            automorphism_count(path(6), node_budget=5)
+            automorphism_count(g)
+        with pytest.raises(ResourceError):
+            orbit_partition(g)
+        with pytest.raises(ResourceError):
+            orbit_of(g, 0)
+        with pytest.raises(ResourceError):
+            sequence_multiplicity_exact(g, range(129))
 
 
 class TestOrbits:
@@ -136,6 +143,15 @@ class TestOrbits:
 
     def test_star_orbits(self):
         assert orbit_partition(star(4)) == [{0}, {1, 2, 3, 4}]
+
+    def test_orbits_inside_one_refinement_class(self):
+        # every node has degree 2, so refinement leaves one class holding two
+        # orbits, and the triangles' orbit needs the map that swaps them
+        triangles = [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
+        g = Graph.from_edges(12, [(i, (i + 1) % 6) for i in range(6)] + triangles)
+        assert len(set(color_refinement(g))) == 1
+        assert orbit_partition(g) == [set(range(6)), set(range(6, 12))]
+        assert automorphism_count(g) == 12 * 72
 
     def test_orbit_of(self):
         assert orbit_of(cycle(5), 2) == {0, 1, 2, 3, 4}
@@ -162,15 +178,6 @@ class TestOrbits:
         total = automorphism_count(g)
         for cell in orbit_partition(g):
             assert total % len(cell) == 0
-
-
-class TestAdjacencyMultiplicity:
-    def test_three_path(self):
-        assert adjacency_multiplicity(path(3)) == 2
-
-    @given(graphs(1, 6))
-    def test_equals_automorphism_count(self, g):
-        assert adjacency_multiplicity(g) == automorphism_count(g)
 
 
 class TestSequenceMultiplicity:
@@ -218,28 +225,6 @@ class TestSequenceMultiplicity:
             assert sum(counts.values()) == math.factorial(g.n)
             pi = tuple(rng.permutation(g.n))
             assert sequence_multiplicity_exact(g, pi) == brute_sequence_multiplicity(g, pi)
-
-
-class TestOrbitByDeletion:
-    def test_path_ends(self):
-        same, iso = orbit_by_deletion(path(4), 0, 3)
-        assert same and iso
-
-    def test_path_end_vs_middle(self):
-        same, iso = orbit_by_deletion(path(4), 0, 1)
-        assert not same and not iso
-
-    def test_requires_two_nodes(self):
-        with pytest.raises(InputError):
-            orbit_by_deletion(Graph.from_edges(1, []), 0, 0)
-
-    @settings(max_examples=30)
-    @given(graphs(2, 6), st.data())
-    def test_agreement(self, g, data):
-        u = data.draw(st.integers(0, g.n - 1))
-        v = data.draw(st.integers(0, g.n - 1))
-        same, iso = orbit_by_deletion(g, u, v)
-        assert same == iso
 
 
 class TestSymmetryReport:

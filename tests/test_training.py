@@ -1,7 +1,9 @@
 """Training-loop tests: estimator values and unbiasedness on enumerable
 graphs, determinism, update mechanics, and gradient-variance behavior."""
 
+import gc
 import math
+import weakref
 from itertools import permutations
 
 import numpy as np
@@ -16,6 +18,7 @@ from graphorder.models import (
     joint_log_probs,
 )
 from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
+from graphorder import training
 from graphorder.rng import root_rng, spawn_rng
 from graphorder.tensor import Tape, Tensor, backward, mean, mul, tensor_sum
 from graphorder.training import (
@@ -208,6 +211,26 @@ class TestTrainLoop:
         cfg = TrainConfig(sample_count=2, epochs=2, seed=45, use_baseline=True)
         report = train_loop(model, q, [P3], cfg)
         assert all(math.isfinite(e.elbo) for e in report.epochs)
+
+    def test_step_tapes_freed_without_cycle_collector(self, monkeypatch):
+        refs = []
+
+        class TrackedTape(Tape):
+            # no __slots__, so instances take weak references
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(training, "Tape", TrackedTape)
+        model, q = small_model(49), small_posterior(50)
+        gc.disable()
+        try:
+            train_loop(model, q, [P3, K3], TrainConfig(sample_count=2, epochs=1, seed=51))
+            # two training steps plus two single-sample variance tapes
+            assert len(refs) == 4
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     def test_report_shape_and_json(self):
         model, q = small_model(46), small_posterior(47)
