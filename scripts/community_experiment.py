@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from graphorder.data import gen_community_small
-from graphorder.evaluation import averaged_adjacency, importance_log_lik
+from graphorder.evaluation import averaged_adjacency, importance_estimate
 from graphorder.files import write_text_atomic
 from graphorder.models import AdjacencyModel, AdjacencyModelConfig
 from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
@@ -47,7 +47,7 @@ def run_side(label: str, model, q, train_graphs, test_graphs, args) -> dict:
     report = train_loop(model, q, train_graphs, cfg, progress=lambda line: print(f"[{label}] {line}"))
     rng = spawn_rng(args.seed, 61)
     test_liks = [
-        importance_log_lik(model, q, g, args.importance_samples, rng) for g in test_graphs
+        importance_estimate(model, q, g, args.importance_samples, rng).log_lik for g in test_graphs
     ]
     return {
         "trainSeconds": report.total_seconds,

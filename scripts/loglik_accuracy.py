@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from graphorder.data import gen_er
-from graphorder.evaluation import exact_log_lik, importance_log_lik
+from graphorder.evaluation import importance_estimate
 from graphorder.files import write_text_atomic
-from graphorder.models import AdjacencyModel, AdjacencyModelConfig
+from graphorder.models import AdjacencyModel, AdjacencyModelConfig, exact_marginal_log_prob
 from graphorder.posterior import OrderPosterior, PosteriorConfig
 from graphorder.rng import spawn_rng
 from graphorder.training import TrainConfig, train_loop
@@ -42,12 +42,12 @@ def main() -> None:
     model = AdjacencyModel(AdjacencyModelConfig(max_nodes=args.nodes, hidden=16, row_embed=8, seed=args.seed))
     q = OrderPosterior(PosteriorConfig(max_nodes=args.nodes, layers=2, heads=2, head_dim=6, seed=args.seed + 1))
     train_loop(model, q, graphs, TrainConfig(sample_count=4, epochs=args.epochs, seed=args.seed))
-    exact = [exact_log_lik(model, g) for g in graphs]
+    exact = [exact_marginal_log_prob(model, g) for g in graphs]
     rng = spawn_rng(args.seed, 65)
     rows = []
     for size in sizes:
         errors = [
-            abs(importance_log_lik(model, q, g, size, rng) - target)
+            abs(importance_estimate(model, q, g, size, rng).log_lik - target)
             for g, target in zip(graphs, exact)
         ]
         rows.append((size, float(np.mean(errors))))

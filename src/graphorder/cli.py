@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     ResourceError,
 )
-from .evaluation import STATISTICS, averaged_adjacency, exact_log_lik, importance_estimate, mmd
+from .evaluation import STATISTICS, averaged_adjacency, importance_estimate, mmd
 from .files import write_text_atomic
 from .models import (
     AdjacencyModel,
@@ -39,6 +39,7 @@ from .models import (
     GraphModel,
     SequenceModel,
     SequenceModelConfig,
+    exact_marginal_log_prob,
     load_model,
 )
 from .posterior import OrderPosterior, PosteriorConfig, UniformOrderer
@@ -363,7 +364,7 @@ def _cmd_loglik(args) -> None:
         est = importance_estimate(model, proposal, g, args.L, rng, mode=args.mode)
         exact = None
         if g.n <= args.exact_max_n:
-            exact = exact_log_lik(model, g, max_nodes=args.exact_max_n)
+            exact = exact_marginal_log_prob(model, g, max_nodes=args.exact_max_n)
         rows.append(
             {
                 "index": index,

@@ -1,4 +1,4 @@
-"""Model evaluation: importance-sampled and exact log-likelihoods, graph
+"""Model evaluation: importance-sampled log-likelihoods, graph
 statistics (degree, clustering, 4-node orbits), MMD set comparison, and
 ordering-averaged adjacency matrices.
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .graphs import Graph, adjacency_matrix
-from .models import GraphModel, exact_marginal_log_prob, joint_log_probs, log_sum_exp
+from .models import GraphModel, joint_log_probs, log_sum_exp
 from .posterior import OrderingModel
 
 _IS_CHUNK = 512
@@ -81,22 +81,6 @@ def importance_estimate(
     estimate = log_sum_exp(stacked) - np.log(sample_count)
     stderr = jackknife_log_mean_stderr(stacked) if sample_count > 1 else None
     return ImportanceEstimate(float(estimate), stderr, sample_count)
-
-
-def importance_log_lik(
-    model: GraphModel,
-    proposal: OrderingModel,
-    g: Graph,
-    sample_count: int,
-    rng,
-    mode: str = "exact",
-) -> float:
-    return importance_estimate(model, proposal, g, sample_count, rng, mode).log_lik
-
-
-def exact_log_lik(model: GraphModel, g: Graph, max_nodes: int = 8) -> float:
-    """Evaluation-time oracle: enumerate every ordering (factorial cost)."""
-    return exact_marginal_log_prob(model, g, max_nodes=max_nodes)
 
 
 # orbit ids: path end/mid (0, 1), star leaf/center (2, 3), 4-cycle (4),

@@ -9,7 +9,7 @@ multiplicities to give joint and marginal graph probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
 from typing import Sequence
@@ -35,19 +35,16 @@ from .symmetry import (
     sequence_multiplicity_exact,
 )
 from .tensor import (
+    Checkpointable,
     ParameterStore,
     Tape,
     Tensor,
     add,
-    checkpoint_document,
     concat,
-    load_checkpoint,
     log_sigmoid,
     mean,
     mul,
-    parse_checkpoint,
     reshape,
-    save_checkpoint,
     tanh,
     tensor_sum,
 )
@@ -81,6 +78,36 @@ def _broadcast_rows(vec: Tensor, batch: int) -> Tensor:
     return add(Tensor(np.zeros((batch, vec.data.shape[-1]))), vec)
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _check_model_config(cfg, sizes: tuple[str, ...]) -> None:
+    """The checks both model configs share: ``max_nodes`` and ``sizes`` are
+    positive integers, there are at least two nodes, and a fixed node count
+    is an integer in [1, max_nodes]."""
+    for name in ("max_nodes", *sizes):
+        if not _positive_int(getattr(cfg, name)):
+            raise InputError(f"{name} must be a positive integer, got {getattr(cfg, name)!r}")
+    if cfg.max_nodes < 2:
+        raise InputError("max_nodes must be at least 2")
+    fixed = cfg.fixed_node_count
+    if fixed is not None and not (_positive_int(fixed) and fixed <= cfg.max_nodes):
+        raise InputError("fixed_node_count must lie in [1, max_nodes]")
+
+
+class GraphModel(Checkpointable):
+    """What both model families share: the node-count guard and checkpoints
+    (``load_model`` reads either family)."""
+
+    def _check_n(self, n: int) -> None:
+        if not 1 <= n <= self.cfg.max_nodes:
+            raise InputError(f"graph size {n} outside [1, {self.cfg.max_nodes}]")
+        fixed = self.cfg.fixed_node_count
+        if fixed is not None and n != fixed:
+            raise InputError(f"model generates exactly {fixed} nodes, got {n}")
+
+
 @dataclass(frozen=True)
 class AdjacencyModelConfig:
     max_nodes: int = 20
@@ -90,13 +117,10 @@ class AdjacencyModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_nodes < 2:
-            raise InputError("max_nodes must be at least 2")
-        if self.fixed_node_count is not None and not 1 <= self.fixed_node_count <= self.max_nodes:
-            raise InputError("fixed_node_count must lie in [1, max_nodes]")
+        _check_model_config(self, ("hidden", "row_embed"))
 
 
-class AdjacencyModel:
+class AdjacencyModel(GraphModel):
     """Recurrent model over lower-triangular adjacency rows.
 
     A GRU consumes one full-width row per step; each state emits Bernoulli
@@ -106,6 +130,7 @@ class AdjacencyModel:
     """
 
     kind = "adjacency"
+    config_type = AdjacencyModelConfig
 
     def __init__(self, cfg: AdjacencyModelConfig, zero_init: bool = False):
         self.cfg = cfg
@@ -130,13 +155,6 @@ class AdjacencyModel:
         return reshape(linear(bound, "stop", state), state.data.shape[:-1])
 
     # -- scoring -------------------------------------------------------------
-
-    def _check_n(self, n: int) -> None:
-        if not 1 <= n <= self.cfg.max_nodes:
-            raise InputError(f"graph size {n} outside [1, {self.cfg.max_nodes}]")
-        fixed = self.cfg.fixed_node_count
-        if fixed is not None and n != fixed:
-            raise InputError(f"model generates exactly {fixed} nodes, got {n}")
 
     def log_prob_rows(self, rows: np.ndarray, tape: Tape | None = None) -> Tensor:
         """Log-probabilities of (batch, n-1, max_nodes-1) padded row arrays."""
@@ -212,18 +230,6 @@ class AdjacencyModel:
             graphs.append(decode_adjacency(LowerTriangularEncoding(n, tuple(rows[b]))))
         return graphs
 
-    # -- persistence ----------------------------------------------------------
-
-    def checkpoint(self, metadata: dict | None = None) -> dict:
-        return checkpoint_document(self.store, self.kind, _model_metadata(self, metadata))
-
-    def save(self, path, metadata: dict | None = None) -> None:
-        save_checkpoint(path, self.store, self.kind, _model_metadata(self, metadata))
-
-    @classmethod
-    def from_checkpoint(cls, doc: dict) -> "AdjacencyModel":
-        return _expect_kind(model_from_document(doc), cls)
-
 
 @dataclass(frozen=True)
 class SequenceModelConfig:
@@ -235,13 +241,10 @@ class SequenceModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_nodes < 2:
-            raise InputError("max_nodes must be at least 2")
-        if self.fixed_node_count is not None and not 1 <= self.fixed_node_count <= self.max_nodes:
-            raise InputError("fixed_node_count must lie in [1, max_nodes]")
+        _check_model_config(self, ("hidden", "rounds", "edge_hidden"))
 
 
-class SequenceModel:
+class SequenceModel(GraphModel):
     """Node-by-node growth model with a message-passing propagator.
 
     Each step re-embeds the current partial graph (summed messages with a
@@ -251,6 +254,7 @@ class SequenceModel:
     """
 
     kind = "sequence"
+    config_type = SequenceModelConfig
 
     def __init__(self, cfg: SequenceModelConfig, zero_init: bool = False):
         self.cfg = cfg
@@ -263,13 +267,6 @@ class SequenceModel:
         register_linear(self.store, "edge1", 3 * d, cfg.edge_hidden, rng, zero=zero_init)
         register_linear(self.store, "edge2", cfg.edge_hidden, 1, rng, zero=zero_init)
         register_linear(self.store, "stop", d, 1, rng, zero=zero_init)
-
-    def _check_n(self, n: int) -> None:
-        if not 1 <= n <= self.cfg.max_nodes:
-            raise InputError(f"graph size {n} outside [1, {self.cfg.max_nodes}]")
-        fixed = self.cfg.fixed_node_count
-        if fixed is not None and n != fixed:
-            raise InputError(f"model generates exactly {fixed} nodes, got {n}")
 
     # -- step pieces -----------------------------------------------------------
 
@@ -398,21 +395,6 @@ class SequenceModel:
             out.append(Graph.from_edges(n, edges))
         return out
 
-    # -- persistence ---------------------------------------------------------------
-
-    def checkpoint(self, metadata: dict | None = None) -> dict:
-        return checkpoint_document(self.store, self.kind, _model_metadata(self, metadata))
-
-    def save(self, path, metadata: dict | None = None) -> None:
-        save_checkpoint(path, self.store, self.kind, _model_metadata(self, metadata))
-
-    @classmethod
-    def from_checkpoint(cls, doc: dict) -> "SequenceModel":
-        return _expect_kind(model_from_document(doc), cls)
-
-
-GraphModel = AdjacencyModel | SequenceModel
-
 
 def concat_last(tensors: Sequence[Tensor]) -> Tensor:
     return concat(tensors, axis=-1)
@@ -423,61 +405,9 @@ def tensor_mean_nodes(h: Tensor) -> Tensor:
     return mean(h, axis=-2)
 
 
-def _config_from_metadata(cls, meta: dict):
-    cfg = meta.get("config")
-    if not isinstance(cfg, dict):
-        raise InputError("checkpoint metadata must carry a config mapping")
-    try:
-        return cls(**cfg)
-    except TypeError as exc:
-        raise InputError(f"bad checkpoint config: {exc}") from exc
-
-
-def _load_params(store: ParameterStore, params: dict[str, np.ndarray]) -> None:
-    expected = set(store.names())
-    got = set(params)
-    if expected != got:
-        missing = expected - got
-        extra = got - expected
-        raise InputError(f"checkpoint parameters mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
-    for name, arr in params.items():
-        target = store.get(name)
-        if target.shape != arr.shape:
-            raise InputError(f"parameter {name!r} has shape {arr.shape}, expected {target.shape}")
-        target[:] = arr
-
-
-def _model_metadata(model: GraphModel, extra: dict | None) -> dict:
-    meta = {"config": asdict(model.cfg), "seed": model.cfg.seed}
-    meta.update(extra or {})
-    return meta
-
-
-def _expect_kind(model: GraphModel, cls) -> GraphModel:
-    if not isinstance(model, cls):
-        raise InputError(f"checkpoint kind {model.kind!r} is not {cls.kind!r}")
-    return model
-
-
-def _build_model(kind: str, meta: dict, params: dict) -> GraphModel:
-    if kind == AdjacencyModel.kind:
-        model = AdjacencyModel(_config_from_metadata(AdjacencyModelConfig, meta))
-    elif kind == SequenceModel.kind:
-        model = SequenceModel(_config_from_metadata(SequenceModelConfig, meta))
-    else:
-        raise InputError(f"unknown model kind {kind!r}")
-    _load_params(model.store, params)
-    return model
-
-
-def model_from_document(doc: dict) -> GraphModel:
-    """Rebuild whichever model family a checkpoint document holds."""
-    return _build_model(*parse_checkpoint(doc))
-
-
-def load_model(path) -> GraphModel:
-    """Read a model checkpoint file of either family."""
-    return _build_model(*load_checkpoint(path))
+# one code path rebuilds both families: the shared base's checkpoint readers
+model_from_document = GraphModel.from_checkpoint
+load_model = GraphModel.load
 
 
 def _check_mode(mode: str) -> None:

@@ -10,27 +10,23 @@ interface serves as the no-learning baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .errors import InputError
 from .graphs import Graph, Ordering, validate_ordering
-from .models import _config_from_metadata, _load_params
 from .nn import neighborhood_mask, register_attention, register_linear, residual_attention_stack, linear
 from .rng import spawn_rng
 from .tensor import (
+    Checkpointable,
     ParameterStore,
     Tape,
     Tensor,
     add,
-    checkpoint_document,
-    load_checkpoint,
     masked_log_softmax,
-    parse_checkpoint,
     reshape,
-    save_checkpoint,
     take_along_last,
     tensor_sum,
 )
@@ -70,10 +66,11 @@ class PosteriorConfig:
         return self.heads * self.head_dim
 
 
-class OrderPosterior:
+class OrderPosterior(Checkpointable):
     """Attention network scoring which unchosen node to pick next."""
 
     kind = "posterior"
+    config_type = PosteriorConfig
 
     def __init__(self, cfg: PosteriorConfig, zero_init: bool = False):
         self.cfg = cfg
@@ -192,35 +189,6 @@ class OrderPosterior:
             prefix = prefix_next
         pis[:, n - 1] = np.argmin(chosen[prefix], axis=-1)
         return [OrderingSample(tuple(int(v) for v in pis[i]), float(log_q[i])) for i in range(count)]
-
-    # -- persistence -----------------------------------------------------------
-
-    def checkpoint(self, metadata: dict | None = None) -> dict:
-        return checkpoint_document(self.store, self.kind, self._metadata(metadata))
-
-    def save(self, path, metadata: dict | None = None) -> None:
-        save_checkpoint(path, self.store, self.kind, self._metadata(metadata))
-
-    def _metadata(self, extra: dict | None) -> dict:
-        meta = {"config": asdict(self.cfg), "seed": self.cfg.seed}
-        meta.update(extra or {})
-        return meta
-
-    @classmethod
-    def from_checkpoint(cls, doc: dict) -> "OrderPosterior":
-        return _build_posterior(*parse_checkpoint(doc))
-
-    @classmethod
-    def load(cls, path) -> "OrderPosterior":
-        return _build_posterior(*load_checkpoint(path))
-
-
-def _build_posterior(kind: str, meta: dict, params: dict) -> OrderPosterior:
-    if kind != OrderPosterior.kind:
-        raise InputError(f"checkpoint kind {kind!r} is not {OrderPosterior.kind!r}")
-    q = OrderPosterior(_config_from_metadata(PosteriorConfig, meta))
-    _load_params(q.store, params)
-    return q
 
 
 def uniform_ordering(g: Graph, rng: np.random.Generator) -> OrderingSample:

@@ -4,11 +4,14 @@ A Tape records tensors in creation order, which is already a topological
 order, so the backward pass is a single reverse sweep that visits each node
 once.  Ops called on tensors that carry no tape run eagerly and keep nothing,
 which doubles as the no-gradient fast path for sampling and evaluation.
+Parameters live in a ParameterStore; ``Checkpointable`` writes and reads
+the JSON checkpoint of any object built from a config and one store.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -518,14 +521,13 @@ def checkpoint_document(store: ParameterStore, model_kind: str, metadata: dict) 
     }
 
 
-def save_checkpoint(path, store: ParameterStore, model_kind: str, metadata: dict) -> None:
-    write_text_atomic(path, json.dumps(checkpoint_document(store, model_kind, metadata), indent=1) + "\n")
-
-
 def parse_checkpoint(doc: dict) -> tuple[str, dict, dict[str, np.ndarray]]:
     """(model kind, metadata, parameter arrays) from a checkpoint document."""
     if not isinstance(doc, dict) or "modelKind" not in doc or "parameters" not in doc:
         raise InputError("checkpoint must carry modelKind and parameters")
+    metadata = doc.get("metadata", {})
+    if not isinstance(doc["parameters"], dict) or not isinstance(metadata, dict):
+        raise InputError("checkpoint parameters and metadata must be JSON objects")
     params: dict[str, np.ndarray] = {}
     for name, entry in doc["parameters"].items():
         try:
@@ -534,12 +536,74 @@ def parse_checkpoint(doc: dict) -> tuple[str, dict, dict[str, np.ndarray]]:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed checkpoint entry for {name!r}") from exc
         params[name] = _ensure_finite(arr, f"checkpoint parameter {name!r}")
-    return str(doc["modelKind"]), dict(doc.get("metadata", {})), params
+    return str(doc["modelKind"]), dict(metadata), params
 
 
-def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    return parse_checkpoint(doc)
+class Checkpointable:
+    """Checkpoints of an object built from a frozen config dataclass ``cfg``
+    (of type ``config_type``) whose parameters live in ``store``.
+
+    A class that sets ``kind`` writes it into its checkpoints.
+    ``from_checkpoint`` and ``load`` called on a class accept the kinds of it
+    and of the classes below it, so a shared base rebuilds any of its
+    families and a concrete class only its own.
+    """
+
+    kind: str
+    config_type: type
+
+    @classmethod
+    def _kinds(cls) -> dict[str, type]:
+        kinds = {cls.kind: cls} if "kind" in vars(cls) else {}
+        for sub in cls.__subclasses__():
+            kinds.update(sub._kinds())
+        return kinds
+
+    def checkpoint(self, metadata: dict | None = None) -> dict:
+        """The document, with the config and seed ahead of ``metadata``."""
+        meta = {"config": asdict(self.cfg), "seed": self.cfg.seed}
+        meta.update(metadata or {})
+        return checkpoint_document(self.store, self.kind, meta)
+
+    def save(self, path, metadata: dict | None = None) -> None:
+        """Write the document to ``path`` atomically."""
+        write_text_atomic(path, json.dumps(self.checkpoint(metadata), indent=1) + "\n")
+
+    @classmethod
+    def from_checkpoint(cls, doc: dict):
+        """Rebuild the object a document holds, checking its kind, config,
+        and parameter names and shapes."""
+        kind, meta, params = parse_checkpoint(doc)
+        kinds = cls._kinds()
+        if kind not in kinds:
+            raise InputError(f"checkpoint kind {kind!r} is not one of {sorted(kinds)}")
+        target = kinds[kind]
+        fields = meta.get("config")
+        if not isinstance(fields, dict):
+            raise InputError("checkpoint metadata must carry a config mapping")
+        try:
+            config = target.config_type(**fields)
+        except TypeError as exc:
+            raise InputError(f"bad checkpoint config: {exc}") from exc
+        obj = target(config)
+        expected, got = set(obj.store.names()), set(params)
+        if expected != got:
+            raise InputError(
+                f"checkpoint parameters mismatch: missing {sorted(expected - got)}, "
+                f"unexpected {sorted(got - expected)}"
+            )
+        for name, arr in params.items():
+            values = obj.store.get(name)
+            if values.shape != arr.shape:
+                raise InputError(f"parameter {name!r} has shape {arr.shape}, expected {values.shape}")
+            values[:] = arr
+        return obj
+
+    @classmethod
+    def load(cls, path):
+        """``from_checkpoint`` on the JSON document in the file at ``path``."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+        return cls.from_checkpoint(doc)

@@ -4,7 +4,9 @@ Per graph: draw S orderings from q, form joint log-probabilities, then take
 a model gradient step on the mean joint log-probability and a posterior step
 on the score-function estimator whose learning signal is log p(G, pi) minus
 log q(pi | G).  Both gradients are computed from pre-update parameters; the
-posterior updates first.
+posterior updates first.  ``_objective`` writes the signal and the surrogate
+whose gradient is both estimators; the training loop and the stand-alone
+estimators differ only in which of its inputs they record on a tape.
 """
 
 from __future__ import annotations
@@ -84,24 +86,38 @@ def _draw(q: OrderingModel, g: Graph, count: int, rng) -> tuple[np.ndarray, np.n
     return pis, log_q
 
 
+def _objective(
+    rep: Tensor, log_mult: np.ndarray, log_q: Tensor, baseline: float = 0.0
+) -> tuple[np.ndarray, Tensor]:
+    """Per-sample learning signal log p(G, pi) - log q(pi | G) and the ascent
+    surrogate mean(rep) + mean((signal - baseline) * log q).
+
+    The surrogate's gradient is E_q[grad log p(G, pi)] for the model, whose
+    multiplicity term is constant in the parameters, plus the score-function
+    gradient E_q[(signal - baseline) grad log q] for the posterior; each
+    reaches only the store whose scores the caller recorded on a tape."""
+    signal = rep.data - log_mult - log_q.data
+    return signal, add(mean(rep), mean(mul(Tensor(signal - baseline, tape=log_q.tape), log_q)))
+
+
 def elbo_estimate(
     model: GraphModel, q: OrderingModel, g: Graph, sample_count: int, rng, mode: str = "cr"
 ) -> float:
     """Monte Carlo lower-bound estimate: mean of joint log-prob minus log q."""
     pis, log_q = _draw(q, g, sample_count, rng)
-    rep, log_mult = joint_log_probs(model, g, pis, mode)
-    return float(np.mean(rep.data - log_mult - log_q))
+    signal, _ = _objective(*joint_log_probs(model, g, pis, mode), Tensor(log_q))
+    return float(np.mean(signal))
 
 
 def grad_theta(
     model: GraphModel, q: OrderingModel, g: Graph, sample_count: int, rng, mode: str = "cr"
 ) -> np.ndarray:
     """Accumulate the ascent gradient (1/S) sum_s grad log p(G, pi_s) into the
-    model store; the multiplicity term is constant in the parameters."""
-    pis, _ = _draw(q, g, sample_count, rng)
+    model store."""
+    pis, log_q = _draw(q, g, sample_count, rng)
     tape = Tape()
-    rep, _ = joint_log_probs(model, g, pis, mode, tape=tape)
-    backward(tape, mean(rep))
+    _, surrogate = _objective(*joint_log_probs(model, g, pis, mode, tape=tape), Tensor(log_q))
+    backward(tape, surrogate)
     model.store.accumulate_from_tape(tape)
     return model.store.grad_vector()
 
@@ -121,9 +137,8 @@ def grad_phi(
     pis, _ = _draw(q, g, sample_count, rng)
     rep, log_mult = joint_log_probs(model, g, pis, mode)
     tape = Tape()
-    log_q = q.log_probs_orderings(g, pis, tape=tape)
-    signal = rep.data - log_mult - log_q.data - baseline
-    backward(tape, mean(mul(Tensor(signal, tape=tape), log_q)))
+    _, surrogate = _objective(rep, log_mult, q.log_probs_orderings(g, pis, tape=tape), baseline)
+    backward(tape, surrogate)
     q.store.accumulate_from_tape(tape)
     return q.store.grad_vector()
 
@@ -154,16 +169,12 @@ def train_loop(
             tape = Tape()
             rep, log_mult = joint_log_probs(model, g, pis, cfg.multiplicity_mode, tape=tape)
             log_q = q.log_probs_orderings(g, pis, tape=tape)
-            joint = rep.data - log_mult
-            raw_signal = joint - log_q.data
-            elbo = float(np.mean(raw_signal))
+            signal, surrogate = _objective(rep, log_mult, log_q, baseline if cfg.use_baseline else 0.0)
+            elbo = float(np.mean(signal))
             if not math.isfinite(elbo):
                 raise NumericError(f"non-finite loss at epoch {epoch} graph {index}")
-            signal = raw_signal - (baseline if cfg.use_baseline else 0.0)
-            # single backward over both parameter sets: descend on the
-            # negated model term plus the negated score-function surrogate
-            loss = mul(add(mean(rep), mean(mul(Tensor(signal, tape=tape), log_q))), -1.0)
-            backward(tape, loss)
+            # both scores are on the tape, so one backward descends for both stores
+            backward(tape, mul(surrogate, -1.0))
             q.store.accumulate_from_tape(tape)
             model.store.accumulate_from_tape(tape)
             # each tensor points back to the tape; emptying the tape breaks
@@ -173,7 +184,7 @@ def train_loop(
                 q.store.adam_step(cfg.lr_posterior)
             model.store.adam_step(cfg.lr_model)
             if cfg.use_baseline:
-                baseline = 0.9 * baseline + 0.1 * float(np.mean(raw_signal))
+                baseline = 0.9 * baseline + 0.1 * elbo
             elbos.append(elbo)
         grad_var = _epoch_grad_variance(model, q, graphs[0], cfg, epoch)
         seconds = time.perf_counter() - tick
@@ -200,8 +211,8 @@ def _per_sample_phi_grads(model, q, g, count: int, rng, mode: str) -> np.ndarray
     for s in range(count):
         tape = Tape()
         log_q = q.log_probs_orderings(g, pis[s : s + 1], tape=tape)
-        signal = float(rep.data[s] - log_mult[s] - log_q.data[0])
-        backward(tape, mul(mean(log_q), signal))
+        _, surrogate = _objective(Tensor(rep.data[s : s + 1]), log_mult[s : s + 1], log_q)
+        backward(tape, surrogate)
         q.store.accumulate_from_tape(tape)
         tape.nodes.clear()
         rows.append(q.store.grad_vector())

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 from graphorder.data import gen_community_small, gen_er
-from graphorder.evaluation import averaged_adjacency, exact_log_lik, importance_log_lik, mmd
+from graphorder.evaluation import averaged_adjacency, importance_estimate, mmd
 from graphorder.graphs import Graph, all_graphs, encode_adjacency, induced_subgraph, isomorphic
 from graphorder.models import (
     AdjacencyModel,
     AdjacencyModelConfig,
     SequenceModel,
     SequenceModelConfig,
+    exact_marginal_log_prob,
     joint_log_probs,
     log_sum_exp,
 )
@@ -664,7 +665,7 @@ def elbo_margins(model, q, graphs, rng) -> tuple[float, int]:
         values = rep.data - log_mult - log_q
         mean_est = float(values.mean())
         sigma = float(values.std(ddof=1)) / math.sqrt(len(values))
-        exact = exact_log_lik(model, g)
+        exact = exact_marginal_log_prob(model, g)
         # The bound is exactly tight for fully symmetric graphs (the
         # equivariant posterior is uniform there and every sample value is
         # the same constant), so leave room for float rounding between the
@@ -701,7 +702,7 @@ def test_criterion_09_importance_estimate_accuracy_sweep(report, mid_trained_sui
     errors = {size: [] for size in sizes}
     rng = spawn_rng(ACCEPT_SEED, 119)
     for g in graphs:
-        exact = exact_log_lik(model, g, max_nodes=9)
+        exact = exact_marginal_log_prob(model, g, max_nodes=9)
         samples = q.sample_orderings(g, sizes[-1], rng)
         pis = np.array([s.pi for s in samples], dtype=np.int64)
         log_q = np.array([s.log_q for s in samples])
@@ -731,10 +732,10 @@ def test_criterion_10_learned_ordering_beats_uniform(report, community_run):
     rng_a = spawn_rng(ACCEPT_SEED, 120, 0)
     rng_b = spawn_rng(ACCEPT_SEED, 120, 1)
     lik_a = float(
-        np.mean([importance_log_lik(model_a, q_a, g, 1000, rng_a) for g in test_graphs])
+        np.mean([importance_estimate(model_a, q_a, g, 1000, rng_a).log_lik for g in test_graphs])
     )
     lik_b = float(
-        np.mean([importance_log_lik(model_b, q_b, g, 1000, rng_b) for g in test_graphs])
+        np.mean([importance_estimate(model_b, q_b, g, 1000, rng_b).log_lik for g in test_graphs])
     )
     total = secs_a + secs_b + (time.perf_counter() - tick)
     ok = lik_a >= lik_b and total < 1800.0

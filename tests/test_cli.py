@@ -240,6 +240,13 @@ class TestTrainCommand:
         code, _, err = run(capsys, ["train", "--config", cfg])
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("key, value", [("hidden", -3), ("row_embed", 0), ("max_nodes", 1)])
+    def test_nonpositive_size_is_one_error_line(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        code, out, err = run(capsys, ["train", "--config", cfg])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
 
 class TestSampleCommand:
     def test_samples_parse_and_respect_count(self, tmp_path, capsys, coin_checkpoint):
@@ -271,6 +278,26 @@ class TestSampleCommand:
             capsys, ["sample", "--checkpoint", str(tmp_path / "no.json"), "--count", "1"]
         )
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"parameters": [1.0, 2.0]},
+            {"metadata": "config"},
+            {"modelKind": "posterior"},
+            {"modelKind": "mystery"},
+            {"metadata": {"config": {"max_nodes": 4.5, "fixed_node_count": 3}}},
+            {"metadata": {"config": {"max_nodes": 5, "hidden": 0}}},
+        ],
+    )
+    def test_bad_checkpoint_is_one_error_line(self, capsys, tmp_path, coin_checkpoint, change):
+        doc = json.loads(open(coin_checkpoint, encoding="utf-8").read())
+        doc.update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["sample", "--checkpoint", str(path), "--count", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestLoglikCommand:

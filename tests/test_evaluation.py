@@ -15,9 +15,7 @@ from graphorder.evaluation import (
     clustering_coefficients,
     clustering_statistic,
     degree_statistic,
-    exact_log_lik,
     importance_estimate,
-    importance_log_lik,
     jackknife_log_mean_stderr,
     mmd,
     orbit4_counts,
@@ -48,28 +46,28 @@ def coin3():
 class TestImportanceLogLik:
     def test_constant_ratio_exact_at_one_sample(self):
         # fair coin on K_3: joint 1/48 against uniform 1/6, ratio always 1/8
-        est = importance_log_lik(coin3(), UniformOrderer(), K3, 1, root_rng(1))
+        est = importance_estimate(coin3(), UniformOrderer(), K3, 1, root_rng(1)).log_lik
         assert est == pytest.approx(math.log(1 / 8), abs=1e-12)
         # on P_3 the ratio is (1/16)/(1/6) for every ordering
-        est = importance_log_lik(coin3(), UniformOrderer(), P3, 1, root_rng(2))
+        est = importance_estimate(coin3(), UniformOrderer(), P3, 1, root_rng(2)).log_lik
         assert est == pytest.approx(math.log(3 / 8), abs=1e-12)
 
     def test_converges_to_enumerated_value(self):
         model = AdjacencyModel(AdjacencyModelConfig(max_nodes=6, hidden=8, row_embed=4, seed=3))
         g = random_graph(root_rng(4), 4, 0.5)
         exact = exact_marginal_log_prob(model, g)
-        est = importance_log_lik(model, UniformOrderer(), g, 5000, root_rng(5))
+        est = importance_estimate(model, UniformOrderer(), g, 5000, root_rng(5)).log_lik
         assert abs(est - exact) < 0.05
 
     def test_learned_proposal_accepted(self):
         q = OrderPosterior(PosteriorConfig(max_nodes=6, layers=1, heads=2, head_dim=3, seed=6))
         model = AdjacencyModel(AdjacencyModelConfig(max_nodes=6, hidden=8, row_embed=4, seed=7))
-        est = importance_log_lik(model, q, P3, 64, root_rng(8))
+        est = importance_estimate(model, q, P3, 64, root_rng(8)).log_lik
         assert math.isfinite(est) and est < 0
 
     def test_sample_count_guard(self):
         with pytest.raises(InputError):
-            importance_log_lik(coin3(), UniformOrderer(), K3, 0, root_rng(9))
+            importance_estimate(coin3(), UniformOrderer(), K3, 0, root_rng(9))
 
     def test_estimate_record_constant_ratio_zero_stderr(self):
         est = importance_estimate(coin3(), UniformOrderer(), K3, 16, root_rng(10))
@@ -107,13 +105,13 @@ class TestImportanceLogLik:
 
 class TestExactLogLik:
     def test_frozen_coin_values(self):
-        assert exact_log_lik(coin3(), K3) == pytest.approx(math.log(1 / 8), abs=1e-12)
-        assert exact_log_lik(coin3(), P3) == pytest.approx(math.log(3 / 8), abs=1e-12)
+        assert exact_marginal_log_prob(coin3(), K3) == pytest.approx(math.log(1 / 8), abs=1e-12)
+        assert exact_marginal_log_prob(coin3(), P3) == pytest.approx(math.log(3 / 8), abs=1e-12)
 
     def test_size_guard(self):
         model = AdjacencyModel(AdjacencyModelConfig(max_nodes=12, hidden=8, row_embed=4))
         with pytest.raises(ResourceError):
-            exact_log_lik(model, random_graph(root_rng(11), 9, 0.3))
+            exact_marginal_log_prob(model, random_graph(root_rng(11), 9, 0.3))
 
 
 class TestStatistics:

@@ -1,13 +1,14 @@
 """Atomic file writes: a failed write keeps the previous file and leaves no
 temporary file behind."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from graphorder.files import write_text_atomic
-from graphorder.tensor import ParameterStore, load_checkpoint, save_checkpoint
+from graphorder.models import AdjacencyModel, AdjacencyModelConfig, load_model
 
 
 def test_writes_and_replaces(tmp_path):
@@ -28,22 +29,21 @@ def test_failed_encoding_keeps_previous_file(tmp_path):
 
 
 def test_failed_checkpoint_replace_keeps_previous_file(tmp_path, monkeypatch):
-    store = ParameterStore()
-    store.add("w", np.array([1.0, 2.0]))
+    model = AdjacencyModel(AdjacencyModelConfig(max_nodes=3, hidden=2, row_embed=2))
+    model.store.get("stop.b")[:] = 1.0
     path = tmp_path / "model.json"
-    save_checkpoint(path, store, "adjacency", {"epoch": 1})
+    model.save(path, {"epoch": 1})
     before = path.read_bytes()
 
     def refuse(src, dst):
         raise OSError("replace refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    store.get("w")[:] = 5.0
+    model.store.get("stop.b")[:] = 5.0
     with pytest.raises(OSError, match="replace refused"):
-        save_checkpoint(path, store, "adjacency", {"epoch": 2})
+        model.save(path, {"epoch": 2})
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.json"]
-    kind, meta, params = load_checkpoint(path)
-    assert kind == "adjacency" and meta == {"epoch": 1}
-    assert np.array_equal(params["w"], [1.0, 2.0])
+    assert json.loads(before)["metadata"]["epoch"] == 1
+    assert np.array_equal(load_model(path).store.get("stop.b"), [1.0])

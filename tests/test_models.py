@@ -1,8 +1,10 @@
 """Generative model tests: frozen fair-coin values, normalization,
 gradients against finite differences, and sampling frequencies."""
 
+import json
 import math
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,13 +32,16 @@ from graphorder.models import (
     log_sum_exp,
     model_from_document,
 )
+from graphorder.posterior import OrderPosterior, PosteriorConfig
 from graphorder.rng import root_rng
-from graphorder.tensor import Tape, backward, mean as tensor_mean
+from graphorder.tensor import Checkpointable, Tape, backward, mean as tensor_mean
 from oracles import central_difference, random_graph
 from strategies import graphs
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+# trained checkpoints kept for the benchmark; the tests only read them
+CHECKPOINTS = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoints"
 
 
 def coin_adjacency(n=3):
@@ -332,6 +337,63 @@ class TestCheckpoints:
         doc["modelKind"] = "mystery"
         with pytest.raises(InputError):
             model_from_document(doc)
+
+    def test_kind_checked_in_both_directions(self, tmp_path):
+        model_doc = small_adjacency().checkpoint()
+        q_doc = OrderPosterior(PosteriorConfig(max_nodes=4, layers=1, heads=1, head_dim=2)).checkpoint()
+        q_path = tmp_path / "posterior.json"
+        q_path.write_text(json.dumps(q_doc), encoding="utf-8")
+        with pytest.raises(InputError):
+            load_model(q_path)
+        with pytest.raises(InputError):
+            model_from_document(q_doc)
+        with pytest.raises(InputError):
+            OrderPosterior.from_checkpoint(model_doc)
+        unknown = dict(model_doc, modelKind="mystery")
+        path = tmp_path / "mystery.json"
+        path.write_text(json.dumps(unknown), encoding="utf-8")
+        readers = (AdjacencyModel, SequenceModel, OrderPosterior, Checkpointable)
+        for from_doc in (model_from_document, *(cls.from_checkpoint for cls in readers)):
+            with pytest.raises(InputError, match="'mystery'"):
+                from_doc(unknown)
+        for load in (load_model, *(cls.load for cls in readers)):
+            with pytest.raises(InputError, match="'mystery'"):
+                load(path)
+
+    @pytest.mark.parametrize("path", sorted(CHECKPOINTS.glob("*.json")), ids=lambda p: p.name)
+    def test_stored_checkpoints_resave_byte_for_byte(self, path, tmp_path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        extra = {k: v for k, v in doc["metadata"].items() if k not in ("config", "seed")}
+        reader = OrderPosterior.load if doc["modelKind"] == OrderPosterior.kind else load_model
+        again = tmp_path / path.name
+        reader(path).save(again, extra)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (AdjacencyModelConfig, "max_nodes"),
+            (AdjacencyModelConfig, "hidden"),
+            (AdjacencyModelConfig, "row_embed"),
+            (SequenceModelConfig, "max_nodes"),
+            (SequenceModelConfig, "hidden"),
+            (SequenceModelConfig, "rounds"),
+            (SequenceModelConfig, "edge_hidden"),
+        ],
+    )
+    def test_config_sizes_must_be_positive_integers(self, make, field):
+        for value in (0, -3, 4.5, "8", True):
+            with pytest.raises(InputError, match=field):
+                make(**{field: value})
+        assert getattr(make(**{field: 3}), field) == 3
+
+    def test_config_node_bounds(self):
+        for make in (AdjacencyModelConfig, SequenceModelConfig):
+            with pytest.raises(InputError):
+                make(max_nodes=1)
+            for fixed in (0, 7, 2.5):
+                with pytest.raises(InputError):
+                    make(max_nodes=6, fixed_node_count=fixed)
 
     def test_size_guard_from_config(self):
         model = coin_adjacency(3)

@@ -1,19 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
 from graphorder.errors import InputError, NumericError
+from graphorder.models import AdjacencyModel, AdjacencyModelConfig
 from graphorder.tensor import (
+    Checkpointable,
     ParameterStore,
     Tape,
     Tensor,
     add,
     backward,
-    checkpoint_document,
     concat,
     exp,
     gather_rows,
     leaky_relu,
-    load_checkpoint,
     log,
     log_sigmoid,
     masked_log_softmax,
@@ -24,7 +26,6 @@ from graphorder.tensor import (
     parse_checkpoint,
     relu,
     reshape,
-    save_checkpoint,
     sigmoid,
     sub,
     take_along_last,
@@ -354,25 +355,30 @@ class TestParameterStore:
         assert store.grad("w")[0] == 0.0
 
 
+def small_model() -> AdjacencyModel:
+    model = AdjacencyModel(AdjacencyModelConfig(max_nodes=4, hidden=3, row_embed=2, seed=7))
+    model.store.get("edges.w")[:] = np.arange(9, dtype=float).reshape(3, 3)
+    return model
+
+
 class TestCheckpoints:
     def test_roundtrip(self, tmp_path):
-        store = ParameterStore()
-        store.add("layer.w", np.arange(6, dtype=float).reshape(2, 3))
-        store.add("layer.b", np.zeros(3))
+        model = small_model()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, store, "adjacency", {"seed": 7, "epoch": 3})
-        kind, metadata, params = load_checkpoint(path)
-        assert kind == "adjacency"
+        model.save(path, {"epoch": 3})
+        again = Checkpointable.load(path)
+        assert type(again) is AdjacencyModel and again.cfg == model.cfg
+        for name in model.store.names():
+            assert np.array_equal(again.store.get(name), model.store.get(name))
+        metadata = json.loads(path.read_text(encoding="utf-8"))["metadata"]
         assert metadata["seed"] == 7 and metadata["epoch"] == 3
-        assert np.array_equal(params["layer.w"], store.get("layer.w"))
-        assert params["layer.b"].shape == (3,)
+        assert metadata["config"]["hidden"] == 3
 
     def test_document_shape_fields(self):
-        store = ParameterStore()
-        store.add("w", np.ones((2, 2)))
-        doc = checkpoint_document(store, "posterior", {})
-        assert doc["parameters"]["w"]["shape"] == [2, 2]
-        assert len(doc["parameters"]["w"]["values"]) == 4
+        doc = small_model().checkpoint()
+        assert doc["modelKind"] == "adjacency"
+        assert doc["parameters"]["edges.w"]["shape"] == [3, 3]
+        assert doc["parameters"]["edges.w"]["values"] == list(range(9))
 
     def test_malformed_document_rejected(self):
         with pytest.raises(InputError):
@@ -383,12 +389,33 @@ class TestCheckpoints:
             parse_checkpoint(
                 {"modelKind": "x", "parameters": {"w": {"shape": [2], "values": [1.0]}}}
             )
+        with pytest.raises(InputError):
+            parse_checkpoint({"modelKind": "x", "parameters": [1.0, 2.0]})
+        with pytest.raises(InputError):
+            parse_checkpoint({"modelKind": "x", "parameters": {}, "metadata": "config"})
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(InputError):
-            load_checkpoint(path)
+            Checkpointable.load(path)
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(InputError):
+            Checkpointable.load(path)
+
+    def test_config_and_parameters_checked(self):
+        doc = small_model().checkpoint()
+        for config in (None, {"hidden": 3, "width": 2}, {"max_nodes": 4.5}):
+            bad = dict(doc, metadata={"config": config})
+            with pytest.raises(InputError):
+                Checkpointable.from_checkpoint(bad)
+        missing = dict(doc, parameters={k: v for k, v in doc["parameters"].items() if k != "stop.b"})
+        with pytest.raises(InputError, match="missing \\['stop.b'\\]"):
+            Checkpointable.from_checkpoint(missing)
+        entry = {"shape": [2], "values": [0.0, 0.0]}
+        reshaped = dict(doc, parameters=dict(doc["parameters"], **{"stop.b": entry}))
+        with pytest.raises(InputError, match="shape"):
+            Checkpointable.from_checkpoint(reshaped)
 
     def test_nonfinite_checkpoint_rejected(self):
         with pytest.raises(NumericError):

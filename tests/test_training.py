@@ -14,13 +14,15 @@ from graphorder.graphs import Graph
 from graphorder.models import (
     AdjacencyModel,
     AdjacencyModelConfig,
+    SequenceModel,
+    SequenceModelConfig,
     exact_marginal_log_prob,
     joint_log_probs,
 )
 from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
 from graphorder import training
 from graphorder.rng import root_rng, spawn_rng
-from graphorder.tensor import Tape, Tensor, backward, mean, mul, tensor_sum
+from graphorder.tensor import ParameterStore, Tape, Tensor, backward, mean, mul, tensor_sum
 from graphorder.training import (
     TrainConfig,
     TrainReport,
@@ -231,6 +233,39 @@ class TestTrainLoop:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("family", ["adjacency", "sequence"])
+    @pytest.mark.parametrize("use_baseline", [False, True])
+    def test_first_step_descends_on_both_estimators(self, monkeypatch, family, use_baseline):
+        """The training step runs the estimators that grad_theta and grad_phi
+        compute: on the same stream its store gradients are their negation."""
+
+        def fresh():
+            if family == "adjacency":
+                return small_model(63), small_posterior(64)
+            model = SequenceModel(SequenceModelConfig(max_nodes=6, hidden=6, edge_hidden=4, seed=63))
+            return model, small_posterior(64)
+
+        cfg = TrainConfig(sample_count=3, epochs=1, seed=65, use_baseline=use_baseline)
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+        captured = {}
+        adam_step = ParameterStore.adam_step
+
+        def capture(store, lr):
+            captured[id(store)] = store.grad_vector().copy()
+            adam_step(store, lr)
+
+        monkeypatch.setattr(ParameterStore, "adam_step", capture)
+        trained, trained_q = fresh()
+        train_loop(trained, trained_q, [g], cfg)
+        monkeypatch.undo()
+        stream = lambda: spawn_rng(cfg.seed, training._TRAIN_LANE, 0, 0)
+        model, q = fresh()
+        theta = grad_theta(model, q, g, cfg.sample_count, stream(), cfg.multiplicity_mode)
+        phi = grad_phi(model, q, g, cfg.sample_count, stream(), cfg.multiplicity_mode)
+        assert np.any(theta != 0) and np.any(phi != 0)
+        assert np.array_equal(captured[id(trained.store)], -theta)
+        assert np.array_equal(captured[id(trained_q.store)], -phi)
 
     def test_report_shape_and_json(self):
         model, q = small_model(46), small_posterior(47)
