@@ -32,7 +32,7 @@ from .errors import (
     ResourceError,
 )
 from .evaluation import STATISTICS, averaged_adjacency, importance_estimate, mmd
-from .files import write_text_atomic
+from .files import read_text, write_text_atomic
 from .models import (
     AdjacencyModel,
     AdjacencyModelConfig,
@@ -179,15 +179,8 @@ def resolve_run_config(values: dict) -> RunConfig:
     else:
         _reject_inapplicable(values, _LEARNED_ONLY, "the learned posterior")
 
-    train = TrainConfig(
-        sample_count=values.get("sample_count", 8),
-        multiplicity_mode=values.get("multiplicity_mode", "cr"),
-        lr_model=values.get("lr_model", 0.01),
-        lr_posterior=values.get("lr_posterior", 0.01),
-        epochs=values.get("epochs", 1),
-        seed=seed,
-        use_baseline=values.get("use_baseline", False),
-    )
+    train_keys = ("sample_count", "multiplicity_mode", "lr_model", "lr_posterior", "epochs", "use_baseline")
+    train = TrainConfig(seed=seed, **{k: values[k] for k in train_keys if k in values})
 
     data_path = values.get("data")
     generator = None
@@ -294,7 +287,7 @@ def _cmd_symmetry(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    text = _require_file(args.config, "config file").read_text(encoding="utf-8")
+    text = read_text(_require_file(args.config, "config file"), "config file")
     values = parse_run_config(text, source=args.config)
     for item in args.set or []:
         if "=" not in item:

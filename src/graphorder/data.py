@@ -11,7 +11,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import GenerationError, InputError, ParseError
-from .files import write_text_atomic
+from .files import read_text, write_text_atomic
 from .graphs import Graph, is_connected
 
 CONNECT_RETRY_CAP = 200
@@ -104,11 +104,7 @@ def format_graphs(graphs: Iterator[Graph] | tuple[Graph, ...] | list[Graph]) -> 
 
 def load_dataset(path: str | Path) -> GraphDataset:
     source = Path(path)
-    try:
-        text = source.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read dataset file {source}: {exc}") from None
-    graphs = parse_graphs(text)
+    graphs = parse_graphs(read_text(source, "dataset file"))
     return GraphDataset(tuple(graphs), name=source.stem, metadata={"source": str(source)})
 
 

@@ -1,9 +1,21 @@
-"""Atomic text-file writes for checkpoints, reports and command output."""
+"""Text-file reads that fail with one clear error, and atomic writes for
+checkpoints, reports and command output."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from .errors import InputError
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``; a file that cannot be read or
+    is not UTF-8 raises an ``InputError`` that names it as ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -117,6 +117,23 @@ def validate_ordering(g: Graph, order: Sequence[int]) -> Ordering:
     return pi
 
 
+def validate_orderings(g: Graph, orders) -> np.ndarray:
+    """A nonempty (batch, n) int64 array of orderings of ``g``, each row a
+    permutation of 0..n-1."""
+    try:
+        pis = np.asarray(orders)
+    except ValueError:
+        raise InputError("orderings must be a rectangular array") from None
+    if pis.size and pis.dtype.kind not in "iu":
+        raise InputError(f"orderings must be integers, got dtype {pis.dtype}")
+    pis = pis.astype(np.int64, copy=False)
+    if pis.ndim != 2 or pis.shape[0] < 1 or pis.shape[1] != g.n:
+        raise InputError(f"orderings must have shape (batch, {g.n}) with batch >= 1, got {pis.shape}")
+    if not (np.sort(pis, axis=1) == np.arange(g.n)).all():
+        raise InputError(f"each ordering must be a permutation of 0..{g.n - 1}")
+    return pis
+
+
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
     """Subgraph on ``nodes``; node i of the result is ``nodes[i]``."""
     sel = list(nodes)

@@ -1,9 +1,10 @@
 """Autoregressive graph generative models over ordered representations.
 
-Two model families share one contract: assign log-probabilities to ordered
-representations of a graph (lower-triangular adjacency rows, or node-by-node
-growth steps), sample new graphs ancestrally, and combine with ordering
-multiplicities to give joint and marginal graph probabilities.
+Two model families share one contract: for a batch of orderings of one graph,
+the log-probabilities of the ordered representations (lower-triangular
+adjacency rows, or node-by-node growth steps) and the log ordering
+multiplicities, whose difference is the joint log p(G, pi).  Both families
+also sample new graphs ancestrally.
 """
 
 from __future__ import annotations
@@ -12,20 +13,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, ResourceError
 from .graphs import (
     Graph,
-    GraphSequence,
     LowerTriangularEncoding,
-    Ordering,
     adjacency_matrix,
     decode_adjacency,
-    encode_adjacency,
-    validate_ordering,
+    validate_orderings,
 )
 from .nn import gru_step, linear, register_gru, register_linear
 from .rng import spawn_rng
@@ -40,7 +37,9 @@ from .tensor import (
     Tape,
     Tensor,
     add,
+    check_positive_ints,
     concat,
+    gather_rows,
     log_sigmoid,
     mean,
     mul,
@@ -73,32 +72,40 @@ def _bernoulli_log_prob(logits: Tensor, targets: np.ndarray, mask: np.ndarray | 
     return tensor_sum(ll, axis=-1)
 
 
-def _broadcast_rows(vec: Tensor, batch: int) -> Tensor:
-    """(d,) parameter replicated to (batch, d), differentiably."""
-    return add(Tensor(np.zeros((batch, vec.data.shape[-1]))), vec)
+def _broadcast_rows(x: Tensor, *lead: int) -> Tensor:
+    """(..., d) tensor broadcast to (*lead, d), differentiably."""
+    return add(Tensor(np.zeros((*lead, x.data.shape[-1]))), x)
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _permuted_adjacency(g: Graph, pis: np.ndarray) -> np.ndarray:
+    """(batch, n, n) adjacency matrices of ``g`` with nodes in each ordering."""
+    a = adjacency_matrix(g)
+    return a[pis[:, :, None], pis[:, None, :]]
 
 
 def _check_model_config(cfg, sizes: tuple[str, ...]) -> None:
     """The checks both model configs share: ``max_nodes`` and ``sizes`` are
     positive integers, there are at least two nodes, and a fixed node count
     is an integer in [1, max_nodes]."""
-    for name in ("max_nodes", *sizes):
-        if not _positive_int(getattr(cfg, name)):
-            raise InputError(f"{name} must be a positive integer, got {getattr(cfg, name)!r}")
+    check_positive_ints(cfg, ("max_nodes", *sizes))
     if cfg.max_nodes < 2:
         raise InputError("max_nodes must be at least 2")
-    fixed = cfg.fixed_node_count
-    if fixed is not None and not (_positive_int(fixed) and fixed <= cfg.max_nodes):
-        raise InputError("fixed_node_count must lie in [1, max_nodes]")
+    if cfg.fixed_node_count is not None:
+        check_positive_ints(cfg, ("fixed_node_count",))
+        if cfg.fixed_node_count > cfg.max_nodes:
+            raise InputError("fixed_node_count must lie in [1, max_nodes]")
 
 
 class GraphModel(Checkpointable):
-    """What both model families share: the node-count guard and checkpoints
-    (``load_model`` reads either family)."""
+    """What both model families share: one scoring contract, the node-count
+    guard, and checkpoints (``load_model`` reads either family).
+
+    Each family scores an (S, n) batch of orderings of one graph with two
+    methods: ``log_prob_orderings(g, orders, tape)`` gives the (S,) tensor of
+    log-probabilities of the ordered representations, and
+    ``log_multiplicities(g, orders, mode)`` the (S,) array of the log of how
+    many orderings share each representation.  ``joint_log_probs`` returns
+    both; the joint log p(G, pi) is their difference."""
 
     def _check_n(self, n: int) -> None:
         if not 1 <= n <= self.cfg.max_nodes:
@@ -106,6 +113,11 @@ class GraphModel(Checkpointable):
         fixed = self.cfg.fixed_node_count
         if fixed is not None and n != fixed:
             raise InputError(f"model generates exactly {fixed} nodes, got {n}")
+
+    def _orderings(self, g: Graph, orders) -> np.ndarray:
+        """The checked (S, n) ordering batch of a graph this model can generate."""
+        self._check_n(g.n)
+        return validate_orderings(g, orders)
 
 
 @dataclass(frozen=True)
@@ -178,23 +190,22 @@ class AdjacencyModel(GraphModel):
             terms.append(log_sigmoid(self._stop_logit(bound, state)))
         return reduce(add, terms)
 
-    def log_prob_encodings(
-        self, encs: Sequence[LowerTriangularEncoding], tape: Tape | None = None
+    def log_prob_orderings(
+        self, g: Graph, orders: np.ndarray, tape: Tape | None = None
     ) -> Tensor:
-        if not encs:
-            raise InputError("need at least one encoding")
-        n = encs[0].n
-        if any(e.n != n for e in encs):
-            raise InputError("batched encodings must share a node count")
-        self._check_n(n)
-        rows = np.zeros((len(encs), n - 1, self.cfg.max_nodes - 1))
-        for b, enc in enumerate(encs):
-            for k, row in enumerate(enc.rows):
-                rows[b, k, : k + 1] = row
+        """Log-probabilities of the adjacency rows of ``g`` under each ordering."""
+        pis = self._orderings(g, orders)
+        aperm = _permuted_adjacency(g, pis)
+        rows = np.zeros((len(pis), g.n - 1, self.cfg.max_nodes - 1))
+        for k in range(g.n - 1):
+            rows[:, k, : k + 1] = aperm[:, k + 1, : k + 1]
         return self.log_prob_rows(rows, tape)
 
-    def log_prob(self, enc: LowerTriangularEncoding) -> float:
-        return float(self.log_prob_encodings([enc]).data[0])
+    def log_multiplicities(self, g: Graph, orders: np.ndarray, mode: str) -> np.ndarray:
+        """log |Aut(g)| per ordering, in either mode: every ordering shares
+        its rows with exactly the orderings it maps to under an automorphism."""
+        pis = self._orderings(g, orders)
+        return np.full(len(pis), math.log(cached_automorphism_count(g)))
 
     # -- sampling ------------------------------------------------------------
 
@@ -272,9 +283,7 @@ class SequenceModel(GraphModel):
 
     def _propagate(self, bound, adj: np.ndarray) -> Tensor:
         """Node states (..., t, hidden) for adjacency blocks (..., t, t)."""
-        t = adj.shape[-1]
-        lead = adj.shape[:-2]
-        h = add(Tensor(np.zeros(lead + (t, self.cfg.hidden))), bound["node0"])
+        h = _broadcast_rows(bound["node0"], *adj.shape[:-1])
         for _ in range(self.cfg.rounds):
             msgs = Tensor(adj) @ linear(bound, "msg", h)
             h = gru_step(bound, "cell", h, msgs)
@@ -282,11 +291,10 @@ class SequenceModel(GraphModel):
 
     def _edge_logits(self, bound, h: Tensor, readout: Tensor) -> Tensor:
         """Bernoulli logits (..., t) for joining the new node to each node."""
-        t = h.data.shape[-2]
         lead = h.data.shape[:-1]
-        new = add(Tensor(np.zeros(lead + (self.cfg.hidden,))), bound["node0"])
-        ro = add(Tensor(np.zeros(lead + (self.cfg.hidden,))), reshape(readout, readout.data.shape[:-1] + (1, self.cfg.hidden)))
-        feats = concat_last([h, new, ro])
+        new = _broadcast_rows(bound["node0"], *lead)
+        ro = _broadcast_rows(reshape(readout, readout.data.shape[:-1] + (1, self.cfg.hidden)), *lead)
+        feats = concat([h, new, ro], axis=-1)
         hidden = tanh(linear(bound, "edge1", feats))
         return reshape(linear(bound, "edge2", hidden), lead)
 
@@ -295,55 +303,33 @@ class SequenceModel(GraphModel):
 
     # -- scoring -----------------------------------------------------------------
 
-    def _ordered_log_prob(self, aperm: np.ndarray, tape: Tape | None) -> Tensor:
-        """(batch,) log-probabilities of permuted adjacency matrices."""
+    def log_prob_orderings(
+        self, g: Graph, orders: np.ndarray, tape: Tape | None = None
+    ) -> Tensor:
+        """Log-probabilities of growing ``g`` along each ordering in ``orders``."""
+        aperm = _permuted_adjacency(g, self._orderings(g, orders))
         batch, n, _ = aperm.shape
-        self._check_n(n)
         sized = self.cfg.fixed_node_count is not None
         bound = self.store.bind(tape)
         terms = [Tensor(np.zeros(batch), tape=tape)]
         for t in range(1, n):
             h = self._propagate(bound, aperm[:, :t, :t])
-            readout = tensor_mean_nodes(h)
+            readout = mean(h, axis=-2)
             if not sized:
                 terms.append(log_sigmoid(mul(self._stop_logit(bound, readout), -1.0)))
             logits = self._edge_logits(bound, h, readout)
             terms.append(_bernoulli_log_prob(logits, aperm[:, t, :t], None))
         if not sized:
             h = self._propagate(bound, aperm)
-            terms.append(log_sigmoid(self._stop_logit(bound, tensor_mean_nodes(h))))
+            terms.append(log_sigmoid(self._stop_logit(bound, mean(h, axis=-2))))
         return reduce(add, terms)
 
-    def log_prob_orderings(
-        self, g: Graph, orders: np.ndarray, tape: Tape | None = None
-    ) -> Tensor:
-        """Log-probabilities of growing ``g`` along each ordering in ``orders``."""
-        pis = np.asarray(orders, dtype=np.int64)
-        if pis.ndim != 2 or pis.shape[1] != g.n:
-            raise InputError("orders must have shape (batch, n)")
-        a = adjacency_matrix(g)
-        aperm = a[pis[:, :, None], pis[:, None, :]]
-        return self._ordered_log_prob(aperm, tape)
-
-    def log_prob_sequence(
-        self, gs: GraphSequence, trace_edges: Sequence[Sequence[int]]
-    ) -> float:
-        """Score one growth trace; the per-step edge vectors must match the
-        sequence's own edges."""
-        n = gs.n
-        self._check_n(n)
-        if len(trace_edges) != n - 1:
-            raise InputError(f"trace must have {n - 1} edge vectors")
-        for k, bits in enumerate(trace_edges):
-            if len(bits) != k + 1:
-                raise InputError(f"trace step {k} must have {k + 1} bits")
-            for j, bit in enumerate(bits):
-                if bit not in (0, 1):
-                    raise InputError("trace bits must be 0 or 1")
-                if bool(bit) != gs.steps[k + 1].has_edge(k + 1, j):
-                    raise InputError(f"trace step {k} disagrees with the sequence")
-        aperm = adjacency_matrix(gs.final)[None, :, :]
-        return float(self._ordered_log_prob(aperm, None).data[0])
+    def log_multiplicities(self, g: Graph, orders: np.ndarray, mode: str) -> np.ndarray:
+        """Log of the number of orderings that grow the same sequence of
+        graphs as each ordering: exact orbit products in ``exact`` mode, the
+        colour-refinement upper bound in ``cr`` mode."""
+        count = sequence_multiplicity_exact if mode == "exact" else sequence_multiplicity_cr
+        return np.array([math.log(count(g, tuple(pi))) for pi in self._orderings(g, orders).tolist()])
 
     # -- sampling ---------------------------------------------------------------
 
@@ -365,20 +351,18 @@ class SequenceModel(GraphModel):
                 break
             block = np.stack([adjs[b][0] for b in live_idx])
             h = self._propagate(bound, block)
-            readout = tensor_mean_nodes(h)
+            readout = mean(h, axis=-2)
             if cfg.fixed_node_count is None:
                 p_stop = 1.0 / (1.0 + np.exp(-self._stop_logit(bound, readout).data))
                 stops = rng.random(live_idx.size) < p_stop
-                for i, b in enumerate(live_idx):
-                    if stops[i]:
-                        alive[b] = False
+                alive[live_idx[stops]] = False
                 live_idx = live_idx[~stops]
                 if live_idx.size == 0:
                     break
-                keep = ~stops
-                block = block[keep]
-                h = self._propagate(bound, block)
-                readout = tensor_mean_nodes(h)
+                # each sample propagates on its own, so the kept rows are
+                # the states a propagation of the kept block would give
+                kept = np.flatnonzero(~stops)
+                h, readout = gather_rows(h, kept), gather_rows(readout, kept)
             logits = self._edge_logits(bound, h, readout).data
             bits = (rng.random(logits.shape) < 1.0 / (1.0 + np.exp(-logits))).astype(np.float64)
             for i, b in enumerate(live_idx):
@@ -396,52 +380,9 @@ class SequenceModel(GraphModel):
         return out
 
 
-def concat_last(tensors: Sequence[Tensor]) -> Tensor:
-    return concat(tensors, axis=-1)
-
-
-def tensor_mean_nodes(h: Tensor) -> Tensor:
-    """Mean over the node axis of (..., t, d) states."""
-    return mean(h, axis=-2)
-
-
 # one code path rebuilds both families: the shared base's checkpoint readers
 model_from_document = GraphModel.from_checkpoint
 load_model = GraphModel.load
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MULTIPLICITY_MODES:
-        raise InputError(f"multiplicity mode must be one of {MULTIPLICITY_MODES}")
-
-
-def ordering_multiplicity(model: GraphModel, g: Graph, order: Ordering, mode: str) -> int:
-    """How many orderings share this ordering's representation under the model."""
-    _check_mode(mode)
-    if isinstance(model, AdjacencyModel):
-        return cached_automorphism_count(g)
-    if mode == "exact":
-        return sequence_multiplicity_exact(g, order)
-    return sequence_multiplicity_cr(g, order)
-
-
-def joint_log_prob(
-    model: GraphModel, g: Graph, order: Sequence[int], mode: str = "exact"
-) -> float:
-    """log p(graph, ordering): the ordered representation's log-probability
-    minus the log of its ordering multiplicity.
-
-    Adjacency models always divide by the exact automorphism count; for
-    sequence models ``mode`` selects the exact orbit product or its cheaper
-    color-refinement upper bound (which makes the result a lower bound).
-    """
-    pi = validate_ordering(g, order)
-    _check_mode(mode)
-    if isinstance(model, AdjacencyModel):
-        rep = model.log_prob(encode_adjacency(g, pi))
-    else:
-        rep = float(model.log_prob_orderings(g, np.asarray([pi])).data[0])
-    return rep - math.log(ordering_multiplicity(model, g, pi, mode))
 
 
 def joint_log_probs(
@@ -450,27 +391,14 @@ def joint_log_probs(
     """Batched joint log-probabilities for orderings of one graph.
 
     Returns (representation log-probs as a tensor, log-multiplicities as a
-    constant array); the joint is their difference.
+    constant array); the joint is their difference.  Adjacency models always
+    divide by the exact automorphism count; for sequence models ``mode``
+    selects the exact orbit product or its cheaper colour-refinement upper
+    bound (which makes the joint a lower bound).
     """
-    _check_mode(mode)
-    pis = np.asarray(orders, dtype=np.int64)
-    if isinstance(model, AdjacencyModel):
-        a = adjacency_matrix(g)
-        aperm = a[pis[:, :, None], pis[:, None, :]]
-        rows = np.zeros((len(pis), g.n - 1, model.cfg.max_nodes - 1))
-        for k in range(g.n - 1):
-            rows[:, k, : k + 1] = aperm[:, k + 1, : k + 1]
-        rep = model.log_prob_rows(rows, tape)
-        log_mult = np.full(len(pis), math.log(cached_automorphism_count(g)))
-    else:
-        rep = model.log_prob_orderings(g, pis, tape)
-        log_mult = np.array(
-            [
-                math.log(ordering_multiplicity(model, g, tuple(int(v) for v in pi), mode))
-                for pi in pis
-            ]
-        )
-    return rep, log_mult
+    if mode not in MULTIPLICITY_MODES:
+        raise InputError(f"multiplicity mode must be one of {MULTIPLICITY_MODES}")
+    return model.log_prob_orderings(g, orders, tape), model.log_multiplicities(g, orders, mode)
 
 
 def exact_marginal_log_prob(model: GraphModel, g: Graph, max_nodes: int = 8) -> float:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, Ordering, validate_ordering
+from .graphs import Graph, Ordering, validate_orderings
 from .nn import neighborhood_mask, register_attention, register_linear, residual_attention_stack, linear
 from .rng import spawn_rng
 from .tensor import (
@@ -25,6 +24,7 @@ from .tensor import (
     Tape,
     Tensor,
     add,
+    check_positive_ints,
     masked_log_softmax,
     reshape,
     take_along_last,
@@ -58,8 +58,7 @@ class PosteriorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.layers < 1 or self.heads < 1 or self.head_dim < 1:
-            raise InputError("posterior config fields must be positive")
+        check_positive_ints(self, ("max_nodes", "layers", "heads", "head_dim"))
 
     @property
     def d_model(self) -> int:
@@ -118,20 +117,12 @@ class OrderPosterior(Checkpointable):
     def log_probs_orderings(self, g: Graph, orders, tape: Tape | None = None) -> Tensor:
         """Teacher-forced log q for a batch of orderings, shape (batch,)."""
         self._check_graph(g)
-        pis = np.asarray(orders, dtype=np.int64)
-        if pis.ndim != 2 or pis.shape[1] != g.n:
-            raise InputError("orders must have shape (batch, n)")
-        for pi in pis:
-            validate_ordering(g, tuple(int(v) for v in pi))
+        pis = validate_orderings(g, orders)
         feats, avail = self._step_features(g, pis)
         b, n = pis.shape
         logits = self._node_logits(self.store.bind(tape), g, feats.reshape(b * n, n, -1), tape)
         lp = masked_log_softmax(reshape(logits, (b, n, n)), avail)
         return tensor_sum(take_along_last(lp, pis), axis=-1)
-
-    def log_prob_ordering(self, g: Graph, pi) -> float:
-        pi = validate_ordering(g, pi)
-        return float(self.log_probs_orderings(g, np.asarray([pi])).data[0])
 
     def step_logits(self, g: Graph, prefix) -> np.ndarray:
         """Raw per-node logits given an already-chosen prefix."""
@@ -191,12 +182,6 @@ class OrderPosterior(Checkpointable):
         return [OrderingSample(tuple(int(v) for v in pis[i]), float(log_q[i])) for i in range(count)]
 
 
-def uniform_ordering(g: Graph, rng: np.random.Generator) -> OrderingSample:
-    """One uniformly random ordering; log q is -log n!."""
-    pi = tuple(int(v) for v in rng.permutation(g.n))
-    return OrderingSample(pi, -math.lgamma(g.n + 1))
-
-
 class UniformOrderer:
     """Parameter-free stand-in for the learned posterior."""
 
@@ -206,28 +191,20 @@ class UniformOrderer:
         self.store = ParameterStore()
 
     def log_probs_orderings(self, g: Graph, orders, tape: Tape | None = None) -> Tensor:
-        pis = np.asarray(orders, dtype=np.int64)
-        if pis.ndim != 2 or pis.shape[1] != g.n:
-            raise InputError("orders must have shape (batch, n)")
-        for pi in pis:
-            validate_ordering(g, tuple(int(v) for v in pi))
+        pis = validate_orderings(g, orders)
         return Tensor(np.full(len(pis), -math.lgamma(g.n + 1)), tape=tape)
 
-    def log_prob_ordering(self, g: Graph, pi) -> float:
-        validate_ordering(g, pi)
-        return -math.lgamma(g.n + 1)
-
     def sample_orderings(self, g: Graph, count: int, rng: np.random.Generator) -> list[OrderingSample]:
+        """One uniform permutation per independent child stream; log q is
+        -log n!."""
         if count < 1:
             raise InputError("count must be positive")
-        return [uniform_ordering(g, stream) for stream in rng.spawn(count)]
+        log_q = -math.lgamma(g.n + 1)
+        return [
+            OrderingSample(tuple(int(v) for v in stream.permutation(g.n)), log_q)
+            for stream in rng.spawn(count)
+        ]
 
 
 OrderingModel = OrderPosterior | UniformOrderer
 
-
-def enumerate_log_probs(q, g: Graph) -> dict[Ordering, float]:
-    """Teacher-forced log q over every ordering (test-scale sizes only)."""
-    pis = np.array(list(permutations(range(g.n))), dtype=np.int64)
-    vals = q.log_probs_orderings(g, pis).data
-    return {tuple(int(v) for v in pi): float(val) for pi, val in zip(pis, vals)}

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InputError, NumericError
-from .files import write_text_atomic
+from .files import read_text, write_text_atomic
 
 
 def _ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -539,6 +538,15 @@ def parse_checkpoint(doc: dict) -> tuple[str, dict, dict[str, np.ndarray]]:
     return str(doc["modelKind"]), dict(metadata), params
 
 
+def check_positive_ints(cfg, names: Sequence[str]) -> None:
+    """Raise ``InputError`` unless each named field of the config ``cfg`` is
+    an integer of at least 1 (a bool is not one)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise InputError(f"{name} must be a positive integer, got {value!r}")
+
+
 class Checkpointable:
     """Checkpoints of an object built from a frozen config dataclass ``cfg``
     (of type ``config_type``) whose parameters live in ``store``.
@@ -602,8 +610,9 @@ class Checkpointable:
     @classmethod
     def load(cls, path):
         """``from_checkpoint`` on the JSON document in the file at ``path``."""
+        text = read_text(path, "checkpoint")
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
             raise InputError(f"checkpoint {path} is not valid JSON: {exc}") from exc
         return cls.from_checkpoint(doc)

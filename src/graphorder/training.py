@@ -54,7 +54,6 @@ class TrainConfig:
 @dataclass(frozen=True)
 class EpochRecord:
     elbo: float
-    grad_variance: float
     seconds: float
 
 
@@ -186,21 +185,11 @@ def train_loop(
             if cfg.use_baseline:
                 baseline = 0.9 * baseline + 0.1 * elbo
             elbos.append(elbo)
-        grad_var = _epoch_grad_variance(model, q, graphs[0], cfg, epoch)
         seconds = time.perf_counter() - tick
-        records.append(EpochRecord(float(np.mean(elbos)), grad_var, seconds))
+        records.append(EpochRecord(float(np.mean(elbos)), seconds))
         if progress is not None:
             progress(f"epoch {epoch} elbo {records[-1].elbo:.6f} sec {seconds:.3f}")
     return TrainReport(asdict(cfg), tuple(records), time.perf_counter() - start)
-
-
-def _epoch_grad_variance(model, q, g, cfg: TrainConfig, epoch: int) -> float:
-    """Spread of the per-sample posterior gradient on one graph (diagnostic)."""
-    if not q.store.parameter_count():
-        return 0.0
-    rng = spawn_rng(cfg.seed, _VARIANCE_LANE, epoch)
-    grads = _per_sample_phi_grads(model, q, g, cfg.sample_count, rng, cfg.multiplicity_mode)
-    return float(np.mean(np.var(grads, axis=0)))
 
 
 def _per_sample_phi_grads(model, q, g, count: int, rng, mode: str) -> np.ndarray:

@@ -135,6 +135,9 @@ class TestConfigParsing:
         assert rc.train == TrainConfig()
         assert rc.out_dir == "run"
 
+    def test_minimal_config_takes_train_defaults_from_train_config(self):
+        assert resolve_run_config({"data": "x", "seed": 5}).train == TrainConfig(seed=5)
+
     def test_seed_threads_into_all_configs(self):
         rc = resolve_run_config({"data": "x", "seed": 9})
         assert rc.model_config.seed == 9
@@ -228,6 +231,13 @@ class TestTrainCommand:
         path.write_text("data = x\nwidgets = 4\n")
         code, _, err = run(capsys, ["train", "--config", str(path)])
         assert code == 1 and "widgets" in err and err.startswith("error:")
+
+    def test_config_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "train.cfg"
+        path.write_bytes(b"\xff\xfemodel = adjacency\n")
+        code, out, err = run(capsys, ["train", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["train", "--config", str(tmp_path / "none.cfg")])
@@ -353,6 +363,17 @@ class TestLoglikCommand:
         )
         assert code == 1 and err.startswith("error:")
 
+    def test_graph_above_checkpoint_max_nodes_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "small.json"
+        AdjacencyModel(AdjacencyModelConfig(max_nodes=4, hidden=4, row_embed=2)).save(path)
+        graph = tmp_path / "p5.graph"
+        graph.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
+        code, out, err = run(
+            capsys, ["loglik", "--checkpoint", str(path), "--data", str(graph), "--L", "4"]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_numeric_error_exit_code(self, capsys, monkeypatch, coin_checkpoint, k3_file):
         def boom(*args, **kwargs):
             raise NumericError("non-finite importance ratio")
@@ -379,6 +400,13 @@ class TestMmdCommand:
         assert code == 0
         (pair,) = json.loads(out)["pairs"]
         assert pair["statistic"] == "degree" and pair["mmd"] > 0
+
+    def test_dataset_not_utf8_is_one_error_line(self, capsys, tmp_path, k3_file):
+        path = tmp_path / "bad.graph"
+        path.write_bytes(b"\xff\xfe3 0\n")
+        code, out, err = run(capsys, ["mmd", "--ref", str(path), "--gen", k3_file])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_sigma_is_usage_error(self, capsys, k3_file):
         code, _, err = run(
@@ -412,6 +440,21 @@ class TestAnalyzeOrderCommand:
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("change", [{"layers": 1.5}, {"heads": True}])
+    def test_non_integer_posterior_config_is_one_error_line(self, tmp_path, capsys, p3_file, change):
+        # heads = 1 keeps every parameter shape valid for "heads": true
+        q = OrderPosterior(PosteriorConfig(max_nodes=5, layers=1, heads=1, head_dim=3, seed=4))
+        doc = q.checkpoint()
+        doc["metadata"]["config"].update(change)
+        q_path = tmp_path / "posterior.json"
+        q_path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            ["analyze-order", "--checkpoint", str(q_path), "--graph", p3_file, "--samples", "5"],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_requires_some_posterior(self, capsys, p3_file):
         code, _, err = run(capsys, ["analyze-order", "--graph", p3_file])

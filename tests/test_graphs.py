@@ -18,6 +18,7 @@ from graphorder.graphs import (
     isomorphic,
     ordering_to_sequence,
     validate_ordering,
+    validate_orderings,
 )
 from oracles import brute_canonical_form, edges_preserved, random_graph
 from strategies import graphs, graphs_with_ordering
@@ -225,6 +226,15 @@ def test_validate_ordering_roundtrip():
     assert validate_ordering(g, [2, 0, 1]) == (2, 0, 1)
     with pytest.raises(InputError):
         validate_ordering(g, [0, 1])
+
+
+def test_validate_orderings_batch():
+    g = path(3)
+    pis = validate_orderings(g, [[2, 0, 1], (0, 1, 2)])
+    assert pis.dtype == np.int64 and pis.tolist() == [[2, 0, 1], [0, 1, 2]]
+    for bad in ([[-1, 0, 1]], [["a", 1, 2]], [[0.5, 1, 2]], [[True, False, True]]):
+        with pytest.raises(InputError):
+            validate_orderings(g, bad)
 
 
 def test_all_graphs_count():

@@ -12,28 +12,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphorder.errors import InputError, ResourceError
-from graphorder.graphs import (
-    Graph,
-    LowerTriangularEncoding,
-    all_graphs,
-    encode_adjacency,
-    isomorphic,
-    ordering_to_sequence,
-)
+from graphorder.graphs import Graph, all_graphs, encode_adjacency, isomorphic
 from graphorder.models import (
     AdjacencyModel,
     AdjacencyModelConfig,
     SequenceModel,
     SequenceModelConfig,
     exact_marginal_log_prob,
-    joint_log_prob,
     joint_log_probs,
     load_model,
     log_sum_exp,
     model_from_document,
 )
-from graphorder.posterior import OrderPosterior, PosteriorConfig
+from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
 from graphorder.rng import root_rng
+from graphorder.symmetry import (
+    automorphism_count,
+    sequence_multiplicity_cr,
+    sequence_multiplicity_exact,
+)
 from graphorder.tensor import Checkpointable, Tape, backward, mean as tensor_mean
 from oracles import central_difference, random_graph
 from strategies import graphs
@@ -60,21 +57,27 @@ def small_sequence(seed=2):
     return SequenceModel(SequenceModelConfig(max_nodes=6, hidden=8, edge_hidden=6, seed=seed))
 
 
+def joints(model, g, orders, mode="exact"):
+    """Joint log-probabilities of a batch of orderings as a plain array."""
+    rep, log_mult = joint_log_probs(model, g, np.asarray(orders), mode)
+    return rep.data - log_mult
+
+
 class TestFairCoinValues:
     def test_adjacency_three_node_encoding_is_one_eighth(self):
         model = coin_adjacency()
         for g in (K3, P3, Graph(3, (0, 0, 0))):
-            enc = encode_adjacency(g, (0, 1, 2))
-            assert model.log_prob(enc) == pytest.approx(math.log(1 / 8), abs=1e-12)
+            lp = model.log_prob_orderings(g, [[0, 1, 2]]).data[0]
+            assert lp == pytest.approx(math.log(1 / 8), abs=1e-12)
 
     def test_adjacency_free_size_pays_stop_terms(self):
         model = AdjacencyModel(AdjacencyModelConfig(max_nodes=6), zero_init=True)
-        enc = encode_adjacency(K3, (0, 1, 2))
         # 3 edge bits + 2 continue + 1 stop decisions, all fair
-        assert model.log_prob(enc) == pytest.approx(6 * math.log(0.5), abs=1e-12)
+        lp = model.log_prob_orderings(K3, [[0, 1, 2]]).data[0]
+        assert lp == pytest.approx(6 * math.log(0.5), abs=1e-12)
 
     def test_triangle_joint_is_one_forty_eighth(self):
-        assert joint_log_prob(coin_adjacency(), K3, (0, 1, 2)) == pytest.approx(
+        assert joints(coin_adjacency(), K3, [[0, 1, 2]])[0] == pytest.approx(
             math.log(1 / 48), abs=1e-12
         )
 
@@ -131,25 +134,9 @@ class TestNormalization:
         """With size pinned, the model is a distribution over n-node encodings."""
         total = 0.0
         n = 4
-        for bits in range(2 ** (n * (n - 1) // 2)):
-            rows, idx = [], 0
-            adj = [0] * n
-            for k in range(1, n):
-                row = []
-                for j in range(k):
-                    b = (bits >> idx) & 1
-                    idx += 1
-                    row.append(b)
-                    if b:
-                        adj[k] |= 1 << j
-                        adj[j] |= 1 << k
-                rows.append(tuple(row))
-            if isinstance(model, AdjacencyModel):
-                lp = model.log_prob(LowerTriangularEncoding(n, tuple(rows)))
-            else:
-                g = Graph(n, tuple(adj))
-                lp = float(model.log_prob_orderings(g, np.array([list(range(n))])).data[0])
-            total += math.exp(lp)
+        # under the identity ordering, each labelled graph is one encoding
+        for g in all_graphs(n):
+            total += math.exp(model.log_prob_orderings(g, [list(range(n))]).data[0])
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_marginals_over_all_graphs_sum_to_one(self):
@@ -239,13 +226,11 @@ class TestJointAndMarginal:
         """Summing over orderings must equal summing distinct encodings."""
         model = small_adjacency(seed=21)
         g = random_graph(root_rng(22), 5, 0.4)
+        pis = list(permutations(range(5)))
         by_enc = {}
-        for pi in permutations(range(5)):
-            enc = encode_adjacency(g, pi)
-            by_enc.setdefault(enc, model.log_prob(enc))
+        for pi, lp in zip(pis, model.log_prob_orderings(g, pis).data):
+            by_enc.setdefault(encode_adjacency(g, pi), lp)
         # each distinct encoding corresponds to exactly |Aut| orderings
-        from graphorder.symmetry import automorphism_count
-
         assert math.factorial(5) // automorphism_count(g) == len(by_enc)
         expect = log_sum_exp(np.array(list(by_enc.values())))
         assert exact_marginal_log_prob(model, g) == pytest.approx(expect, abs=1e-9)
@@ -255,11 +240,8 @@ class TestJointAndMarginal:
         model = SequenceModel(
             SequenceModelConfig(max_nodes=6, hidden=6, edge_hidden=4, seed=seed)
         )
-        joints = [
-            joint_log_prob(model, g, pi, mode="exact")
-            for pi in permutations(range(g.n))
-        ]
-        assert log_sum_exp(np.array(joints)) == pytest.approx(
+        every = joints(model, g, list(permutations(range(g.n))), mode="exact")
+        assert log_sum_exp(every) == pytest.approx(
             exact_marginal_log_prob(model, g), abs=1e-9
         )
 
@@ -268,9 +250,9 @@ class TestJointAndMarginal:
         rng = root_rng(32)
         for _ in range(20):
             g = random_graph(rng, 5, 0.5)
-            pi = tuple(rng.permutation(5).tolist())
-            cr = joint_log_prob(model, g, pi, mode="cr")
-            exact = joint_log_prob(model, g, pi, mode="exact")
+            pis = [rng.permutation(5)]
+            cr = joints(model, g, pis, mode="cr")[0]
+            exact = joints(model, g, pis, mode="exact")[0]
             assert cr <= exact + 1e-12
 
     def test_marginal_budget_guard(self):
@@ -280,37 +262,65 @@ class TestJointAndMarginal:
 
     def test_bad_mode_rejected(self):
         with pytest.raises(InputError):
-            joint_log_prob(small_adjacency(), K3, (0, 1, 2), mode="fast")
+            joint_log_probs(small_adjacency(), K3, [[0, 1, 2]], mode="fast")
 
 
-class TestSequenceTraceScoring:
-    def test_trace_matches_ordering_scoring(self):
-        model = small_sequence(seed=41)
-        g = random_graph(root_rng(42), 5, 0.5)
-        pi = (2, 0, 4, 1, 3)
-        gs = ordering_to_sequence(g, pi)
-        trace = [
-            [1 if gs.steps[k + 1].has_edge(k + 1, j) else 0 for j in range(k + 1)]
-            for k in range(g.n - 1)
+class TestScoringContract:
+    """Both families answer the same two batched questions, and every scorer
+    of orderings rejects the same malformed batches."""
+
+    FAMILIES = {"adjacency": small_adjacency, "sequence": small_sequence}
+
+    @pytest.mark.parametrize("mode", ["exact", "cr"])
+    @pytest.mark.parametrize("family", ["adjacency", "sequence"])
+    def test_joint_is_log_prob_minus_log_multiplicity(self, family, mode):
+        model = self.FAMILIES[family]()
+        rng = root_rng(61)
+        g = random_graph(rng, 5, 0.5)
+        pis = np.array([rng.permutation(5) for _ in range(4)])
+        rep, log_mult = joint_log_probs(model, g, pis, mode)
+        assert np.array_equal(rep.data, model.log_prob_orderings(g, pis).data)
+        assert np.array_equal(log_mult, model.log_multiplicities(g, pis, mode))
+        if family == "adjacency":
+            expect = [automorphism_count(g)] * len(pis)
+        else:
+            count = sequence_multiplicity_exact if mode == "exact" else sequence_multiplicity_cr
+            expect = [count(g, pi) for pi in pis]
+        assert np.allclose(log_mult, np.log(expect), rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def scorers(kind):
+        """Every call that scores a batch of orderings for one scorer kind."""
+        if kind == "uniform":
+            return [UniformOrderer().log_probs_orderings]
+        if kind == "posterior":
+            q = OrderPosterior(PosteriorConfig(max_nodes=6, layers=1, heads=1, head_dim=2))
+            return [q.log_probs_orderings]
+        model = TestScoringContract.FAMILIES[kind]()
+        return [
+            lambda g, orders: joint_log_probs(model, g, orders, mode="exact"),
+            lambda g, orders: joint_log_probs(model, g, orders, mode="cr"),
+            model.log_prob_orderings,
+            lambda g, orders: model.log_multiplicities(g, orders, "exact"),
         ]
-        via_trace = model.log_prob_sequence(gs, trace)
-        via_order = float(model.log_prob_orderings(g, np.array([pi])).data[0])
-        assert via_trace == pytest.approx(via_order, abs=1e-12)
 
-    def test_inconsistent_trace_rejected(self):
-        model = small_sequence(seed=43)
-        gs = ordering_to_sequence(P3, (0, 1, 2))
-        trace = [[1], [1, 1]]  # claims an edge the sequence lacks
-        with pytest.raises(InputError):
-            model.log_prob_sequence(gs, trace)
+    @pytest.mark.parametrize(
+        "orders",
+        [[[0, 0, 1]], [[0, 1, 3]], [[0, 1]], [[0, 1, 2, 3]], [], [0, 1, 2], [[0, 1, 2], [0, 1]]],
+        ids=["repeat", "out-of-range", "short", "long", "empty", "flat", "ragged"],
+    )
+    @pytest.mark.parametrize("kind", ["adjacency", "sequence", "posterior", "uniform"])
+    def test_malformed_orderings_rejected(self, kind, orders):
+        for score in self.scorers(kind):
+            with pytest.raises(InputError):
+                score(P3, orders)
 
-    def test_malformed_trace_rejected(self):
-        model = small_sequence(seed=44)
-        gs = ordering_to_sequence(P3, (0, 1, 2))
-        with pytest.raises(InputError):
-            model.log_prob_sequence(gs, [[1]])
-        with pytest.raises(InputError):
-            model.log_prob_sequence(gs, [[1], [0, 2]])
+    @pytest.mark.parametrize("kind", ["adjacency", "sequence", "posterior"])
+    def test_graph_above_max_nodes_rejected(self, kind):
+        big = Graph.from_edges(7, [(i, i + 1) for i in range(6)])
+        for score in self.scorers(kind):
+            with pytest.raises(InputError):
+                score(big, [list(range(7))])
 
 
 class TestCheckpoints:
@@ -322,10 +332,8 @@ class TestCheckpoints:
         again = load_model(path)
         assert type(again) is type(model)
         g = random_graph(root_rng(51), 4, 0.5)
-        pi = (0, 1, 2, 3)
-        assert joint_log_prob(again, g, pi) == pytest.approx(
-            joint_log_prob(model, g, pi), abs=0
-        )
+        pis = [[0, 1, 2, 3], [3, 1, 0, 2]]
+        assert np.array_equal(joints(again, g, pis), joints(model, g, pis))
 
     def test_kind_mismatch_rejected(self):
         doc = small_adjacency().checkpoint()
@@ -398,4 +406,4 @@ class TestCheckpoints:
     def test_size_guard_from_config(self):
         model = coin_adjacency(3)
         with pytest.raises(InputError):
-            model.log_prob(encode_adjacency(Graph(2, (0, 0)), (0, 1)))
+            model.log_prob_orderings(Graph(2, (0, 0)), [[0, 1]])

@@ -6,7 +6,11 @@ import importlib
 import sys
 from pathlib import Path
 
-from graphorder import evaluation
+import numpy as np
+import pytest
+
+from graphorder import evaluation, models
+from graphorder.graphs import Graph
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,10 +31,14 @@ def _bindings():
     return out
 
 
-def test_instrument_finds_and_restores_every_target(monkeypatch):
+@pytest.fixture()
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_instrument_finds_and_restores_every_target(tracing):
     before = _bindings()
     # entering looks up every wrapped function and fails on a missing one
     with tracing.instrument(tracing.Recorder()):
@@ -40,3 +48,28 @@ def test_instrument_finds_and_restores_every_target(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+@pytest.mark.parametrize(
+    "family, mode, span",
+    [
+        ("adjacency", "exact", "models.aut_lookup"),
+        ("adjacency", "cr", "models.aut_lookup"),
+        ("sequence", "exact", "symmetry.exact"),
+        ("sequence", "cr", "symmetry.cr"),
+    ],
+)
+def test_joint_log_probs_reaches_every_wrapped_layer(tracing, family, mode, span):
+    """A scoring routine captured at import or moved out of its class body
+    would escape the wrappers and zero its per-layer count."""
+    if family == "adjacency":
+        model = models.AdjacencyModel(models.AdjacencyModelConfig(max_nodes=5, hidden=4, row_embed=3))
+    else:
+        model = models.SequenceModel(models.SequenceModelConfig(max_nodes=5, hidden=4, edge_hidden=3))
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    pis = np.array([[0, 1, 2, 3], [2, 3, 1, 0]])
+    with tracing.instrument(tracing.Recorder()) as rec:
+        models.joint_log_probs(model, g, pis, mode)
+    assert rec.calls["models.joint"] == 1
+    assert rec.calls["models.forward"] == 1
+    assert rec.calls[span] == (1 if family == "adjacency" else len(pis))

@@ -228,8 +228,8 @@ class TestTrainLoop:
         gc.disable()
         try:
             train_loop(model, q, [P3, K3], TrainConfig(sample_count=2, epochs=1, seed=51))
-            # two training steps plus two single-sample variance tapes
-            assert len(refs) == 4
+            # one tape per training step, one step per graph
+            assert len(refs) == 2
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
