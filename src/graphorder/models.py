@@ -49,6 +49,9 @@ from .tensor import (
 )
 
 MULTIPLICITY_MODES = ("exact", "cr")
+# node rows (batch x prefixes x widest prefix) of one padded block of
+# sequence-model prefixes: bounds the memory of large tape-free batches
+PADDED_ROWS = 4096
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -70,6 +73,21 @@ def _bernoulli_log_prob(logits: Tensor, targets: np.ndarray, mask: np.ndarray | 
     if mask is not None:
         ll = mul(ll, mask)
     return tensor_sum(ll, axis=-1)
+
+
+def _prefix_blocks(batch: int, last: int) -> list[tuple[int, int]]:
+    """Prefix sizes 1..last as consecutive inclusive (lo, hi) blocks.  A block
+    grows while batch x its prefix count x hi (its padded node rows) stays
+    within ``PADDED_ROWS``; a prefix too wide for that is a block alone."""
+    blocks = []
+    lo = 1
+    while lo <= last:
+        hi = lo
+        while hi < last and batch * (hi + 2 - lo) * (hi + 1) <= PADDED_ROWS:
+            hi += 1
+        blocks.append((lo, hi))
+        lo = hi + 1
+    return blocks
 
 
 def _broadcast_rows(x: Tensor, *lead: int) -> Tensor:
@@ -261,7 +279,10 @@ class SequenceModel(GraphModel):
     Each step re-embeds the current partial graph (summed messages with a
     gated update, repeated ``rounds`` times from a learned constant), then an
     edge head scores the new node against every existing node and a stop head
-    reads the mean node state.
+    reads the mean node state.  Scoring runs every prefix of an ordering
+    batch in padded blocks of consecutive prefix sizes, each at most
+    ``PADDED_ROWS`` node rows (or one prefix), so a training step is one
+    propagation and a large tape-free batch one propagation per prefix.
     """
 
     kind = "sequence"
@@ -282,7 +303,12 @@ class SequenceModel(GraphModel):
     # -- step pieces -----------------------------------------------------------
 
     def _propagate(self, bound, adj: np.ndarray) -> Tensor:
-        """Node states (..., t, hidden) for adjacency blocks (..., t, t)."""
+        """Node states (..., t, hidden) for adjacency blocks (..., t, t).
+
+        A node whose adjacency row and column are zero neither sends nor
+        receives messages, so padding a prefix with such nodes leaves the
+        states of its own nodes as they are: ``log_prob_orderings`` runs
+        prefixes of several sizes, padded to the widest, in one call."""
         h = _broadcast_rows(bound["node0"], *adj.shape[:-1])
         for _ in range(self.cfg.rounds):
             msgs = Tensor(adj) @ linear(bound, "msg", h)
@@ -306,23 +332,36 @@ class SequenceModel(GraphModel):
     def log_prob_orderings(
         self, g: Graph, orders: np.ndarray, tape: Tape | None = None
     ) -> Tensor:
-        """Log-probabilities of growing ``g`` along each ordering in ``orders``."""
+        """Log-probabilities of growing ``g`` along each ordering in ``orders``.
+
+        The prefix of size t < n pays the continue term and the edges of the
+        node that joins it; the full graph (t = n) pays the stop term.  With
+        ``fixed_node_count`` set there are no stop terms and no t = n prefix.
+        Prefix sizes are scored in blocks from ``_prefix_blocks``: each block
+        pads its prefixes to its widest one, masks the adjacency, readout and
+        edge terms to each prefix, and runs one ``_propagate``."""
         aperm = _permuted_adjacency(g, self._orderings(g, orders))
         batch, n, _ = aperm.shape
         sized = self.cfg.fixed_node_count is not None
         bound = self.store.bind(tape)
-        terms = [Tensor(np.zeros(batch), tape=tape)]
-        for t in range(1, n):
-            h = self._propagate(bound, aperm[:, :t, :t])
-            readout = mean(h, axis=-2)
+        total = Tensor(np.zeros(batch), tape=tape)
+        for lo, hi in _prefix_blocks(batch, n - 1 if sized else n):
+            sizes = np.arange(lo, hi + 1)
+            nodes = (np.arange(hi) < sizes[:, None]).astype(np.float64)  # (prefixes, hi)
+            adj = aperm[:, None, :hi, :hi] * (nodes[:, :, None] * nodes[:, None, :])
+            h = self._propagate(bound, adj)
+            readout = mul(tensor_sum(mul(h, nodes[:, :, None]), axis=-2), 1.0 / sizes[:, None])
+            # node t + 1 joins the prefix of size t; the full graph has none
+            grows = sizes < n
+            targets = aperm[:, np.minimum(sizes, n - 1), :hi]
+            block = _bernoulli_log_prob(
+                self._edge_logits(bound, h, readout), targets, nodes * grows[:, None]
+            )
             if not sized:
-                terms.append(log_sigmoid(mul(self._stop_logit(bound, readout), -1.0)))
-            logits = self._edge_logits(bound, h, readout)
-            terms.append(_bernoulli_log_prob(logits, aperm[:, t, :t], None))
-        if not sized:
-            h = self._propagate(bound, aperm)
-            terms.append(log_sigmoid(self._stop_logit(bound, mean(h, axis=-2))))
-        return reduce(add, terms)
+                sign = np.where(grows, -1.0, 1.0)
+                block = add(block, log_sigmoid(mul(self._stop_logit(bound, readout), sign)))
+            total = add(total, tensor_sum(block, axis=-1))
+        return total
 
     def log_multiplicities(self, g: Graph, orders: np.ndarray, mode: str) -> np.ndarray:
         """Log of the number of orderings that grow the same sequence of

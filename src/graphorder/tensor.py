@@ -365,8 +365,12 @@ def take_along_last(x, indices) -> Tensor:
 
 
 def _masked_parts(x: Tensor, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    mb = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
-    if not mb.any(axis=-1).all():
+    m = np.asarray(mask, dtype=bool)
+    mb = np.broadcast_to(m, x.data.shape)
+    # broadcasting only repeats the mask's rows, so unless the broadcast
+    # mask is empty (or the mask has no rows) the mask as passed decides
+    rows = mb if mb.size == 0 or m.ndim == 0 else m
+    if not rows.any(axis=-1).all():
         raise NumericError("masked softmax row with empty support")
     shifted = np.where(mb, x.data, -np.inf)
     mx = shifted.max(axis=-1, keepdims=True)
@@ -404,7 +408,10 @@ def masked_log_softmax(x, mask) -> Tensor:
 
 
 def backward(tape: Tape, root: Tensor) -> None:
-    """Reverse sweep from a scalar root; fills .grad on reachable tensors."""
+    """Reverse sweep from a scalar root.  Leaf tensors (those without a pull)
+    that the root reaches keep their gradient in .grad; an interior tensor's
+    .grad is dropped once it has been pulled to its parents, so the sweep
+    holds only the gradients still to be pulled."""
     if root.tape is not tape:
         raise InputError("backward root is not recorded on this tape")
     if root.data.size != 1:
@@ -415,6 +422,7 @@ def backward(tape: Tape, root: Tensor) -> None:
     for t in reversed(tape.nodes):
         if t.grad is not None and t.pull is not None:
             t.pull(t.grad)
+            t.grad = None
 
 
 class ParameterStore:
@@ -476,9 +484,6 @@ class ParameterStore:
         for t in tape.nodes:
             if t.leaf_ref is not None and t.leaf_ref[0] is self and t.grad is not None:
                 self._grads[t.leaf_ref[1]] += t.grad
-
-    def add_grad(self, name: str, g: np.ndarray) -> None:
-        self._grads[name] += g
 
     def adam_step(
         self,

@@ -7,11 +7,14 @@ from minimising over all relabelings, gradients from finite differences.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
 
 from graphorder.graphs import Graph
+from graphorder.models import _bernoulli_log_prob, _permuted_adjacency
+from graphorder.tensor import Tensor, add, log_sigmoid, mean, mul
 
 
 def edges_preserved(g: Graph, perm: tuple[int, ...]) -> bool:
@@ -190,3 +193,24 @@ def central_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         xf[i] = orig
         flat[i] = (hi - lo) / (2 * eps)
     return grad
+
+
+def per_prefix_log_prob_orderings(model, g: Graph, orders, tape=None) -> Tensor:
+    """``SequenceModel.log_prob_orderings`` one prefix at a time: one
+    propagation over the unpadded first t nodes for each prefix size t."""
+    aperm = _permuted_adjacency(g, model._orderings(g, orders))
+    batch, n, _ = aperm.shape
+    sized = model.cfg.fixed_node_count is not None
+    bound = model.store.bind(tape)
+    terms = [Tensor(np.zeros(batch), tape=tape)]
+    for t in range(1, n):
+        h = model._propagate(bound, aperm[:, :t, :t])
+        readout = mean(h, axis=-2)
+        if not sized:
+            terms.append(log_sigmoid(mul(model._stop_logit(bound, readout), -1.0)))
+        logits = model._edge_logits(bound, h, readout)
+        terms.append(_bernoulli_log_prob(logits, aperm[:, t, :t], None))
+    if not sized:
+        h = model._propagate(bound, aperm)
+        terms.append(log_sigmoid(model._stop_logit(bound, mean(h, axis=-2))))
+    return reduce(add, terms)

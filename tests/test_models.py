@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from graphorder.errors import InputError, ResourceError
 from graphorder.graphs import Graph, all_graphs, encode_adjacency, isomorphic
 from graphorder.models import (
+    PADDED_ROWS,
     AdjacencyModel,
     AdjacencyModelConfig,
     SequenceModel,
     SequenceModelConfig,
+    _prefix_blocks,
     exact_marginal_log_prob,
     joint_log_probs,
     load_model,
@@ -31,8 +33,8 @@ from graphorder.symmetry import (
     sequence_multiplicity_cr,
     sequence_multiplicity_exact,
 )
-from graphorder.tensor import Checkpointable, Tape, backward, mean as tensor_mean
-from oracles import central_difference, random_graph
+from graphorder.tensor import Checkpointable, Tape, backward, mean as tensor_mean, mul, tensor_sum
+from oracles import central_difference, per_prefix_log_prob_orderings, random_graph
 from strategies import graphs
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -321,6 +323,76 @@ class TestScoringContract:
         for score in self.scorers(kind):
             with pytest.raises(InputError):
                 score(big, [list(range(7))])
+
+
+class TestPaddedPrefixBlocks:
+    """The sequence model scores prefixes in padded blocks; the values and
+    gradients are those of one propagation per prefix."""
+
+    BATCHES = (1, 8, 64, 512)
+    SIZES = (1, 2, 5, 12, 16)
+
+    @pytest.mark.parametrize("batch", [1, 2, 8, 64, 300, 512, 4096, 8192])
+    def test_blocks_partition_prefix_sizes(self, batch):
+        for last in range(21):
+            blocks = _prefix_blocks(batch, last)
+            assert [t for lo, hi in blocks for t in range(lo, hi + 1)] == list(range(1, last + 1))
+            for lo, hi in blocks:
+                assert batch * (hi - lo + 1) * hi <= max(PADDED_ROWS, batch * hi)
+            for lo, hi in blocks[:-1]:
+                # a block stops growing only when the next prefix would not fit
+                assert batch * (hi + 2 - lo) * (hi + 1) > PADDED_ROWS
+
+    def test_cases_cover_every_block_shape(self):
+        shapes = set()
+        for batch in self.BATCHES:
+            for n in self.SIZES:
+                blocks = _prefix_blocks(batch, n)
+                if len(blocks) == 1 and blocks[0][1] > blocks[0][0]:
+                    shapes.add("one block")
+                if len(blocks) > 1:
+                    shapes.add("several blocks")
+                if any(lo == hi for lo, hi in blocks[1:]):
+                    shapes.add("one prefix per block")
+        assert shapes == {"one block", "several blocks", "one prefix per block"}
+
+    @pytest.mark.parametrize("sized", [False, True], ids=["free", "fixed"])
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_matches_per_prefix_loop(self, batch, n, sized):
+        model = SequenceModel(
+            SequenceModelConfig(
+                max_nodes=16, hidden=8, edge_hidden=6, fixed_node_count=n if sized else None, seed=n
+            )
+        )
+        rng = root_rng(100 * batch + n)
+        g = random_graph(rng, n, 0.4)
+        pis = np.array([rng.permutation(n) for _ in range(batch)])
+        weights = rng.normal(size=batch)
+        results = []
+        for blocked in (True, False):
+            model.store.zero_grads()
+            tape = Tape()
+            if blocked:
+                rep = model.log_prob_orderings(g, pis, tape)
+            else:
+                rep = per_prefix_log_prob_orderings(model, g, pis, tape)
+            backward(tape, tensor_sum(mul(rep, weights)))
+            model.store.accumulate_from_tape(tape)
+            results.append((rep.data, model.store.grad_vector()))
+        (got, got_grad), (want, want_grad) = results
+        assert np.abs(got - want).max() <= 1e-10
+        assert np.abs(got_grad - want_grad).max() <= 1e-10
+
+    def test_training_shape_tape_stays_small(self):
+        # the benchmark's sequence model on a 16-node graph with S = 8: one
+        # padded block; one propagation per prefix records 1,168 nodes
+        model = SequenceModel(SequenceModelConfig(max_nodes=16, hidden=16, rounds=2, edge_hidden=16))
+        rng = root_rng(17)
+        g = random_graph(rng, 16, 0.3)
+        tape = Tape()
+        model.log_prob_orderings(g, np.array([rng.permutation(16) for _ in range(8)]), tape)
+        assert len(tape.nodes) <= 150
 
 
 class TestCheckpoints:

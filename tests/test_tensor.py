@@ -90,6 +90,17 @@ class TestForwardValues:
         with pytest.raises(NumericError):
             masked_softmax(Tensor([[1.0, 2.0], [0.0, 0.0]]), [[True, True], [False, False]])
 
+    def test_empty_row_of_broadcast_mask_rejected(self):
+        mask = np.array([[True, False, True], [False, False, False], [True, True, True]])
+        for op in (masked_softmax, masked_log_softmax):
+            with pytest.raises(NumericError):
+                op(Tensor(np.zeros((4, 3, 3))), mask)
+
+    def test_empty_batch_with_empty_mask_row_accepted(self):
+        mask = np.array([[True, False], [False, False]])
+        out = masked_softmax(Tensor(np.zeros((0, 2, 2))), mask)
+        assert out.data.shape == (0, 2, 2)
+
     def test_log_rejects_nonpositive(self):
         with pytest.raises(NumericError):
             log(Tensor([1.0, 0.0]))
@@ -149,6 +160,20 @@ class TestBackward:
         z = add(mul(x, x), mul(x, x))
         backward(tape, z)
         assert x.grad[0] == pytest.approx(12.0)
+
+    def test_only_leaves_keep_gradients(self):
+        tape = Tape()
+        x = Tensor([3.0, -1.0], tape=tape)
+        w = Tensor([0.5, 2.0], tape=tape)
+        hidden = tanh(mul(x, w))
+        root = tensor_sum(mul(hidden, hidden))
+        backward(tape, root)
+        first = (x.grad.copy(), w.grad.copy())
+        assert hidden.grad is None and root.grad is None
+        assert all(t.grad is None for t in tape.nodes if t.pull is not None)
+        backward(tape, root)
+        assert np.array_equal(x.grad, first[0]) and np.array_equal(w.grad, first[1])
+        assert hidden.grad is None
 
     def test_non_scalar_root_rejected(self):
         tape = Tape()
@@ -325,7 +350,7 @@ class TestParameterStore:
     def test_adam_first_step_magnitude(self):
         store = ParameterStore()
         store.add("w", [1.0, -1.0])
-        store.add_grad("w", np.array([0.5, -2.0]))
+        store.grad("w")[:] += [0.5, -2.0]
         store.adam_step(lr=0.01)
         # bias-corrected first step is lr * sign(grad) up to eps effects
         assert store.get("w") == pytest.approx([1.0 - 0.01, -1.0 + 0.01], abs=1e-6)
@@ -334,7 +359,7 @@ class TestParameterStore:
     def test_adam_leaves_zero_grad_entries(self):
         store = ParameterStore()
         store.add("w", [1.0, 2.0])
-        store.add_grad("w", np.array([1.0, 0.0]))
+        store.grad("w")[:] += [1.0, 0.0]
         store.adam_step(lr=0.1)
         assert store.get("w")[1] == 2.0
         assert store.get("w")[0] != 1.0
@@ -343,14 +368,14 @@ class TestParameterStore:
         store = ParameterStore()
         store.add("w", [0.0])
         for _ in range(25):
-            store.add_grad("w", np.array([3.0]))
+            store.grad("w")[:] += [3.0]
             store.adam_step(lr=0.05)
         assert store.get("w")[0] < -1.0
 
     def test_zero_grads(self):
         store = ParameterStore()
         store.add("w", [1.0])
-        store.add_grad("w", np.array([5.0]))
+        store.grad("w")[:] += [5.0]
         store.zero_grads()
         assert store.grad("w")[0] == 0.0
 
