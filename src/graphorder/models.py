@@ -39,6 +39,7 @@ from .tensor import (
     add,
     check_positive_ints,
     concat,
+    ensure_finite,
     gather_rows,
     log_sigmoid,
     mean,
@@ -228,6 +229,8 @@ class AdjacencyModel(GraphModel):
     # -- sampling ------------------------------------------------------------
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Graph]:
+        """``count`` graphs drawn ancestrally; the stop and edge logits must
+        be finite before each draw."""
         if count < 1:
             raise InputError("count must be positive")
         cfg = self.cfg
@@ -240,12 +243,13 @@ class AdjacencyModel(GraphModel):
                 if k >= cfg.fixed_node_count - 1:
                     break
             else:
-                p_stop = 1.0 / (1.0 + np.exp(-self._stop_logit(bound, state).data))
+                stop = ensure_finite(self._stop_logit(bound, state).data, "stop logits")
+                p_stop = 1.0 / (1.0 + np.exp(-stop))
                 stopping = alive & (rng.random(count) < p_stop)
                 alive &= ~stopping
                 if not alive.any():
                     break
-            logits = self._row_logits(bound, state).data[:, : k + 1]
+            logits = ensure_finite(self._row_logits(bound, state).data[:, : k + 1], "edge logits")
             bits = (rng.random(logits.shape) < 1.0 / (1.0 + np.exp(-logits))).astype(np.float64)
             for b in range(count):
                 if alive[b]:
@@ -373,6 +377,8 @@ class SequenceModel(GraphModel):
     # -- sampling ---------------------------------------------------------------
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Graph]:
+        """``count`` graphs drawn ancestrally; the stop and edge logits must
+        be finite before each draw."""
         if count < 1:
             raise InputError("count must be positive")
         cfg = self.cfg
@@ -392,7 +398,8 @@ class SequenceModel(GraphModel):
             h = self._propagate(bound, block)
             readout = mean(h, axis=-2)
             if cfg.fixed_node_count is None:
-                p_stop = 1.0 / (1.0 + np.exp(-self._stop_logit(bound, readout).data))
+                stop = ensure_finite(self._stop_logit(bound, readout).data, "stop logits")
+                p_stop = 1.0 / (1.0 + np.exp(-stop))
                 stops = rng.random(live_idx.size) < p_stop
                 alive[live_idx[stops]] = False
                 live_idx = live_idx[~stops]
@@ -402,7 +409,7 @@ class SequenceModel(GraphModel):
                 # the states a propagation of the kept block would give
                 kept = np.flatnonzero(~stops)
                 h, readout = gather_rows(h, kept), gather_rows(readout, kept)
-            logits = self._edge_logits(bound, h, readout).data
+            logits = ensure_finite(self._edge_logits(bound, h, readout).data, "edge logits")
             bits = (rng.random(logits.shape) < 1.0 / (1.0 + np.exp(-logits))).astype(np.float64)
             for i, b in enumerate(live_idx):
                 old = adjs[b][0]
@@ -461,4 +468,4 @@ def exact_marginal_log_prob(model: GraphModel, g: Graph, max_nodes: int = 8) -> 
         if len(chunk) == 8192:
             flush()
     flush()
-    return log_sum_exp(np.concatenate(logs))
+    return log_sum_exp(ensure_finite(np.concatenate(logs), "joint log-probabilities"))

@@ -25,6 +25,7 @@ from .tensor import (
     Tensor,
     add,
     check_positive_ints,
+    ensure_finite,
     masked_log_softmax,
     reshape,
     take_along_last,
@@ -89,12 +90,11 @@ class OrderPosterior(Checkpointable):
 
     # -- shared forward: per-node logits from marked features ---- -------------------
 
-    def _node_logits(self, bound, g: Graph, feats_np: np.ndarray, tape: Tape | None) -> Tensor:
-        """(..., n) logits from (..., n, d_model) chosen-step features."""
+    def _node_logits(self, bound, mask: np.ndarray, feats_np: np.ndarray, tape: Tape | None) -> Tensor:
+        """(..., n) logits from (..., n, d_model) chosen-step features, with
+        attention restricted to the (n, n) ``neighborhood_mask`` of the graph."""
         h = add(Tensor(feats_np, tape=tape), bound["h0"])
-        states = residual_attention_stack(
-            bound, "gnn", h, neighborhood_mask(g), self.cfg.layers, self.cfg.heads
-        )
+        states = residual_attention_stack(bound, "gnn", h, mask, self.cfg.layers, self.cfg.heads)
         return reshape(linear(bound, "head", states), feats_np.shape[:-1])
 
     def _step_features(self, g: Graph, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,23 +120,10 @@ class OrderPosterior(Checkpointable):
         pis = validate_orderings(g, orders)
         feats, avail = self._step_features(g, pis)
         b, n = pis.shape
-        logits = self._node_logits(self.store.bind(tape), g, feats.reshape(b * n, n, -1), tape)
+        bound, mask = self.store.bind(tape), neighborhood_mask(g)
+        logits = self._node_logits(bound, mask, feats.reshape(b * n, n, -1), tape)
         lp = masked_log_softmax(reshape(logits, (b, n, n)), avail)
         return tensor_sum(take_along_last(lp, pis), axis=-1)
-
-    def step_logits(self, g: Graph, prefix) -> np.ndarray:
-        """Raw per-node logits given an already-chosen prefix."""
-        self._check_graph(g)
-        prefix = tuple(int(v) for v in prefix)
-        if len(prefix) >= g.n or len(set(prefix)) != len(prefix):
-            raise InputError("prefix must be distinct nodes, shorter than the graph")
-        if any(not 0 <= v < g.n for v in prefix):
-            raise InputError("prefix node out of range")
-        feats = np.zeros((1, g.n, self.cfg.d_model))
-        for step, node in enumerate(prefix, start=1):
-            feats[0, node] = self._pe[step]
-        logits = self._node_logits(self.store.bind(None), g, feats, None)
-        return np.array(logits.data[0])
 
     def sample_orderings(self, g: Graph, count: int, rng: np.random.Generator) -> list[OrderingSample]:
         """Ancestral draws; each sample consumes an independent child stream
@@ -146,12 +133,14 @@ class OrderPosterior(Checkpointable):
         each distinct prefix has a compact id, which after a draw becomes
         ``id * n + node`` and is renumbered by ``np.unique``.  The last node
         is the only candidate left, with log-probability exactly zero, so the
-        last step runs no network."""
+        last step runs no network.  Each step's logits must be finite before
+        they are drawn from."""
         self._check_graph(g)
         if count < 1:
             raise InputError("count must be positive")
         n = g.n
         bound = self.store.bind(None)
+        mask = neighborhood_mask(g)
         uniforms = np.stack([stream.random(n) for stream in rng.spawn(count)])
         # marked features and chosen flags per distinct prefix; row i has
         # drawn the prefix numbered prefix[i]
@@ -162,7 +151,8 @@ class OrderPosterior(Checkpointable):
         log_q = np.zeros(count)
         rows = np.arange(count)
         for s in range(n - 1):
-            logits = self._node_logits(bound, g, feats, None)
+            logits = self._node_logits(bound, mask, feats, None)
+            ensure_finite(logits.data, "posterior logits")
             lp = masked_log_softmax(logits, ~chosen).data
             probs = np.where(chosen, 0.0, np.exp(lp))
             cum = np.cumsum(probs, axis=-1)[prefix]

@@ -6,6 +6,23 @@ once.  Ops called on tensors that carry no tape run eagerly and keep nothing,
 which doubles as the no-gradient fast path for sampling and evaluation.
 Parameters live in a ParameterStore; ``Checkpointable`` writes and reads
 the JSON checkpoint of any object built from a config and one store.
+
+Finiteness is checked where values enter or leave the tape, not on every op
+result, so an op that overflows returns inf or nan and passes it on.
+``NumericError`` is raised for non-finite values in:
+
+- tensors built by calling ``Tensor(...)``, which includes constants that
+  ops wrap and the parameter leaves of ``ParameterStore.bind``;
+- the outputs of ``exp`` and ``log``;
+- the root of ``backward``;
+- ``ParameterStore.add``, checkpoints read by ``parse_checkpoint``, and the
+  gradients and updated moments of ``ParameterStore.adam_step``.
+
+Code that turns a tape-free result into a draw or a reported number checks
+it there with ``ensure_finite``: the samplers check their logits before each
+draw, and ``exact_marginal_log_prob`` its joint log-probabilities.  The
+training estimates wrap their learning signal in ``Tensor(...)``, and
+``importance_estimate`` checks its weights.
 """
 
 from __future__ import annotations
@@ -20,7 +37,8 @@ from .errors import InputError, NumericError
 from .files import read_text, write_text_atomic
 
 
-def _ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
+def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr``, or ``NumericError`` naming ``what`` if any entry is inf or nan."""
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {what}")
     return arr
@@ -48,7 +66,7 @@ class Tensor:
         pull: Callable[[np.ndarray], None] | None = None,
         leaf_ref: tuple | None = None,
     ):
-        self.data = _ensure_finite(np.asarray(data, dtype=np.float64), "tensor data")
+        self.data = ensure_finite(np.asarray(data, dtype=np.float64), "tensor data")
         self.grad: np.ndarray | None = None
         self.tape = tape
         self.parents = parents if tape is not None else ()
@@ -100,6 +118,8 @@ def _wrap(x) -> Tensor:
 
 
 def _result(inputs: tuple[Tensor, ...], data: np.ndarray, pull) -> Tensor:
+    """An op's output, recorded on its operands' tape if they have one.  It
+    skips the finite check of ``Tensor(...)``; see the module docstring."""
     tape = None
     for t in inputs:
         if t.tape is not None:
@@ -107,17 +127,25 @@ def _result(inputs: tuple[Tensor, ...], data: np.ndarray, pull) -> Tensor:
                 tape = t.tape
             elif tape is not t.tape:
                 raise InputError("operands belong to different tapes")
+    out = object.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64)
+    out.grad = None
+    out.leaf_ref = None
     if tape is None:
-        return Tensor(data)
-    return Tensor(data, tape=tape, parents=inputs, pull=pull)
+        out.tape, out.parents, out.pull = None, (), None
+    else:
+        out.tape, out.parents, out.pull = tape, inputs, pull
+        tape.nodes.append(out)
+    return out
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to t's gradient.  The first gradient is kept as it is and
+    later ones are added out of place, because a pull may hand one array to
+    several parents."""
     if t.tape is None:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -132,17 +160,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcast_check(a: np.ndarray, b: np.ndarray, op: str) -> tuple[int, ...]:
+def _elementwise(op, a: Tensor, b: Tensor, name: str) -> np.ndarray:
+    """``op(a.data, b.data)`` with numpy broadcasting; operands that do not
+    broadcast raise ``NumericError``."""
     try:
-        return np.broadcast_shapes(a.shape, b.shape)
+        return op(a.data, b.data)
     except ValueError as exc:
-        raise NumericError(f"{op} shape mismatch: {a.shape} vs {b.shape}") from exc
+        raise NumericError(f"{name} shape mismatch: {a.data.shape} vs {b.data.shape}") from exc
 
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _broadcast_check(a.data, b.data, "add")
-    data = a.data + b.data
+    data = _elementwise(np.add, a, b, "add")
 
     def pull(g):
         _acc(a, _unbroadcast(g, a.data.shape))
@@ -153,8 +182,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _broadcast_check(a.data, b.data, "sub")
-    data = a.data - b.data
+    data = _elementwise(np.subtract, a, b, "sub")
 
     def pull(g):
         _acc(a, _unbroadcast(g, a.data.shape))
@@ -166,8 +194,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     """Elementwise (broadcasting) product."""
     a, b = _wrap(a), _wrap(b)
-    _broadcast_check(a.data, b.data, "mul")
-    data = a.data * b.data
+    data = _elementwise(np.multiply, a, b, "mul")
 
     def pull(g):
         _acc(a, _unbroadcast(g * b.data, a.data.shape))
@@ -246,7 +273,7 @@ def log(x) -> Tensor:
     x = _wrap(x)
     if (x.data <= 0).any():
         raise NumericError("log of non-positive value")
-    data = np.log(x.data)
+    data = ensure_finite(np.log(x.data), "log output")
 
     def pull(g):
         _acc(x, g / x.data)
@@ -257,7 +284,7 @@ def log(x) -> Tensor:
 def exp(x) -> Tensor:
     x = _wrap(x)
     with np.errstate(over="ignore"):
-        data = _ensure_finite(np.exp(x.data), "exp output")
+        data = ensure_finite(np.exp(x.data), "exp output")
 
     def pull(g):
         _acc(x, g * data)
@@ -408,14 +435,15 @@ def masked_log_softmax(x, mask) -> Tensor:
 
 
 def backward(tape: Tape, root: Tensor) -> None:
-    """Reverse sweep from a scalar root.  Leaf tensors (those without a pull)
-    that the root reaches keep their gradient in .grad; an interior tensor's
-    .grad is dropped once it has been pulled to its parents, so the sweep
-    holds only the gradients still to be pulled."""
+    """Reverse sweep from a scalar root, which must be finite.  Leaf tensors
+    (those without a pull) that the root reaches keep their gradient in
+    .grad; an interior tensor's .grad is dropped once it has been pulled to
+    its parents, so the sweep holds only the gradients still to be pulled."""
     if root.tape is not tape:
         raise InputError("backward root is not recorded on this tape")
     if root.data.size != 1:
         raise InputError("backward root must be scalar")
+    ensure_finite(root.data, "backward root")
     for t in tape.nodes:
         t.grad = None
     root.grad = np.ones_like(root.data)
@@ -441,7 +469,7 @@ class ParameterStore:
         arr = np.array(values, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        _ensure_finite(arr, f"parameter {name!r}")
+        ensure_finite(arr, f"parameter {name!r}")
         self._arrays[name] = arr
         self._grads[name] = np.zeros_like(arr)
         self._m[name] = np.zeros_like(arr)
@@ -493,7 +521,10 @@ class ParameterStore:
         eps: float = 1e-8,
     ) -> None:
         """One Adam update; entries with zero accumulated gradient are left
-        untouched.  Gradients are cleared afterwards."""
+        untouched.  Gradients are cleared afterwards.  A non-finite gradient,
+        or a second moment that overflows (a finite gradient of 1e200
+        squares to inf), raises ``NumericError`` before that parameter or its
+        moments change."""
         self.step_count += 1
         c1 = 1.0 - beta1**self.step_count
         c2 = 1.0 - beta2**self.step_count
@@ -501,10 +532,16 @@ class ParameterStore:
             upd = g != 0.0
             if not upd.any():
                 continue
-            _ensure_finite(g, f"gradient of {name!r}")
             m, v = self._m[name], self._v[name]
+            v_next = np.where(upd, beta2 * v + (1.0 - beta2) * g * g, v)
+            # one check covers both moments: a non-finite gradient makes v
+            # non-finite, and so does any gradient beyond 1e154 (whose square
+            # overflows), the only kind that can overflow m
+            if not np.isfinite(v_next).all():
+                what = "Adam second moment" if np.isfinite(g).all() else "gradient"
+                raise NumericError(f"non-finite values in {what} of {name!r}")
             m[:] = np.where(upd, beta1 * m + (1.0 - beta1) * g, m)
-            v[:] = np.where(upd, beta2 * v + (1.0 - beta2) * g * g, v)
+            v[:] = v_next
             step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
             self._arrays[name] -= np.where(upd, step, 0.0)
             g[:] = 0.0
@@ -539,7 +576,7 @@ def parse_checkpoint(doc: dict) -> tuple[str, dict, dict[str, np.ndarray]]:
             arr = np.array(entry["values"], dtype=np.float64).reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed checkpoint entry for {name!r}") from exc
-        params[name] = _ensure_finite(arr, f"checkpoint parameter {name!r}")
+        params[name] = ensure_finite(arr, f"checkpoint parameter {name!r}")
     return str(doc["modelKind"]), dict(metadata), params
 
 

@@ -64,30 +64,34 @@ class TestNormalizationAndValues:
             log_q(q, Graph(9, (0,) * 9), [list(range(9))])
 
 
-class TestStepLogits:
-    def test_vertex_transitive_empty_prefix_equal_logits(self):
-        logits = tiny_posterior(seed=7).step_logits(C5, ())
-        assert np.allclose(logits, logits[0], atol=1e-9)
+def step_masses(q, g, prefix):
+    """Probability that q picks each node next after ``prefix``, by exact
+    enumeration of teacher-forced log q over every ordering."""
+    pis = [pi for pi in permutations(range(g.n)) if pi[: len(prefix)] == tuple(prefix)]
+    table = log_q(q, g, pis)
+    step = len(prefix)
+    masses = np.zeros(g.n)
+    for pi, value in zip(pis, table):
+        masses[pi[step]] += math.exp(value)
+    return masses / masses.sum()
 
-    def test_isolated_pair_equal_logits(self):
-        logits = tiny_posterior(seed=8).step_logits(Graph(2, (0, 0)), ())
-        assert logits[0] == pytest.approx(logits[1], abs=1e-9)
+
+class TestStepEquivariance:
+    def test_vertex_transitive_first_node_uniform(self):
+        masses = step_masses(tiny_posterior(seed=7), C5, ())
+        assert np.allclose(masses, 0.2, rtol=0.0, atol=1e-9)
+
+    def test_isolated_pair_uniform(self):
+        table = log_q(tiny_posterior(seed=8), Graph(2, (0, 0)), [(0, 1), (1, 0)])
+        assert np.allclose(table, -math.log(2), rtol=0.0, atol=1e-9)
 
     def test_prefix_breaks_symmetry(self):
-        # once node 0 is chosen on C5, its two neighbours get equal logits
-        # but generic non-neighbours need not match them
-        logits = tiny_posterior(seed=9).step_logits(C5, (0,))
-        assert logits[1] == pytest.approx(logits[4], abs=1e-9)
-        assert logits[2] == pytest.approx(logits[3], abs=1e-9)
-
-    def test_bad_prefix_rejected(self):
-        q = tiny_posterior()
-        with pytest.raises(InputError):
-            q.step_logits(P3, (0, 0))
-        with pytest.raises(InputError):
-            q.step_logits(P3, (0, 1, 2))
-        with pytest.raises(InputError):
-            q.step_logits(P3, (5,))
+        # once node 0 is chosen on C5, its two neighbours get equal mass, and
+        # so do the two non-neighbours
+        masses = step_masses(tiny_posterior(seed=9), C5, (0,))
+        assert masses[0] == 0.0
+        assert masses[1] == pytest.approx(masses[4], abs=1e-9)
+        assert masses[2] == pytest.approx(masses[3], abs=1e-9)
 
 
 class TestAutomorphismInvariance:

@@ -111,6 +111,12 @@ class TestForwardValues:
         with pytest.raises(NumericError):
             Tensor([np.inf])
 
+    def test_internal_overflow_passes_through(self):
+        # op results are not checked; the tape's boundaries are
+        with np.errstate(over="ignore"):
+            out = mul(Tensor([1e200]), Tensor([1e200]))
+        assert out.data[0] == np.inf
+
     def test_exp_overflow_rejected(self):
         with pytest.raises(NumericError):
             exp(Tensor([1000.0]))
@@ -135,6 +141,12 @@ class TestForwardValues:
     def test_add_shape_mismatch(self):
         with pytest.raises(NumericError):
             add(Tensor(np.ones(3)), Tensor(np.ones(4)))
+
+    @pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+    def test_elementwise_shape_mismatch_message(self, op):
+        with pytest.raises(NumericError) as info:
+            op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+        assert str(info.value) == f"{op.__name__} shape mismatch: (2, 3) vs (4,)"
 
 
 class TestBackward:
@@ -174,6 +186,58 @@ class TestBackward:
         backward(tape, root)
         assert np.array_equal(x.grad, first[0]) and np.array_equal(w.grad, first[1])
         assert hidden.grad is None
+
+    def test_shared_gradient_not_mutated(self):
+        # the outer add hands one array to add(a, b) and to a; adding a's
+        # second gradient into it in place would give b a gradient of 2
+        tape = Tape()
+        a = Tensor(np.ones(3), tape=tape)
+        b = Tensor(np.ones(3), tape=tape)
+        backward(tape, tensor_sum(add(add(a, b), a)))
+        assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
+        assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
+
+    def test_shared_gradient_through_reshape_view(self):
+        tape = Tape()
+        a = Tensor(np.ones((2, 3)), tape=tape)
+        b = Tensor(np.ones((2, 3)), tape=tape)
+        backward(tape, tensor_sum(add(reshape(add(a, b), (6,)), reshape(a, (6,)))))
+        assert np.array_equal(a.grad, np.full((2, 3), 2.0))
+        assert np.array_equal(b.grad, np.ones((2, 3)))
+
+    def test_shared_gradient_through_concat_view(self):
+        # b's first gradient is a slice of the concat's gradient, next to
+        # the slice that add(a, b) and a share
+        tape = Tape()
+        a = Tensor(np.ones(2), tape=tape)
+        b = Tensor(np.ones(2), tape=tape)
+        backward(tape, tensor_sum(concat([add(add(a, b), a), b])))
+        assert np.array_equal(a.grad, [2.0, 2.0])
+        assert np.array_equal(b.grad, [2.0, 2.0])
+
+    def test_second_backward_gives_same_leaf_gradients(self):
+        tape = Tape()
+        a = Tensor(np.arange(6.0).reshape(2, 3), tape=tape)
+        b = Tensor(np.ones((2, 3)), tape=tape)
+        shared = add(a, b)
+        root = tensor_sum(
+            concat([add(reshape(mul(shared, a), (6,)), reshape(b, (6,))), reshape(shared, (6,))])
+        )
+        backward(tape, root)
+        first = (a.grad, b.grad)
+        kept = (a.grad.copy(), b.grad.copy())
+        backward(tape, root)
+        for got, old, copy in zip((a.grad, b.grad), first, kept):
+            assert np.array_equal(got, copy)
+            assert np.array_equal(old, copy)
+
+    def test_nonfinite_root_rejected(self):
+        tape = Tape()
+        x = Tensor([1e200], tape=tape)
+        with np.errstate(over="ignore"):
+            root = tensor_sum(mul(x, x))
+        with pytest.raises(NumericError):
+            backward(tape, root)
 
     def test_non_scalar_root_rejected(self):
         tape = Tape()
@@ -371,6 +435,25 @@ class TestParameterStore:
             store.grad("w")[:] += [3.0]
             store.adam_step(lr=0.05)
         assert store.get("w")[0] < -1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_adam_moment_overflow_rejected(self):
+        # a finite gradient of 1e200 squares to inf in the second moment,
+        # which would zero that entry's step for good
+        store = ParameterStore()
+        store.add("w", [1.0, 2.0])
+        store.grad("w")[:] = [1e200, 0.0]
+        with pytest.raises(NumericError, match="second moment of 'w'"):
+            store.adam_step(lr=0.01)
+        assert np.array_equal(store.get("w"), [1.0, 2.0])
+
+    def test_adam_nonfinite_gradient_rejected(self):
+        store = ParameterStore()
+        store.add("w", [1.0, 2.0])
+        store.grad("w")[:] = [np.nan, 1.0]
+        with pytest.raises(NumericError, match="gradient of 'w'"):
+            store.adam_step(lr=0.01)
+        assert np.array_equal(store.get("w"), [1.0, 2.0])
 
     def test_zero_grads(self):
         store = ParameterStore()
