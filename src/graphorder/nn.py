@@ -1,6 +1,9 @@
 """Neural building blocks shared by the generative models and the posterior:
 Glorot initialisation, linear maps, a GRU cell, and a multi-head additive
-attention round over graph neighbourhoods.
+attention round over graph neighbourhoods (node and neighbours, self
+included).  Each head's attention weights come from the fused
+``tensor.additive_attention`` op (Velickovic et al. 2018, "Graph Attention
+Networks").
 """
 
 from __future__ import annotations
@@ -8,20 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph, adjacency_matrix
-from .tensor import (
-    ParameterStore,
-    Tensor,
-    add,
-    concat,
-    leaky_relu,
-    masked_softmax,
-    matmul,
-    mul,
-    reshape,
-    sigmoid,
-    sub,
-    tanh,
-)
+from .tensor import ParameterStore, Tensor, add, additive_attention, concat, matmul, mul, sigmoid, sub, tanh
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -101,12 +91,10 @@ def register_attention(
             store.add(f"{name}.head{k}.{side}", vec)
 
 
-def neighborhood_mask(g: Graph, include_self: bool = True) -> np.ndarray:
-    """Boolean (n, n) attention support: neighbours, plus self if requested."""
-    mask = adjacency_matrix(g).astype(bool)
-    if include_self:
-        mask |= np.eye(g.n, dtype=bool)
-    return mask
+def neighborhood_mask(g: Graph) -> np.ndarray:
+    """Boolean (n, n) attention support: neighbours and self, so every row
+    has an entry."""
+    return adjacency_matrix(g).astype(bool) | np.eye(g.n, dtype=bool)
 
 
 def attention_message_pass(
@@ -122,19 +110,16 @@ def attention_message_pass(
     feats has shape (..., n, d).  Head k scores pair (i, j) as
     leaky_relu(src_k . W_k f_i + dst_k . W_k f_j), normalises over each node's
     masked neighbourhood, and averages the projected features; head outputs
-    are concatenated.  Permutation equivariant by construction.
+    are concatenated.  The weights come from one ``additive_attention`` op,
+    so a taped head records five op nodes.  Permutation equivariant by
+    construction.
     """
     outs = []
     for k in range(heads):
         z = matmul(feats, bound[f"{name}.head{k}.w"])
         s_src = matmul(z, bound[f"{name}.head{k}.src"])
         s_dst = matmul(z, bound[f"{name}.head{k}.dst"])
-        shp = s_src.data.shape
-        scores = add(
-            reshape(s_src, shp + (1,)),
-            reshape(s_dst, shp[:-1] + (1, shp[-1])),
-        )
-        att = masked_softmax(leaky_relu(scores, slope), neighbor_mask)
+        att = additive_attention(s_src, s_dst, neighbor_mask, slope)
         outs.append(matmul(att, z))
     return concat(outs, axis=-1)
 

@@ -169,7 +169,7 @@ class OrderPosterior(Checkpointable):
             chosen[np.arange(len(first)), picked] = True
             prefix = prefix_next
         pis[:, n - 1] = np.argmin(chosen[prefix], axis=-1)
-        return [OrderingSample(tuple(int(v) for v in pis[i]), float(log_q[i])) for i in range(count)]
+        return [OrderingSample(tuple(pi), lq) for pi, lq in zip(pis.tolist(), log_q.tolist())]
 
 
 class UniformOrderer:
@@ -191,7 +191,7 @@ class UniformOrderer:
             raise InputError("count must be positive")
         log_q = -math.lgamma(g.n + 1)
         return [
-            OrderingSample(tuple(int(v) for v in stream.permutation(g.n)), log_q)
+            OrderingSample(tuple(stream.permutation(g.n).tolist()), log_q)
             for stream in rng.spawn(count)
         ]
 

@@ -4,6 +4,11 @@ A Tape records tensors in creation order, which is already a topological
 order, so the backward pass is a single reverse sweep that visits each node
 once.  Ops called on tensors that carry no tape run eagerly and keep nothing,
 which doubles as the no-gradient fast path for sampling and evaluation.
+Two ops work over the last axis restricted to a boolean mask:
+``masked_log_softmax``, and ``additive_attention``, which turns the scores
+leaky_relu(src_i + dst_j) into attention weights in one (..., n, n) buffer,
+in place, and pulls the whole chain back in one step.
+
 Parameters live in a ParameterStore; ``Checkpointable`` writes and reads
 the JSON checkpoint of any object built from a config and one store.
 
@@ -28,6 +33,7 @@ training estimates wrap their learning signal in ``Tensor(...)``, and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from typing import Callable, Sequence
 
@@ -249,26 +255,6 @@ def tanh(x) -> Tensor:
     return _result((x,), data, pull)
 
 
-def relu(x) -> Tensor:
-    x = _wrap(x)
-    data = np.maximum(x.data, 0.0)
-
-    def pull(g):
-        _acc(x, g * (x.data > 0))
-
-    return _result((x,), data, pull)
-
-
-def leaky_relu(x, slope: float = 0.2) -> Tensor:
-    x = _wrap(x)
-    data = np.where(x.data > 0, x.data, slope * x.data)
-
-    def pull(g):
-        _acc(x, g * np.where(x.data > 0, 1.0, slope))
-
-    return _result((x,), data, pull)
-
-
 def log(x) -> Tensor:
     x = _wrap(x)
     if (x.data <= 0).any():
@@ -391,47 +377,71 @@ def take_along_last(x, indices) -> Tensor:
     return _result((x,), data, pull)
 
 
-def _masked_parts(x: Tensor, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _mask_support(mask, shape: tuple[int, ...]) -> np.ndarray:
+    """``mask`` as a bool array; ``NumericError`` unless it broadcasts to
+    ``shape`` and every row (last axis) of the broadcast mask has an entry."""
     m = np.asarray(mask, dtype=bool)
-    mb = np.broadcast_to(m, x.data.shape)
+    try:
+        fits = np.broadcast_shapes(m.shape, shape) == shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise NumericError(f"mask of shape {m.shape} does not broadcast to {shape}")
     # broadcasting only repeats the mask's rows, so unless the broadcast
     # mask is empty (or the mask has no rows) the mask as passed decides
-    rows = mb if mb.size == 0 or m.ndim == 0 else m
+    rows = m if m.ndim and math.prod(shape) else np.broadcast_to(m, shape)
     if not rows.any(axis=-1).all():
         raise NumericError("masked softmax row with empty support")
-    shifted = np.where(mb, x.data, -np.inf)
-    mx = shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted - mx)
-    z = e.sum(axis=-1, keepdims=True)
-    return mb, e / z, mx, z
-
-
-def masked_softmax(x, mask) -> Tensor:
-    """Softmax over the last axis restricted to mask; excluded entries are
-    exactly zero.  Uses the max-shifted stable form."""
-    x = _wrap(x)
-    mb, p, _, _ = _masked_parts(x, mask)
-
-    def pull(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        _acc(x, p * (g - dot))
-
-    return _result((x,), p, pull)
+    return m
 
 
 def masked_log_softmax(x, mask) -> Tensor:
     """Log-probabilities over the last axis restricted to mask; excluded
     entries are set to zero and must not be read."""
     x = _wrap(x)
-    mb, p, mx, z = _masked_parts(x, mask)
-    data = np.where(mb, x.data - (mx + np.log(z)), 0.0)
+    m = _mask_support(mask, x.data.shape)
+    shifted = np.where(m, x.data, -np.inf)
+    mx = shifted.max(axis=-1, keepdims=True)
+    e = np.exp(shifted - mx)
+    z = e.sum(axis=-1, keepdims=True)
+    data = np.where(m, x.data - (mx + np.log(z)), 0.0)
 
     def pull(g):
-        gm = g * mb
+        gm = g * m
         s = gm.sum(axis=-1, keepdims=True)
-        _acc(x, gm - np.where(mb, p * s, 0.0))
+        _acc(x, gm - np.where(m, e / z * s, 0.0))
 
     return _result((x,), data, pull)
+
+
+def additive_attention(src, dst, mask, slope: float) -> Tensor:
+    """Attention weights softmax_j(leaky_relu(src_i + dst_j, slope)) over
+    the entries of mask, for src and dst of shape (..., n) and a mask that
+    broadcasts to (..., n, n); excluded weights are exactly zero.
+
+    One (..., n, n) buffer holds the scores and is turned into the weights
+    in place.  The leaky step is max(x, slope * x), exact for
+    0 < slope < 1."""
+    src, dst = _wrap(src), _wrap(dst)
+    if src.data.ndim == 0 or src.data.shape != dst.data.shape:
+        raise NumericError(f"additive_attention shape mismatch: {src.data.shape} vs {dst.data.shape}")
+    if not 0.0 < slope < 1.0:
+        raise InputError(f"additive_attention slope must lie in (0, 1), got {slope!r}")
+    x = src.data[..., :, None] + dst.data[..., None, :]
+    m = _mask_support(mask, x.shape)
+    pos = x > 0
+    np.maximum(x, slope * x, out=x)
+    np.copyto(x, -np.inf, where=~m)
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=x)
+    np.exp(x, out=x)
+    np.divide(x, x.sum(axis=-1, keepdims=True), out=x)
+
+    def pull(g):
+        gx = x * (g - (g * x).sum(axis=-1, keepdims=True)) * np.where(pos, 1.0, slope)
+        _acc(src, gx.sum(axis=-1))
+        _acc(dst, gx.sum(axis=-2))
+
+    return _result((src, dst), x, pull)
 
 
 def backward(tape: Tape, root: Tensor) -> None:

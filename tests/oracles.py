@@ -214,3 +214,19 @@ def per_prefix_log_prob_orderings(model, g: Graph, orders, tape=None) -> Tensor:
         h = model._propagate(bound, aperm)
         terms.append(log_sigmoid(model._stop_logit(bound, mean(h, axis=-2))))
     return reduce(add, terms)
+
+
+def chained_additive_attention(src, dst, mask, slope: float, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tensor.additive_attention`` as the chain of ops it replaced, in
+    numpy: broadcast add, leaky ReLU, masked softmax, each with its own
+    pull.  Returns the weights and the gradients of src and dst for the
+    upstream gradient ``g``."""
+    scores = src[..., :, None] + dst[..., None, :]
+    act = np.where(scores > 0, scores, slope * scores)
+    mb = np.broadcast_to(np.asarray(mask, dtype=bool), act.shape)
+    shifted = np.where(mb, act, -np.inf)
+    e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    d_act = p * (g - (g * p).sum(axis=-1, keepdims=True))
+    d_scores = d_act * np.where(scores > 0, 1.0, slope)
+    return p, d_scores.sum(axis=-1, keepdims=True)[..., 0], d_scores.sum(axis=-2, keepdims=True)[..., 0, :]

@@ -50,19 +50,17 @@ from graphorder.tensor import (
     Tape,
     Tensor,
     add,
+    additive_attention,
     backward,
     concat,
     exp,
     gather_rows,
-    leaky_relu,
     log,
     log_sigmoid,
     masked_log_softmax,
-    masked_softmax,
     matmul,
     mean,
     mul,
-    relu,
     reshape,
     sigmoid,
     sub,
@@ -383,8 +381,10 @@ def tensor_op_cases(rng) -> list:
     def rand(*shape):
         return rng.uniform(-1.5, 1.5, size=shape)
 
-    def off_zero(a):
-        return a + np.where(a >= 0, 0.3, -0.3)
+    def off_kink(rows, cols):
+        # |src_i + dst_j| >= 0.5: src magnitudes lie in [1, 1.5], dst in [-0.5, 0.5]
+        sign = np.where(rng.random((rows, cols)) < 0.5, -1.0, 1.0)
+        return sign * (1.0 + 0.5 * rng.random((rows, cols))), rng.uniform(-0.5, 0.5, size=(rows, cols))
 
     def row_mask(rows, cols):
         mask = rng.random((rows, cols)) < 0.6
@@ -400,6 +400,8 @@ def tensor_op_cases(rng) -> list:
         w25 = rand(2, 5)
         w2 = rand(2)
         mask = row_mask(3, 5)
+        att_mask = (rng.random((4, 4)) < 0.6) | np.eye(4, dtype=bool)
+        w244 = rand(2, 4, 4)
         idx_rows = np.array([0, 2, 2, 4])
         idx_last = np.array([1, 3, 0])
         cases.extend(
@@ -415,12 +417,6 @@ def tensor_op_cases(rng) -> list:
                 ),
                 ("sigmoid", lambda x, w=w23: tensor_sum(mul(w, sigmoid(x))), (rand(2, 3),)),
                 ("tanh", lambda x, w=w23: tensor_sum(mul(w, tanh(x))), (rand(2, 3),)),
-                ("relu", lambda x, w=w23: tensor_sum(mul(w, relu(x))), (off_zero(rand(2, 3)),)),
-                (
-                    "leaky_relu",
-                    lambda x, w=w23: tensor_sum(mul(w, leaky_relu(x, 0.2))),
-                    (off_zero(rand(2, 3)),),
-                ),
                 ("log", lambda x, w=w23: tensor_sum(mul(w, log(x))), (0.3 + rng.random((2, 3)) * 1.7,)),
                 ("exp", lambda x, w=w23: tensor_sum(mul(w, exp(x))), (rand(2, 3),)),
                 ("log_sigmoid", lambda x, w=w23: tensor_sum(mul(w, log_sigmoid(x))), (rand(2, 3),)),
@@ -451,9 +447,9 @@ def tensor_op_cases(rng) -> list:
                     (rand(3, 4),),
                 ),
                 (
-                    "masked_softmax",
-                    lambda x, w=w35, m=mask: tensor_sum(mul(w * m, masked_softmax(x, m))),
-                    (rand(3, 5),),
+                    "additive_attention",
+                    lambda s, d, w=w244, m=att_mask: tensor_sum(mul(w * m, additive_attention(s, d, m, 0.2))),
+                    off_kink(2, 4),
                 ),
                 (
                     "masked_log_softmax",

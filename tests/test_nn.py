@@ -185,3 +185,16 @@ class TestAttention:
             bound, "stack", Tensor(feats_r), neighborhood_mask(g), 2, 2
         ).data
         assert np.allclose(out_r, out.data[np.argsort(rot)], atol=1e-12)
+
+    def test_taped_head_records_five_op_nodes(self):
+        g = cycle(5)
+        feats = np.random.default_rng(16).normal(size=(5, 6))
+        for heads in (1, 2):
+            store = self.make(n=5, dim=6, heads=heads, seed=17)
+            tape = Tape()
+            feats_t = Tensor(feats, tape=tape)
+            attention_message_pass(store.bind(tape), "att", feats_t, neighborhood_mask(g), heads)
+            ops = [t for t in tape.nodes if t.pull is not None]
+            # z, both score vectors, the attention weights and their product
+            # with z per head, plus the concat of the heads
+            assert len(ops) == 5 * heads + 1

@@ -11,20 +11,18 @@ from graphorder.tensor import (
     Tape,
     Tensor,
     add,
+    additive_attention,
     backward,
     concat,
     exp,
     gather_rows,
-    leaky_relu,
     log,
     log_sigmoid,
     masked_log_softmax,
-    masked_softmax,
     matmul,
     mean,
     mul,
     parse_checkpoint,
-    relu,
     reshape,
     sigmoid,
     sub,
@@ -32,7 +30,7 @@ from graphorder.tensor import (
     tanh,
     tensor_sum,
 )
-from oracles import central_difference
+from oracles import central_difference, chained_additive_attention
 
 
 def scalar_grad_check(build, *arrays, tol=1e-6):
@@ -60,20 +58,20 @@ class TestForwardValues:
         assert sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
 
     def test_masked_softmax_uniform_over_active(self):
-        out = masked_softmax(Tensor([0.0, 0.0, 0.0]), [True, True, False])
-        assert out.data == pytest.approx([0.5, 0.5, 0.0])
-        assert out.data[2] == 0.0
+        out = additive_attention(Tensor(np.zeros(3)), Tensor(np.zeros(3)), [True, True, False], 0.2)
+        assert out.data == pytest.approx(np.tile([0.5, 0.5, 0.0], (3, 1)))
+        assert (out.data[:, 2] == 0.0).all()
 
     def test_masked_softmax_single_active(self):
-        out = masked_softmax(Tensor([3.0, -1.0]), [False, True])
-        assert out.data == pytest.approx([0.0, 1.0])
+        out = additive_attention(Tensor([3.0, -1.0]), Tensor([3.0, -1.0]), [False, True], 0.2)
+        assert out.data == pytest.approx(np.tile([0.0, 1.0], (2, 1)))
 
     def test_masked_softmax_sums_to_one(self):
         rng = np.random.default_rng(0)
-        logits = rng.normal(size=(4, 7)) * 10
-        mask = rng.random((4, 7)) < 0.6
-        mask[:, 0] = True
-        out = masked_softmax(Tensor(logits), mask)
+        src, dst = rng.normal(size=(2, 4, 7)) * 10
+        mask = rng.random((4, 7, 7)) < 0.6
+        mask[..., 0] = True
+        out = additive_attention(Tensor(src), Tensor(dst), mask, 0.2)
         assert np.allclose(out.data.sum(-1), 1.0, atol=1e-12)
         assert (out.data[~mask] == 0.0).all()
 
@@ -82,24 +80,35 @@ class TestForwardValues:
         logits = rng.normal(size=(3, 5)) * 4
         mask = np.ones((3, 5), dtype=bool)
         mask[:, 3] = False
-        p = masked_softmax(Tensor(logits), mask).data
+        e = np.where(mask, np.exp(logits), 0.0)
+        p = e / e.sum(-1, keepdims=True)
         lp = masked_log_softmax(Tensor(logits), mask).data
         assert np.allclose(np.exp(lp[mask]), p[mask], atol=1e-12)
 
     def test_empty_mask_row_rejected(self):
         with pytest.raises(NumericError):
-            masked_softmax(Tensor([[1.0, 2.0], [0.0, 0.0]]), [[True, True], [False, False]])
+            additive_attention(Tensor([1.0, 2.0]), Tensor([0.0, 0.0]), [[True, True], [False, False]], 0.2)
+        with pytest.raises(NumericError):
+            masked_log_softmax(Tensor([[1.0, 2.0], [0.0, 0.0]]), [[True, True], [False, False]])
 
     def test_empty_row_of_broadcast_mask_rejected(self):
         mask = np.array([[True, False, True], [False, False, False], [True, True, True]])
-        for op in (masked_softmax, masked_log_softmax):
-            with pytest.raises(NumericError):
-                op(Tensor(np.zeros((4, 3, 3))), mask)
+        with pytest.raises(NumericError):
+            additive_attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 3))), mask, 0.2)
+        with pytest.raises(NumericError):
+            masked_log_softmax(Tensor(np.zeros((4, 3, 3))), mask)
+
+    def test_mask_that_does_not_broadcast_rejected(self):
+        with pytest.raises(NumericError):
+            masked_log_softmax(Tensor(np.zeros((2, 3))), np.ones((4, 2, 3), dtype=bool))
+        with pytest.raises(NumericError):
+            masked_log_softmax(Tensor(np.zeros((2, 3))), np.ones((2, 2), dtype=bool))
 
     def test_empty_batch_with_empty_mask_row_accepted(self):
         mask = np.array([[True, False], [False, False]])
-        out = masked_softmax(Tensor(np.zeros((0, 2, 2))), mask)
+        out = additive_attention(Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2))), mask, 0.2)
         assert out.data.shape == (0, 2, 2)
+        assert masked_log_softmax(Tensor(np.zeros((0, 2, 2))), mask).data.shape == (0, 2, 2)
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(NumericError):
@@ -312,13 +321,6 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(5)
         scalar_grad_check(lambda x: tensor_sum(op(x)), rng.normal(size=(3, 3)))
 
-    def test_relu_and_leaky(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(4, 4))
-        x[np.abs(x) < 0.1] += 0.5  # keep clear of the kink
-        scalar_grad_check(lambda t: tensor_sum(relu(t)), x)
-        scalar_grad_check(lambda t: tensor_sum(leaky_relu(t, 0.2)), x)
-
     def test_log(self):
         rng = np.random.default_rng(7)
         scalar_grad_check(lambda x: tensor_sum(log(x)), rng.random((3, 3)) + 0.5)
@@ -364,12 +366,17 @@ class TestGradientsAgainstFiniteDifferences:
             lambda x: tensor_sum(tanh(take_along_last(x, idx))), rng.normal(size=(2, 2, 3))
         )
 
-    def test_masked_softmax(self):
+    def test_additive_attention(self):
         rng = np.random.default_rng(14)
-        mask = np.array([[True, True, False, True], [True, False, True, True]])
-        w = rng.normal(size=(2, 4))
+        mask = np.array(
+            [[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 0, 1]], dtype=bool
+        )
+        w = rng.normal(size=(2, 4, 4))
+        src, dst = rng.normal(size=(2, 2, 4))
+        # keep every score clear of the leaky step's kink
+        assert np.abs(src[..., :, None] + dst[..., None, :]).min() > 0.01
         scalar_grad_check(
-            lambda x: tensor_sum(mul(masked_softmax(x, mask), w)), rng.normal(size=(2, 4))
+            lambda s, d: tensor_sum(mul(additive_attention(s, d, mask, 0.2), w)), src, dst
         )
 
     def test_masked_log_softmax(self):
@@ -380,6 +387,51 @@ class TestGradientsAgainstFiniteDifferences:
             lambda x: tensor_sum(mul(masked_log_softmax(x, mask), w)),
             rng.normal(size=(1, 4)),
         )
+
+
+def attention_masks(n: int, rng) -> dict[str, np.ndarray]:
+    """An (n, n) neighbourhood mask with self loops whose node 0 is isolated
+    (its row is self only), and a mask of full rows."""
+    adj = rng.random((n, n)) < 0.5
+    adj = adj | adj.T
+    adj[0, :] = adj[:, 0] = False
+    return {"isolated": adj | np.eye(n, dtype=bool), "full": np.ones((n, n), dtype=bool)}
+
+
+class TestAdditiveAttentionMatchesChain:
+    """The fused op against the add / leaky ReLU / masked softmax chain it
+    replaced: values and gradients are equal, not merely close."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("lead", ["single", "batch", "rows"])
+    def test_values_and_gradients_equal_chain(self, n, lead):
+        rng = np.random.default_rng(1000 + n)
+        shape = {"single": (n,), "batch": (3, n), "rows": (3 * n, n)}[lead]
+        for label, mask in attention_masks(n, rng).items():
+            src, dst = rng.normal(size=(2,) + shape) * 2.0
+            g = rng.normal(size=shape + (n,))
+            expect, expect_src, expect_dst = chained_additive_attention(src, dst, mask, 0.2, g)
+
+            tape = Tape()
+            s, d = Tensor(src, tape=tape), Tensor(dst, tape=tape)
+            out = additive_attention(s, d, mask, 0.2)
+            backward(tape, tensor_sum(mul(out, g)))
+            assert np.array_equal(out.data, expect), label
+            assert np.array_equal(s.grad, expect_src), label
+            assert np.array_equal(d.grad, expect_dst), label
+            assert np.array_equal(additive_attention(src, dst, mask, 0.2).data, expect), label
+            assert (out.data[..., ~mask] == 0.0).all(), label
+            if label == "isolated":
+                assert (out.data[..., 0, 0] == 1.0).all()
+
+    def test_rejects_mismatched_operands_and_slope(self):
+        with pytest.raises(NumericError):
+            additive_attention(np.zeros(3), np.zeros(4), np.ones((3, 3), dtype=bool), 0.2)
+        with pytest.raises(NumericError):
+            additive_attention(np.zeros(3), np.zeros(3), np.ones((4, 4), dtype=bool), 0.2)
+        for slope in (0.0, 1.0, -0.2):
+            with pytest.raises(InputError):
+                additive_attention(np.zeros(3), np.zeros(3), np.ones((3, 3), dtype=bool), slope)
 
 
 class TestParameterStore:
