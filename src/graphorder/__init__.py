@@ -16,21 +16,18 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    GraphSequence,
     LowerTriangularEncoding,
     decode_adjacency,
     degree_sequence,
     encode_adjacency,
     induced_subgraph,
     isomorphic,
-    ordering_to_sequence,
 )
 
 __all__ = [
     "GenerationError",
     "Graph",
     "GraphOrderError",
-    "GraphSequence",
     "InputError",
     "LowerTriangularEncoding",
     "NumericError",
@@ -41,5 +38,4 @@ __all__ = [
     "encode_adjacency",
     "induced_subgraph",
     "isomorphic",
-    "ordering_to_sequence",
 ]

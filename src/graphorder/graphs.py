@@ -1,6 +1,6 @@
-"""Immutable simple undirected graphs plus orderings, encodings, and sequences,
-and the two routines every symmetry computation is built on: color refinement
-and a key-preserving isomorphism search.
+"""Immutable simple undirected graphs plus orderings and encodings, and the
+two routines every symmetry computation is built on: color refinement and a
+key-preserving isomorphism search.
 
 Adjacency is stored as one Python int bitmask per node, which keeps neighbour
 tests, induced subgraphs, and connectivity checks cheap at desk scale.
@@ -9,8 +9,7 @@ tests, induced subgraphs, and connectivity checks cheap at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -111,7 +110,13 @@ def is_connected(g: Graph) -> bool:
 
 
 def validate_ordering(g: Graph, order: Sequence[int]) -> Ordering:
-    pi = tuple(int(v) for v in order)
+    """``order`` as a tuple of ints that is a permutation of 0..n-1.  Entries
+    must be Python or numpy integers: floats and bools are refused, not
+    truncated."""
+    pi = tuple(order)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in pi):
+        raise InputError("ordering entries must be integers")
+    pi = tuple(map(int, pi))
     if len(pi) != g.n or sorted(pi) != list(range(g.n)):
         raise InputError(f"ordering must be a permutation of 0..{g.n - 1}")
     return pi
@@ -196,41 +201,6 @@ def decode_adjacency(enc: LowerTriangularEncoding) -> Graph:
     return Graph.from_edges(enc.n, edges)
 
 
-@dataclass(frozen=True)
-class GraphSequence:
-    """Prefix graphs of an ordered construction; ``steps[t]`` has t+1 nodes.
-
-    Node labels inside each step are insertion labels: node i of ``steps[t]``
-    is the (i+1)-th node added, so each step extends the previous one.
-    """
-
-    steps: tuple[Graph, ...]
-
-    def __post_init__(self):
-        if not self.steps:
-            raise InputError("sequence must contain at least one step")
-        for t, step in enumerate(self.steps):
-            if step.n != t + 1:
-                raise InputError(f"step {t} must have {t + 1} nodes, got {step.n}")
-        for t in range(1, len(self.steps)):
-            prev, cur = self.steps[t - 1], self.steps[t]
-            if any(cur.adj[i] & ((1 << t) - 1) != prev.adj[i] for i in range(t)):
-                raise InputError(f"step {t - 1} is not a prefix of step {t}")
-
-    @property
-    def n(self) -> int:
-        return len(self.steps)
-
-    @property
-    def final(self) -> Graph:
-        return self.steps[-1]
-
-
-def ordering_to_sequence(g: Graph, order: Sequence[int]) -> GraphSequence:
-    pi = validate_ordering(g, order)
-    return GraphSequence(tuple(induced_subgraph(g, pi[:t]) for t in range(1, g.n + 1)))
-
-
 def color_refinement(g: Graph, initial: Sequence[int] | None = None) -> Coloring:
     """Stable coloring from iterated neighbour-multiset refinement.
 
@@ -238,23 +208,36 @@ def color_refinement(g: Graph, initial: Sequence[int] | None = None) -> Coloring
     (old color, sorted neighbour colors) signatures, so they are deterministic
     and only split (never merge) the initial classes.
     """
-    if initial is None:
-        colors = [0] * g.n
-    else:
+    colors = None
+    if initial is not None:
         if len(initial) != g.n:
             raise InputError("initial coloring must assign every node a color")
         ids = {c: i for i, c in enumerate(sorted(set(initial)))}
         colors = [ids[c] for c in initial]
+    return refine_neighbor_lists([bit_indices(row) for row in g.adj], colors)
+
+
+def refine_neighbor_lists(
+    nbrs: Sequence[Sequence[int]], colors: list[int] | None = None
+) -> Coloring:
+    """``color_refinement`` of the graph in which node u's neighbours are
+    ``nbrs[u]``, from dense color ids ``colors``.
+
+    With no colors it starts from the dense rank of each node's degree,
+    which is what one pass from a single class assigns.
+    """
+    if colors is None:
+        degrees = [len(row) for row in nbrs]
+        ids = {d: i for i, d in enumerate(sorted(set(degrees)))}
+        colors = [ids[d] for d in degrees]
+    classes = len(set(colors))
     while True:
-        sigs = [
-            (colors[u], tuple(sorted(colors[v] for v in bit_indices(g.adj[u]))))
-            for u in range(g.n)
-        ]
+        sigs = [(colors[u], tuple(sorted(colors[v] for v in row))) for u, row in enumerate(nbrs)]
         ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ids[s] for s in sigs]
-        if len(ids) == len(set(colors)):
+        if len(ids) == classes:
             return tuple(new)
-        colors = new
+        colors, classes = new, len(ids)
 
 
 def find_isomorphism(
@@ -305,10 +288,3 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
     n = g1.n
     colors = color_refinement(Graph(2 * n, g1.adj + tuple(row << n for row in g2.adj)))
     return find_isomorphism(g1, g2, colors[:n], colors[n:]) is not None
-
-
-def all_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n nodes (2^C(n,2) of them)."""
-    pairs = list(combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])

@@ -15,7 +15,10 @@ nodes such automorphisms reach.  ``orbit_of``, ``orbit_partition`` and
 reads each step's orbit size from ``_newest_orbit_size``, a bounded memo of
 ``_orbit`` keyed by (graph, prefix node bitmask, newest node).  The key leaves
 out the order inside the prefix, which is exact: relabelling the nodes of a
-graph does not change the size of any node's orbit.
+graph does not change the size of any node's orbit.  ``sequence_multiplicity_cr``
+builds no prefix graphs: it grows neighbour lists by ordering position, one
+node per step, and refines each prefix's lists with
+``graphs.refine_neighbor_lists``, the loop behind ``color_refinement``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .graphs import (
     color_refinement,
     find_isomorphism,
     induced_subgraph,
+    refine_neighbor_lists,
     validate_ordering,
 )
 
@@ -145,17 +149,25 @@ def sequence_multiplicity_exact(g: Graph, order: Sequence[int]) -> int:
     return value
 
 
-def sequence_multiplicity_cr(
-    g: Graph, order: Sequence[int]
-) -> int:
+def sequence_multiplicity_cr(g: Graph, order: Sequence[int]) -> int:
     """Color-refinement upper bound on sequence_multiplicity_exact: the
-    product of refinement-class sizes of the newest node in each prefix."""
+    product of refinement-class sizes of the newest node in each prefix.
+
+    Position i of the ordering is node i of every prefix; ``nbrs`` holds the
+    prefix's neighbour lists by position and grows by one node per step."""
     pi = validate_ordering(g, order)
+    nbrs: list[list[int]] = []
     value = 1
-    for t in range(1, g.n + 1):
-        prefix = induced_subgraph(g, pi[:t])
-        colors = color_refinement(prefix)
-        value *= sum(1 for c in colors if c == colors[t - 1])
+    for t, v in enumerate(pi):
+        nbrs.append([i for i in range(t) if g.adj[v] >> pi[i] & 1])
+        for i in nbrs[t]:
+            nbrs[i].append(t)
+        if t == 1:
+            # both nodes of a 2-node prefix have the same degree
+            value *= 2
+        elif t > 1:
+            colors = refine_neighbor_lists(nbrs)
+            value *= colors.count(colors[t])
     return value
 
 

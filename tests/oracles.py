@@ -12,9 +12,50 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from graphorder.graphs import Graph
+from graphorder.graphs import Graph, bit_indices, induced_subgraph
 from graphorder.models import _bernoulli_log_prob, _permuted_adjacency
 from graphorder.tensor import Tensor, add, log_sigmoid, mean, mul
+
+
+def all_graphs(n: int):
+    """Every labeled simple graph on n nodes (2^C(n,2) of them)."""
+    pairs = list(combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+def loop_color_refinement(g: Graph, initial=None) -> tuple[int, ...]:
+    """Color refinement as one loop over adjacency bitmasks from a single
+    class (or from ``initial``, densely renumbered): each pass gives every
+    node the lexicographic rank of (color, sorted neighbour colors), until a
+    pass splits no class."""
+    if initial is None:
+        colors = [0] * g.n
+    else:
+        ids = {c: i for i, c in enumerate(sorted(set(initial)))}
+        colors = [ids[c] for c in initial]
+    while True:
+        sigs = [
+            (colors[u], tuple(sorted(colors[v] for v in bit_indices(g.adj[u]))))
+            for u in range(g.n)
+        ]
+        ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ids[s] for s in sigs]
+        if len(ids) == len(set(colors)):
+            return tuple(new)
+        colors = new
+
+
+def per_prefix_multiplicity_cr(g: Graph, order) -> int:
+    """``sequence_multiplicity_cr`` from one induced prefix graph per step:
+    the product over t of the size of the newest node's class in
+    ``loop_color_refinement`` of the t-node prefix."""
+    pi = [int(v) for v in order]
+    value = 1
+    for t in range(1, g.n + 1):
+        colors = loop_color_refinement(induced_subgraph(g, pi[:t]))
+        value *= colors.count(colors[t - 1])
+    return value
 
 
 def edges_preserved(g: Graph, perm: tuple[int, ...]) -> bool:

@@ -17,7 +17,7 @@ import pytest
 
 from graphorder.data import gen_community_small, gen_er
 from graphorder.evaluation import averaged_adjacency, importance_estimate, mmd
-from graphorder.graphs import Graph, all_graphs, encode_adjacency, induced_subgraph, isomorphic
+from graphorder.graphs import Graph, encode_adjacency, induced_subgraph, isomorphic
 from graphorder.models import (
     AdjacencyModel,
     AdjacencyModelConfig,
@@ -70,7 +70,13 @@ from graphorder.tensor import (
 )
 from graphorder.training import TrainConfig, grad_phi, grad_theta, train_loop
 
-from oracles import brute_canonical_form, central_difference, random_graph, search_automorphism_count
+from oracles import (
+    all_graphs,
+    brute_canonical_form,
+    central_difference,
+    random_graph,
+    search_automorphism_count,
+)
 
 ACCEPT_SEED = 90125
 

@@ -22,12 +22,12 @@ from graphorder.evaluation import (
     orbit_statistic,
     wasserstein1,
 )
-from graphorder.graphs import Graph, all_graphs, induced_subgraph, is_connected, isomorphic
+from graphorder.graphs import Graph, induced_subgraph, is_connected, isomorphic
 from graphorder.models import AdjacencyModel, AdjacencyModelConfig, exact_marginal_log_prob
 from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
 from graphorder.rng import root_rng, spawn_rng
 from graphorder.symmetry import orbit_partition
-from oracles import loop_orbit4_counts, random_graph
+from oracles import all_graphs, loop_orbit4_counts, random_graph
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])

@@ -6,21 +6,19 @@ from hypothesis import strategies as st
 from graphorder.errors import InputError
 from graphorder.graphs import (
     Graph,
-    GraphSequence,
     LowerTriangularEncoding,
     adjacency_matrix,
-    all_graphs,
     decode_adjacency,
     degree_sequence,
     encode_adjacency,
     induced_subgraph,
     is_connected,
     isomorphic,
-    ordering_to_sequence,
     validate_ordering,
     validate_orderings,
 )
-from oracles import brute_canonical_form, edges_preserved, random_graph
+from graphorder.symmetry import sequence_multiplicity_cr
+from oracles import all_graphs, brute_canonical_form, edges_preserved, random_graph
 from strategies import graphs, graphs_with_ordering
 
 
@@ -158,33 +156,6 @@ class TestEncoding:
         assert decode_adjacency(encode_adjacency(g, tuple(range(g.n)))) == g
 
 
-class TestGraphSequence:
-    def test_prefixes_of_path(self):
-        seq = ordering_to_sequence(path(3), (1, 0, 2))
-        assert [s.n for s in seq.steps] == [1, 2, 3]
-        assert seq.steps[1].has_edge(0, 1)  # 1 and 0 adjacent in the path
-        assert seq.final.n == 3
-        assert seq.n == 3
-
-    def test_prefix_property_enforced(self):
-        g1 = Graph.from_edges(1, [])
-        g2 = Graph.from_edges(2, [(0, 1)])
-        g3 = Graph.from_edges(3, [(0, 2)])  # drops the (0, 1) edge
-        with pytest.raises(InputError):
-            GraphSequence((g1, g2, g3))
-
-    def test_step_sizes_enforced(self):
-        g2 = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(InputError):
-            GraphSequence((g2,))
-
-    @given(graphs_with_ordering(1, 6))
-    def test_final_isomorphic_to_source(self, g_pi):
-        g, pi = g_pi
-        seq = ordering_to_sequence(g, pi)
-        assert isomorphic(seq.final, g)
-
-
 class TestIsomorphic:
     def test_path_relabelings(self):
         assert isomorphic(path(4), decode_adjacency(encode_adjacency(path(4), (2, 1, 3, 0))))
@@ -226,6 +197,33 @@ def test_validate_ordering_roundtrip():
     assert validate_ordering(g, [2, 0, 1]) == (2, 0, 1)
     with pytest.raises(InputError):
         validate_ordering(g, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0, 1.7, 2],
+        [0, 1.0, 2],
+        [0, np.float64(1.0), 2],
+        [True, False, 2],
+        [0, np.bool_(True), 2],
+        np.array([0.0, 1.0, 2.0]),
+    ],
+)
+def test_validate_ordering_rejects_non_integers(bad):
+    # int() would truncate 1.7 to 1 and read True as 1, passing the
+    # permutation check
+    with pytest.raises(InputError, match="integers"):
+        validate_ordering(path(3), bad)
+    with pytest.raises(InputError, match="integers"):
+        sequence_multiplicity_cr(path(3), bad)
+
+
+def test_validate_ordering_accepts_numpy_integers():
+    g = path(3)
+    for pi in (np.array([2, 0, 1]), np.array([2, 0, 1], dtype=np.int32), [np.int64(2), 0, np.uint8(1)]):
+        assert validate_ordering(g, pi) == (2, 0, 1)
+        assert all(type(v) is int for v in validate_ordering(g, pi))
 
 
 def test_validate_orderings_batch():

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphorder.errors import InputError, ResourceError
-from graphorder.graphs import Graph, all_graphs, encode_adjacency, isomorphic
+from graphorder.graphs import Graph, encode_adjacency, isomorphic
 from graphorder.models import (
     PADDED_ROWS,
     AdjacencyModel,
@@ -34,7 +34,7 @@ from graphorder.symmetry import (
     sequence_multiplicity_exact,
 )
 from graphorder.tensor import Checkpointable, Tape, backward, mean as tensor_mean, mul, tensor_sum
-from oracles import central_difference, per_prefix_log_prob_orderings, random_graph
+from oracles import all_graphs, central_difference, per_prefix_log_prob_orderings, random_graph
 from strategies import graphs
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])

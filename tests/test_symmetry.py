@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphorder.data import gen_community_small
 from graphorder.errors import InputError, ResourceError
-from graphorder.graphs import Graph, all_graphs
+from graphorder.graphs import Graph
+from graphorder.rng import spawn_rng
 from graphorder.symmetry import (
     _newest_orbit_size,
     automorphism_count,
@@ -19,11 +21,15 @@ from graphorder.symmetry import (
     symmetry_report,
 )
 from oracles import (
+    all_graphs,
     brute_automorphism_count,
+    brute_canonical_form,
     brute_orbits,
     brute_prefix_signatures,
     brute_sequence_class_counts,
     brute_sequence_multiplicity,
+    loop_color_refinement,
+    per_prefix_multiplicity_cr,
     random_graph,
     search_automorphism_count,
 )
@@ -92,6 +98,65 @@ class TestColorRefinement:
     def test_dense_ids(self, g):
         colors = color_refinement(g)
         assert set(colors) == set(range(len(set(colors))))
+
+
+class TestRefinementMatchesLoopOracle:
+    """Refinement over neighbour lists, and cr multiplicities from neighbour
+    lists grown along the ordering, against one refinement loop over
+    bitmasks and one induced prefix graph per step (``oracles``)."""
+
+    FIXED = [
+        Graph.from_edges(1, []),
+        Graph.from_edges(4, []),
+        cycle(6),
+        complete(4),
+        petersen(),
+        # a 6-cycle and two triangles: 2-regular, one class, two orbits
+        Graph.from_edges(
+            12,
+            [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)],
+        ),
+        path(5),
+        star(4),
+    ]
+
+    @pytest.mark.parametrize("g", FIXED, ids=lambda g: f"n{g.n}m{g.edge_count}")
+    def test_fixed_graphs(self, g):
+        assert color_refinement(g) == loop_color_refinement(g)
+        marked = [0] * g.n
+        marked[-1] = 5
+        assert color_refinement(g, marked) == loop_color_refinement(g, marked)
+
+    @given(graphs(1, 8))
+    def test_color_refinement(self, g):
+        assert color_refinement(g) == loop_color_refinement(g)
+
+    @given(graphs(1, 8), st.data())
+    def test_color_refinement_from_initial(self, g, data):
+        initial = data.draw(st.lists(st.integers(-2, 3), min_size=g.n, max_size=g.n))
+        assert color_refinement(g, initial) == loop_color_refinement(g, initial)
+
+    def test_cr_multiplicity_every_ordering_up_to_five_nodes(self):
+        # one graph per isomorphism class: a relabelled graph with the
+        # relabelled ordering has the same prefix graphs
+        seen = set()
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                form = brute_canonical_form(g)
+                if form in seen:
+                    continue
+                seen.add(form)
+                for pi in permutations(range(n)):
+                    assert sequence_multiplicity_cr(g, pi) == per_prefix_multiplicity_cr(g, pi), (g, pi)
+        assert len(seen) == 1 + 2 + 4 + 11 + 34
+
+    def test_cr_multiplicity_community_graphs(self):
+        dataset = gen_community_small(8, (12, 16), rng=spawn_rng(17, 0))
+        rng = spawn_rng(17, 1)
+        for g in dataset.graphs:
+            for _ in range(5):
+                pi = rng.permutation(g.n)
+                assert sequence_multiplicity_cr(g, pi) == per_prefix_multiplicity_cr(g, pi)
 
 
 class TestAutomorphismCount:
