@@ -103,6 +103,20 @@ def _convert(key: str, value: str, where: str):
         raise InputError(f"{where}: invalid value {value!r} for key {key!r}") from None
 
 
+def _parse_setting(item: str, where: str) -> tuple[str, object]:
+    """(key, converted value) from one ``key = value`` setting; unknown keys
+    and empty values are rejected."""
+    if "=" not in item:
+        raise InputError(f"{where}: expected 'key = value', got {item.strip()!r}")
+    key, _, value = item.partition("=")
+    key, value = key.strip(), value.strip()
+    if key not in _ALL_KEYS:
+        raise InputError(f"{where}: unknown config key {key!r}")
+    if not value:
+        raise InputError(f"{where}: empty value for key {key!r}")
+    return key, _convert(key, value, where)
+
+
 def parse_run_config(text: str, source: str = "config") -> dict:
     """Flat ``key = value`` lines with ``#`` comments; unknown keys rejected."""
     values: dict = {}
@@ -111,17 +125,10 @@ def parse_run_config(text: str, source: str = "config") -> dict:
         if not line:
             continue
         where = f"{source} line {lineno}"
-        if "=" not in line:
-            raise InputError(f"{where}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
-            raise InputError(f"{where}: unknown config key {key!r}")
+        key, value = _parse_setting(line, where)
         if key in values:
             raise InputError(f"{where}: duplicate config key {key!r}")
-        if not value:
-            raise InputError(f"{where}: empty value for key {key!r}")
-        values[key] = _convert(key, value, where)
+        values[key] = value
     return values
 
 
@@ -290,13 +297,8 @@ def _cmd_train(args) -> None:
     text = read_text(_require_file(args.config, "config file"), "config file")
     values = parse_run_config(text, source=args.config)
     for item in args.set or []:
-        if "=" not in item:
-            raise InputError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
-            raise InputError(f"unknown config key {key!r} in --set")
-        values[key] = _convert(key, value, "--set")
+        key, value = _parse_setting(item, "--set")
+        values[key] = value
     if args.seed is not None:
         values["seed"] = args.seed
     if args.epochs is not None:

@@ -11,7 +11,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import GenerationError, InputError, ParseError
-from .files import read_text, write_text_atomic
+from .files import read_text
 from .graphs import Graph, is_connected
 
 CONNECT_RETRY_CAP = 200
@@ -34,12 +34,6 @@ class GraphDataset:
 
     def __iter__(self) -> Iterator[Graph]:
         return iter(self.graphs)
-
-    def node_range(self) -> tuple[int, int]:
-        if not self.graphs:
-            raise InputError("node range of an empty dataset is undefined")
-        sizes = [g.n for g in self.graphs]
-        return min(sizes), max(sizes)
 
 
 def _int_pair(line: str, lineno: int, what: str) -> tuple[int, int]:
@@ -106,10 +100,6 @@ def load_dataset(path: str | Path) -> GraphDataset:
     source = Path(path)
     graphs = parse_graphs(read_text(source, "dataset file"))
     return GraphDataset(tuple(graphs), name=source.stem, metadata={"source": str(source)})
-
-
-def save_dataset(ds: GraphDataset, path: str | Path) -> None:
-    write_text_atomic(path, format_graphs(ds.graphs))
 
 
 def _er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:

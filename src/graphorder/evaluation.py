@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError, NumericError
 from .graphs import Graph, adjacency_matrix
 from .models import GraphModel, joint_log_probs, log_sum_exp
-from .posterior import OrderingModel
+from .posterior import OrderingModel, draw_orderings
 
 _IS_CHUNK = 512
 
@@ -68,9 +68,7 @@ def importance_estimate(
     remaining = sample_count
     while remaining > 0:
         block = min(_IS_CHUNK, remaining)
-        samples = proposal.sample_orderings(g, block, rng)
-        pis = np.array([s.pi for s in samples], dtype=np.int64)
-        log_q = np.array([s.log_q for s in samples])
+        pis, log_q = draw_orderings(proposal, g, block, rng)
         rep, log_mult = joint_log_probs(model, g, pis, mode)
         w = rep.data - log_mult - log_q
         if not np.all(np.isfinite(w)):
@@ -109,8 +107,8 @@ def _orbit_lookup() -> np.ndarray:
     where the quad is disconnected or the degree does not occur."""
     lookup = np.full((7, 4, 4, 4, 4, 4), -1, dtype=np.int64)
     for m, table in _ORBIT_TABLES.items():
-        for degs, orbit_of in table.items():
-            for local, orbit in orbit_of.items():
+        for degs, orbits in table.items():
+            for local, orbit in orbits.items():
                 lookup[(m, *degs, local)] = orbit
     return lookup
 
@@ -267,8 +265,7 @@ def averaged_adjacency(q: OrderingModel, g: Graph, sample_count: int, rng) -> np
     remaining = sample_count
     while remaining > 0:
         block = min(_IS_CHUNK, remaining)
-        samples = q.sample_orderings(g, block, rng)
-        pis = np.array([s.pi for s in samples], dtype=np.int64)
+        pis, _ = draw_orderings(q, g, block, rng)
         acc += a[pis[:, :, None], pis[:, None, :]].sum(axis=0)
         remaining -= block
     return acc / sample_count

@@ -42,6 +42,7 @@ from .tensor import (
     ensure_finite,
     gather_rows,
     log_sigmoid,
+    matmul,
     mean,
     mul,
     reshape,
@@ -315,7 +316,7 @@ class SequenceModel(GraphModel):
         prefixes of several sizes, padded to the widest, in one call."""
         h = _broadcast_rows(bound["node0"], *adj.shape[:-1])
         for _ in range(self.cfg.rounds):
-            msgs = Tensor(adj) @ linear(bound, "msg", h)
+            msgs = matmul(Tensor(adj), linear(bound, "msg", h))
             h = gru_step(bound, "cell", h, msgs)
         return h
 

@@ -4,7 +4,9 @@ The posterior factorizes over steps: at step t a categorical over the
 not-yet-chosen nodes is computed by an attention network whose input
 features mark already-chosen nodes with the positional encoding of the
 step at which they were picked.  A uniform fallback with the same sampling
-interface serves as the no-learning baseline.
+interface serves as the no-learning baseline.  ``draw_orderings`` returns
+either one's draws as arrays; the rest of the package reads draws only
+through it.
 """
 
 from __future__ import annotations
@@ -198,3 +200,10 @@ class UniformOrderer:
 
 OrderingModel = OrderPosterior | UniformOrderer
 
+
+def draw_orderings(q: OrderingModel, g: Graph, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` orderings drawn from q as a (count, n) int array, and their
+    log q as a (count,) array."""
+    samples = q.sample_orderings(g, count, rng)
+    pis = np.array([s.pi for s in samples], dtype=np.int64)
+    return pis, np.array([s.log_q for s in samples])

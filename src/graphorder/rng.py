@@ -19,10 +19,6 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-def root_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(seed))))
-
-
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     """Derive the stream identified by ``key`` from the root seed."""
     ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(int(k) for k in key))

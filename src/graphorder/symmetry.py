@@ -10,7 +10,7 @@ color-refinement classes gives a cheap upper bound on that product.
 Every exact answer takes one path: ``color_refinement`` colors the graph,
 ``find_isomorphism`` (both from ``graphs``) searches for an automorphism
 that maps one individualized node to another, and ``_orbit`` collects the
-nodes such automorphisms reach.  ``orbit_of``, ``orbit_partition`` and
+nodes such automorphisms reach.  ``orbit_partition`` and
 ``automorphism_count`` are built on ``_orbit``.  ``sequence_multiplicity_exact``
 reads each step's orbit size from ``_newest_orbit_size``, a bounded memo of
 ``_orbit`` keyed by (graph, prefix node bitmask, newest node).  The key leaves
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InputError, ResourceError
+from .errors import ResourceError
 from .graphs import (
     Coloring,
     Graph,
@@ -57,21 +57,20 @@ def _individualize(g: Graph, colors: Sequence[int], v: int) -> Coloring:
 def _orbit(g: Graph, colors: Coloring, v: int) -> set[int]:
     """v's orbit under the automorphisms of g that preserve ``colors``.
 
-    Each candidate u of v's color class not yet reached costs one search for
-    an automorphism mapping v to u.  The search keeps ``colors`` in its keys,
+    v is individualized once per call.  Each candidate u of v's color class
+    not yet reached costs one individualization of u and one search for an
+    automorphism mapping v to u.  The search keeps ``colors`` in its keys,
     so a found map stays in the color-preserving subgroup, and the whole
     cycle of that map through v joins the orbit.
     """
     orbit = {v}
+    if colors.count(colors[v]) == 1:
+        return orbit
+    keys_v = list(zip(colors, _individualize(g, colors, v)))
     for u in range(g.n):
         if colors[u] != colors[v] or u in orbit:
             continue
-        f = find_isomorphism(
-            g,
-            g,
-            zip(colors, _individualize(g, colors, v)),
-            zip(colors, _individualize(g, colors, u)),
-        )
+        f = find_isomorphism(g, g, keys_v, zip(colors, _individualize(g, colors, u)))
         if f is None:
             continue
         w = f[v]
@@ -99,14 +98,6 @@ def automorphism_count(g: Graph) -> int:
         value *= len(_orbit(g, colors, v))
         colors = _individualize(g, colors, v)
     return value
-
-
-def orbit_of(g: Graph, v: int) -> set[int]:
-    """The set of nodes some automorphism maps v to."""
-    _check_budget(g)
-    if not 0 <= v < g.n:
-        raise InputError(f"node {v} out of range")
-    return _orbit(g, color_refinement(g), v)
 
 
 def orbit_partition(g: Graph) -> list[set[int]]:

@@ -2,8 +2,10 @@
 
 A Tape records tensors in creation order, which is already a topological
 order, so the backward pass is a single reverse sweep that visits each node
-once.  Ops called on tensors that carry no tape run eagerly and keep nothing,
-which doubles as the no-gradient fast path for sampling and evaluation.
+once.  Ops are module functions (``add``, ``matmul``, ``tensor_sum``, ...);
+a Tensor has no operator methods.  Ops called on tensors that carry no tape
+run eagerly and keep nothing, which doubles as the no-gradient fast path for
+sampling and evaluation.
 Two ops work over the last axis restricted to a boolean mask:
 ``masked_log_softmax``, and ``additive_attention``, which turns the scores
 leaky_relu(src_i + dst_j) into attention weights in one (..., n, n) buffer,
@@ -18,7 +20,6 @@ result, so an op that overflows returns inf or nan and passes it on.
 
 - tensors built by calling ``Tensor(...)``, which includes constants that
   ops wrap and the parameter leaves of ``ParameterStore.bind``;
-- the outputs of ``exp`` and ``log``;
 - the root of ``backward``;
 - ``ParameterStore.add``, checkpoints read by ``parse_checkpoint``, and the
   gradients and updated moments of ``ParameterStore.adam_step``.
@@ -84,36 +85,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
@@ -251,29 +222,6 @@ def tanh(x) -> Tensor:
 
     def pull(g):
         _acc(x, g * (1.0 - data * data))
-
-    return _result((x,), data, pull)
-
-
-def log(x) -> Tensor:
-    x = _wrap(x)
-    if (x.data <= 0).any():
-        raise NumericError("log of non-positive value")
-    data = ensure_finite(np.log(x.data), "log output")
-
-    def pull(g):
-        _acc(x, g / x.data)
-
-    return _result((x,), data, pull)
-
-
-def exp(x) -> Tensor:
-    x = _wrap(x)
-    with np.errstate(over="ignore"):
-        data = ensure_finite(np.exp(x.data), "exp output")
-
-    def pull(g):
-        _acc(x, g * data)
 
     return _result((x,), data, pull)
 
@@ -557,21 +505,6 @@ class ParameterStore:
             g[:] = 0.0
 
 
-def checkpoint_document(store: ParameterStore, model_kind: str, metadata: dict) -> dict:
-    """JSON-ready checkpoint: parameter name -> {shape, values} plus metadata."""
-    return {
-        "modelKind": model_kind,
-        "metadata": metadata,
-        "parameters": {
-            name: {
-                "shape": list(store.get(name).shape),
-                "values": store.get(name).ravel().tolist(),
-            }
-            for name in store.names()
-        },
-    }
-
-
 def parse_checkpoint(doc: dict) -> tuple[str, dict, dict[str, np.ndarray]]:
     """(model kind, metadata, parameter arrays) from a checkpoint document."""
     if not isinstance(doc, dict) or "modelKind" not in doc or "parameters" not in doc:
@@ -623,7 +556,11 @@ class Checkpointable:
         """The document, with the config and seed ahead of ``metadata``."""
         meta = {"config": asdict(self.cfg), "seed": self.cfg.seed}
         meta.update(metadata or {})
-        return checkpoint_document(self.store, self.kind, meta)
+        params = {}
+        for name in self.store.names():
+            arr = self.store.get(name)
+            params[name] = {"shape": list(arr.shape), "values": arr.ravel().tolist()}
+        return {"modelKind": self.kind, "metadata": meta, "parameters": params}
 
     def save(self, path, metadata: dict | None = None) -> None:
         """Write the document to ``path`` atomically."""

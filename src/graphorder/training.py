@@ -21,9 +21,9 @@ import numpy as np
 from .errors import InputError, NumericError
 from .graphs import Graph
 from .models import GraphModel, MULTIPLICITY_MODES, joint_log_probs
-from .posterior import OrderingModel
+from .posterior import OrderingModel, draw_orderings
 from .rng import spawn_rng
-from .tensor import Tape, Tensor, add, backward, mean, mul
+from .tensor import Tape, Tensor, add, backward, check_positive_ints, mean, mul
 
 # spawn-key lanes: 20 for the train loop, 30 for variance studies
 _TRAIN_LANE = 20
@@ -41,14 +41,11 @@ class TrainConfig:
     use_baseline: bool = False
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise InputError("sample_count must be at least 1")
+        check_positive_ints(self, ("sample_count", "epochs"))
         if self.multiplicity_mode not in MULTIPLICITY_MODES:
             raise InputError(f"multiplicity_mode must be one of {MULTIPLICITY_MODES}")
         if self.lr_model <= 0 or self.lr_posterior <= 0:
             raise InputError("learning rates must be positive")
-        if self.epochs < 1:
-            raise InputError("epochs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -78,13 +75,6 @@ class TrainReport:
         return json.dumps(self.to_dict(), indent=1) + "\n"
 
 
-def _draw(q: OrderingModel, g: Graph, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    samples = q.sample_orderings(g, count, rng)
-    pis = np.array([s.pi for s in samples], dtype=np.int64)
-    log_q = np.array([s.log_q for s in samples])
-    return pis, log_q
-
-
 def _objective(
     rep: Tensor, log_mult: np.ndarray, log_q: Tensor, baseline: float = 0.0
 ) -> tuple[np.ndarray, Tensor]:
@@ -99,21 +89,12 @@ def _objective(
     return signal, add(mean(rep), mean(mul(Tensor(signal - baseline, tape=log_q.tape), log_q)))
 
 
-def elbo_estimate(
-    model: GraphModel, q: OrderingModel, g: Graph, sample_count: int, rng, mode: str = "cr"
-) -> float:
-    """Monte Carlo lower-bound estimate: mean of joint log-prob minus log q."""
-    pis, log_q = _draw(q, g, sample_count, rng)
-    signal, _ = _objective(*joint_log_probs(model, g, pis, mode), Tensor(log_q))
-    return float(np.mean(signal))
-
-
 def grad_theta(
     model: GraphModel, q: OrderingModel, g: Graph, sample_count: int, rng, mode: str = "cr"
 ) -> np.ndarray:
     """Accumulate the ascent gradient (1/S) sum_s grad log p(G, pi_s) into the
     model store."""
-    pis, log_q = _draw(q, g, sample_count, rng)
+    pis, log_q = draw_orderings(q, g, sample_count, rng)
     tape = Tape()
     _, surrogate = _objective(*joint_log_probs(model, g, pis, mode, tape=tape), Tensor(log_q))
     backward(tape, surrogate)
@@ -133,7 +114,7 @@ def grad_phi(
     """Accumulate the score-function ascent gradient
     (1/S) sum_s [log p(G, pi_s) - log q(pi_s) - baseline] grad log q(pi_s)
     into the posterior store."""
-    pis, _ = _draw(q, g, sample_count, rng)
+    pis, _ = draw_orderings(q, g, sample_count, rng)
     rep, log_mult = joint_log_probs(model, g, pis, mode)
     tape = Tape()
     _, surrogate = _objective(rep, log_mult, q.log_probs_orderings(g, pis, tape=tape), baseline)
@@ -164,7 +145,7 @@ def train_loop(
         elbos = []
         for index, g in enumerate(graphs):
             rng = spawn_rng(cfg.seed, _TRAIN_LANE, epoch, index)
-            pis, _ = _draw(q, g, cfg.sample_count, rng)
+            pis, _ = draw_orderings(q, g, cfg.sample_count, rng)
             tape = Tape()
             rep, log_mult = joint_log_probs(model, g, pis, cfg.multiplicity_mode, tape=tape)
             log_q = q.log_probs_orderings(g, pis, tape=tape)
@@ -194,7 +175,7 @@ def train_loop(
 
 def _per_sample_phi_grads(model, q, g, count: int, rng, mode: str) -> np.ndarray:
     """(count, phi_dim) array of single-sample score-function gradients."""
-    pis, _ = _draw(q, g, count, rng)
+    pis, _ = draw_orderings(q, g, count, rng)
     rep, log_mult = joint_log_probs(model, g, pis, mode)
     rows = []
     for s in range(count):

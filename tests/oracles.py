@@ -211,12 +211,12 @@ def loop_orbit4_counts(g: Graph) -> np.ndarray:
                 degs[a] += 1
                 degs[b] += 1
                 m += 1
-        orbit_of = _ORBIT_TABLES.get(m, {}).get(tuple(sorted(degs)))
-        if orbit_of is None:
+        orbit_ids = _ORBIT_TABLES.get(m, {}).get(tuple(sorted(degs)))
+        if orbit_ids is None:
             # fewer than three edges, or a triangle plus an isolated node
             continue
         for local, node in enumerate(quad):
-            counts[node, orbit_of[degs[local]]] += 1
+            counts[node, orbit_ids[degs[local]]] += 1
     return counts
 
 

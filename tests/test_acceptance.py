@@ -53,9 +53,7 @@ from graphorder.tensor import (
     additive_attention,
     backward,
     concat,
-    exp,
     gather_rows,
-    log,
     log_sigmoid,
     masked_log_softmax,
     matmul,
@@ -203,15 +201,15 @@ def test_criterion_02_orbits_match_deletion_isomorphism(report):
     mismatches = 0
     for _ in range(200):
         g = random_graph(rng, int(rng.integers(2, 8)), float(rng.uniform(0.15, 0.85)))
-        orbit_of = {}
+        orbit_index = {}
         for index, orbit in enumerate(orbit_partition(g)):
             for node in orbit:
-                orbit_of[node] = index
+                orbit_index[node] = index
         deleted = [induced_subgraph(g, [w for w in range(g.n) if w != u]) for u in range(g.n)]
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 pairs += 1
-                if (orbit_of[u] == orbit_of[v]) != isomorphic(deleted[u], deleted[v]):
+                if (orbit_index[u] == orbit_index[v]) != isomorphic(deleted[u], deleted[v]):
                     mismatches += 1
     elapsed = time.perf_counter() - tick
     ok = mismatches == 0 and elapsed < 120.0
@@ -423,8 +421,6 @@ def tensor_op_cases(rng) -> list:
                 ),
                 ("sigmoid", lambda x, w=w23: tensor_sum(mul(w, sigmoid(x))), (rand(2, 3),)),
                 ("tanh", lambda x, w=w23: tensor_sum(mul(w, tanh(x))), (rand(2, 3),)),
-                ("log", lambda x, w=w23: tensor_sum(mul(w, log(x))), (0.3 + rng.random((2, 3)) * 1.7,)),
-                ("exp", lambda x, w=w23: tensor_sum(mul(w, exp(x))), (rand(2, 3),)),
                 ("log_sigmoid", lambda x, w=w23: tensor_sum(mul(w, log_sigmoid(x))), (rand(2, 3),)),
                 (
                     "tensor_sum_axis",

@@ -232,6 +232,14 @@ class TestTrainCommand:
         code, _, err = run(capsys, ["train", "--config", str(path)])
         assert code == 1 and "widgets" in err and err.startswith("error:")
 
+    def test_empty_set_value_rejected_like_config_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        code, out, err = run(capsys, ["train", "--config", cfg, "--set", "out_dir="])
+        assert code == 1 and out == ""
+        assert err.startswith("error: --set: empty value for key 'out_dir'")
+        assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
+
     def test_config_not_utf8_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "train.cfg"
         path.write_bytes(b"\xff\xfemodel = adjacency\n")

@@ -15,12 +15,12 @@ from graphorder.data import (
     gen_er,
     load_dataset,
     parse_graphs,
-    save_dataset,
     split,
 )
 from graphorder.errors import GenerationError, InputError, ParseError
+from graphorder.files import write_text_atomic
 from graphorder.graphs import Graph, is_connected, isomorphic
-from graphorder.rng import root_rng
+from graphorder.rng import spawn_rng
 from graphorder.symmetry import automorphism_count
 
 from strategies import graphs as graph_strategy
@@ -91,7 +91,7 @@ class TestRoundTrip:
     def test_known_bytes(self, tmp_path):
         ds = GraphDataset((Graph.from_edges(1, []), K3))
         path = tmp_path / "two.txt"
-        save_dataset(ds, path)
+        write_text_atomic(path, format_graphs(ds))
         assert path.read_bytes() == b"1 0\n\n3 3\n0 1\n0 2\n1 2\n"
         # the write goes through a temporary file that must not be left behind
         assert [p.name for p in tmp_path.iterdir()] == ["two.txt"]
@@ -102,40 +102,40 @@ class TestRoundTrip:
         assert parse_graphs(format_graphs(graph_list)) == graph_list
 
     def test_save_load_identity(self, tmp_path):
-        rng = root_rng(7)
+        rng = spawn_rng(7)
         ds = gen_er(6, 5, 0.4, rng)
         path = tmp_path / "er.txt"
-        save_dataset(ds, path)
+        write_text_atomic(path, format_graphs(ds))
         loaded = load_dataset(path)
         assert list(loaded.graphs) == list(ds.graphs)
-        save_dataset(loaded, tmp_path / "again.txt")
+        write_text_atomic(tmp_path / "again.txt", format_graphs(loaded))
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 class TestErGenerator:
     def test_p_zero_empty(self):
-        ds = gen_er(4, 5, 0.0, root_rng(0))
+        ds = gen_er(4, 5, 0.0, spawn_rng(0))
         assert all(g.edge_count == 0 for g in ds)
 
     def test_p_one_complete(self):
-        ds = gen_er(4, 5, 1.0, root_rng(0))
+        ds = gen_er(4, 5, 1.0, spawn_rng(0))
         assert all(g.edge_count == 10 for g in ds)
 
     def test_mean_edge_count_binomial(self):
         n, p, draws = 6, 0.3, 10000
         pairs = n * (n - 1) // 2
-        ds = gen_er(draws, n, p, root_rng(11))
+        ds = gen_er(draws, n, p, spawn_rng(11))
         mean = np.mean([g.edge_count for g in ds])
         sigma = math.sqrt(pairs * p * (1 - p) / draws)
         assert abs(mean - pairs * p) < 3 * sigma
 
     def test_seed_reproducible(self):
-        a = gen_er(5, 6, 0.5, root_rng(3))
-        b = gen_er(5, 6, 0.5, root_rng(3))
+        a = gen_er(5, 6, 0.5, spawn_rng(3))
+        b = gen_er(5, 6, 0.5, spawn_rng(3))
         assert list(a.graphs) == list(b.graphs)
 
     def test_rejects_bad_arguments(self):
-        rng = root_rng(0)
+        rng = spawn_rng(0)
         with pytest.raises(InputError):
             gen_er(-1, 3, 0.5, rng)
         with pytest.raises(InputError):
@@ -150,13 +150,13 @@ def bridge_edges(g: Graph, a: int) -> list[tuple[int, int]]:
 
 class TestCommunityGenerator:
     def test_sizes_within_range(self):
-        ds = gen_community_small(20, (12, 16), 0.7, root_rng(5))
+        ds = gen_community_small(20, (12, 16), 0.7, spawn_rng(5))
         assert len(ds) == 20
-        assert all(12 <= g.n <= 16 for g in ds)
-        assert ds.node_range() == (12, 16) or ds.node_range()[0] >= 12
+        sizes = [g.n for g in ds]
+        assert 12 <= min(sizes) <= max(sizes) <= 16
 
     def test_exactly_one_bridge_and_connected_halves(self):
-        ds = gen_community_small(30, (8, 11), 0.6, root_rng(9))
+        ds = gen_community_small(30, (8, 11), 0.6, spawn_rng(9))
         for g in ds:
             a, b = community_halves(g.n)
             bridges = bridge_edges(g, a)
@@ -168,7 +168,7 @@ class TestCommunityGenerator:
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_clique_pair_automorphisms(self, n):
-        ds = gen_community_small(3, (n, n), 1.0, root_rng(21))
+        ds = gen_community_small(3, (n, n), 1.0, spawn_rng(21))
         a, b = community_halves(n)
         expected = math.factorial(a - 1) * math.factorial(b - 1)
         if a == b:
@@ -177,16 +177,16 @@ class TestCommunityGenerator:
             assert automorphism_count(g) == expected
 
     def test_seed_reproducible(self):
-        a = gen_community_small(4, (8, 10), 0.7, root_rng(2))
-        b = gen_community_small(4, (8, 10), 0.7, root_rng(2))
+        a = gen_community_small(4, (8, 10), 0.7, spawn_rng(2))
+        b = gen_community_small(4, (8, 10), 0.7, spawn_rng(2))
         assert list(a.graphs) == list(b.graphs)
 
     def test_impossible_connectivity_raises(self):
         with pytest.raises(GenerationError):
-            gen_community_small(1, (6, 6), 0.0, root_rng(0))
+            gen_community_small(1, (6, 6), 0.0, spawn_rng(0))
 
     def test_rejects_bad_arguments(self):
-        rng = root_rng(0)
+        rng = spawn_rng(0)
         with pytest.raises(InputError):
             gen_community_small(1, (3, 6), 0.7, rng)
         with pytest.raises(InputError):
@@ -199,49 +199,45 @@ class TestCommunityGenerator:
 
 class TestSplit:
     def test_sizes(self):
-        ds = gen_er(100, 4, 0.5, root_rng(1))
-        train, test = split(ds, 0.8, root_rng(2))
+        ds = gen_er(100, 4, 0.5, spawn_rng(1))
+        train, test = split(ds, 0.8, spawn_rng(2))
         assert len(train) == 80 and len(test) == 20
 
     def test_ceil_rounding(self):
-        ds = gen_er(5, 4, 0.5, root_rng(1))
-        train, test = split(ds, 0.5, root_rng(2))
+        ds = gen_er(5, 4, 0.5, spawn_rng(1))
+        train, test = split(ds, 0.5, spawn_rng(2))
         assert len(train) == 3 and len(test) == 2
 
     def test_union_is_original_multiset(self):
-        ds = gen_er(30, 5, 0.5, root_rng(4))
-        train, test = split(ds, 0.7, root_rng(5))
+        ds = gen_er(30, 5, 0.5, spawn_rng(4))
+        train, test = split(ds, 0.7, spawn_rng(5))
         combined = sorted(g.adj for g in list(train) + list(test))
         assert combined == sorted(g.adj for g in ds)
 
     def test_same_seed_same_split(self):
-        ds = gen_er(30, 5, 0.5, root_rng(4))
-        first = split(ds, 0.7, root_rng(6))
-        second = split(ds, 0.7, root_rng(6))
+        ds = gen_er(30, 5, 0.5, spawn_rng(4))
+        first = split(ds, 0.7, spawn_rng(6))
+        second = split(ds, 0.7, spawn_rng(6))
         assert list(first[0].graphs) == list(second[0].graphs)
         assert list(first[1].graphs) == list(second[1].graphs)
 
     def test_metadata_labels(self):
-        ds = gen_er(10, 4, 0.5, root_rng(1))
-        train, test = split(ds, 0.6, root_rng(2))
+        ds = gen_er(10, 4, 0.5, spawn_rng(1))
+        train, test = split(ds, 0.6, spawn_rng(2))
         assert train.metadata["split"] == "train" and test.metadata["split"] == "test"
         assert train.name.endswith("-train") and test.name.endswith("-test")
 
     def test_rejects_degenerate_fraction(self):
-        ds = gen_er(10, 4, 0.5, root_rng(1))
+        ds = gen_er(10, 4, 0.5, spawn_rng(1))
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(InputError):
-                split(ds, bad, root_rng(0))
+                split(ds, bad, spawn_rng(0))
 
 
 class TestDatasetContainer:
     def test_coerces_to_tuple(self):
         ds = GraphDataset([K3])
         assert isinstance(ds.graphs, tuple)
-
-    def test_node_range_empty_rejected(self):
-        with pytest.raises(InputError):
-            GraphDataset(()).node_range()
 
     def test_isomorphism_not_required_for_equality(self):
         relabeled = Graph.from_edges(3, [(0, 2), (1, 2), (0, 1)])

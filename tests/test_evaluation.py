@@ -25,7 +25,7 @@ from graphorder.evaluation import (
 from graphorder.graphs import Graph, induced_subgraph, is_connected, isomorphic
 from graphorder.models import AdjacencyModel, AdjacencyModelConfig, exact_marginal_log_prob
 from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
-from graphorder.rng import root_rng, spawn_rng
+from graphorder.rng import spawn_rng
 from graphorder.symmetry import orbit_partition
 from oracles import all_graphs, loop_orbit4_counts, random_graph
 
@@ -46,41 +46,41 @@ def coin3():
 class TestImportanceLogLik:
     def test_constant_ratio_exact_at_one_sample(self):
         # fair coin on K_3: joint 1/48 against uniform 1/6, ratio always 1/8
-        est = importance_estimate(coin3(), UniformOrderer(), K3, 1, root_rng(1)).log_lik
+        est = importance_estimate(coin3(), UniformOrderer(), K3, 1, spawn_rng(1)).log_lik
         assert est == pytest.approx(math.log(1 / 8), abs=1e-12)
         # on P_3 the ratio is (1/16)/(1/6) for every ordering
-        est = importance_estimate(coin3(), UniformOrderer(), P3, 1, root_rng(2)).log_lik
+        est = importance_estimate(coin3(), UniformOrderer(), P3, 1, spawn_rng(2)).log_lik
         assert est == pytest.approx(math.log(3 / 8), abs=1e-12)
 
     def test_converges_to_enumerated_value(self):
         model = AdjacencyModel(AdjacencyModelConfig(max_nodes=6, hidden=8, row_embed=4, seed=3))
-        g = random_graph(root_rng(4), 4, 0.5)
+        g = random_graph(spawn_rng(4), 4, 0.5)
         exact = exact_marginal_log_prob(model, g)
-        est = importance_estimate(model, UniformOrderer(), g, 5000, root_rng(5)).log_lik
+        est = importance_estimate(model, UniformOrderer(), g, 5000, spawn_rng(5)).log_lik
         assert abs(est - exact) < 0.05
 
     def test_learned_proposal_accepted(self):
         q = OrderPosterior(PosteriorConfig(max_nodes=6, layers=1, heads=2, head_dim=3, seed=6))
         model = AdjacencyModel(AdjacencyModelConfig(max_nodes=6, hidden=8, row_embed=4, seed=7))
-        est = importance_estimate(model, q, P3, 64, root_rng(8)).log_lik
+        est = importance_estimate(model, q, P3, 64, spawn_rng(8)).log_lik
         assert math.isfinite(est) and est < 0
 
     def test_sample_count_guard(self):
         with pytest.raises(InputError):
-            importance_estimate(coin3(), UniformOrderer(), K3, 0, root_rng(9))
+            importance_estimate(coin3(), UniformOrderer(), K3, 0, spawn_rng(9))
 
     def test_estimate_record_constant_ratio_zero_stderr(self):
-        est = importance_estimate(coin3(), UniformOrderer(), K3, 16, root_rng(10))
+        est = importance_estimate(coin3(), UniformOrderer(), K3, 16, spawn_rng(10))
         assert est.log_lik == pytest.approx(math.log(1 / 8), abs=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
         assert est.sample_count == 16
 
     def test_single_sample_has_no_stderr(self):
-        est = importance_estimate(coin3(), UniformOrderer(), K3, 1, root_rng(11))
+        est = importance_estimate(coin3(), UniformOrderer(), K3, 1, spawn_rng(11))
         assert est.stderr is None
 
     def test_jackknife_matches_direct_leave_one_out(self):
-        rng = root_rng(12)
+        rng = spawn_rng(12)
         log_w = rng.normal(-3.0, 1.5, size=40)
         w = np.exp(log_w)
         loo = np.array([np.log(np.delete(w, i).mean()) for i in range(len(w))])
@@ -97,9 +97,9 @@ class TestImportanceLogLik:
 
     def test_stderr_shrinks_with_sample_count(self):
         model = AdjacencyModel(AdjacencyModelConfig(max_nodes=6, hidden=8, row_embed=4, seed=3))
-        g = random_graph(root_rng(4), 4, 0.5)
-        small = importance_estimate(model, UniformOrderer(), g, 50, root_rng(13))
-        large = importance_estimate(model, UniformOrderer(), g, 5000, root_rng(13))
+        g = random_graph(spawn_rng(4), 4, 0.5)
+        small = importance_estimate(model, UniformOrderer(), g, 50, spawn_rng(13))
+        large = importance_estimate(model, UniformOrderer(), g, 5000, spawn_rng(13))
         assert large.stderr < small.stderr
 
 
@@ -111,7 +111,7 @@ class TestExactLogLik:
     def test_size_guard(self):
         model = AdjacencyModel(AdjacencyModelConfig(max_nodes=12, hidden=8, row_embed=4))
         with pytest.raises(ResourceError):
-            exact_marginal_log_prob(model, random_graph(root_rng(11), 9, 0.3))
+            exact_marginal_log_prob(model, random_graph(spawn_rng(11), 9, 0.3))
 
 
 class TestStatistics:
@@ -180,7 +180,7 @@ class TestStatistics:
         assert len(seen) == 6
 
     def test_total_participation_counts_connected_quads(self):
-        rng = root_rng(12)
+        rng = spawn_rng(12)
         for _ in range(10):
             g = random_graph(rng, 7, 0.45)
             quads = sum(
@@ -191,7 +191,7 @@ class TestStatistics:
             assert orbit4_counts(g).sum() == 4 * quads
 
     def test_matches_loop_oracle(self):
-        rng = root_rng(25)
+        rng = spawn_rng(25)
         for n in range(1, 11):
             for p in (0.2, 0.5, 0.8):
                 g = random_graph(rng, n, p)
@@ -261,11 +261,11 @@ class TestMmd:
 
 class TestAveragedAdjacency:
     def test_complete_graph_all_ones(self):
-        avg = averaged_adjacency(UniformOrderer(), K3, 50, root_rng(18))
+        avg = averaged_adjacency(UniformOrderer(), K3, 50, spawn_rng(18))
         assert np.allclose(avg, 1 - np.eye(3))
 
     def test_uniform_path_entry_two_thirds(self):
-        avg = averaged_adjacency(UniformOrderer(), P3, 10000, root_rng(19))
+        avg = averaged_adjacency(UniformOrderer(), P3, 10000, spawn_rng(19))
         sigma = math.sqrt((2 / 3) * (1 / 3) / 10000)
         assert abs(avg[1, 2] - 2 / 3) < 3 * sigma
         assert np.allclose(avg, avg.T)
@@ -275,11 +275,11 @@ class TestAveragedAdjacency:
         q = OrderPosterior(PosteriorConfig(max_nodes=4, layers=1, heads=2, head_dim=3, seed=21))
         # drive the head weights hard so the posterior is near-deterministic
         q.store.get("head.w")[:] *= 50.0
-        samples = q.sample_orderings(P3, 200, root_rng(22))
+        samples = q.sample_orderings(P3, 200, spawn_rng(22))
         pis = {s.pi for s in samples}
         if len(pis) == 1:
             pi = next(iter(pis))
-            avg = averaged_adjacency(q, P3, 200, root_rng(23))
+            avg = averaged_adjacency(q, P3, 200, spawn_rng(23))
             a = np.zeros((3, 3))
             for i in range(3):
                 for j in range(3):
@@ -288,4 +288,4 @@ class TestAveragedAdjacency:
 
     def test_guard(self):
         with pytest.raises(InputError):
-            averaged_adjacency(UniformOrderer(), P3, 0, root_rng(24))
+            averaged_adjacency(UniformOrderer(), P3, 0, spawn_rng(24))

@@ -27,7 +27,7 @@ from graphorder.models import (
     model_from_document,
 )
 from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
-from graphorder.rng import root_rng
+from graphorder.rng import spawn_rng
 from graphorder.symmetry import (
     automorphism_count,
     sequence_multiplicity_cr,
@@ -159,7 +159,7 @@ class TestGradients:
     @pytest.mark.parametrize("make", [small_adjacency, small_sequence])
     def test_log_prob_gradients_match_finite_differences(self, make):
         model = make()
-        g = random_graph(root_rng(5), 4, 0.5)
+        g = random_graph(spawn_rng(5), 4, 0.5)
         pis = np.array([[0, 1, 2, 3], [2, 0, 3, 1]])
 
         def run():
@@ -190,7 +190,7 @@ class TestGradients:
 class TestSampling:
     def test_adjacency_sample_frequencies_match_marginals(self):
         model = coin_adjacency(3)
-        rng = root_rng(11)
+        rng = spawn_rng(11)
         draws = model.sample(4000, rng)
         assert all(g.n == 3 for g in draws)
         hits = sum(1 for g in draws if isomorphic(g, P3))
@@ -200,7 +200,7 @@ class TestSampling:
 
     def test_sequence_sample_frequencies_match_marginals(self):
         model = small_sequence(seed=9)
-        rng = root_rng(12)
+        rng = spawn_rng(12)
         draws = model.sample(3000, rng)
         sizes = np.array([g.n for g in draws])
         assert sizes.max() <= model.cfg.max_nodes
@@ -215,11 +215,11 @@ class TestSampling:
         model = AdjacencyModel(cfg)
         # force near-certain continuation so the cap must bind
         model.store.get("stop.b")[:] = -50.0
-        draws = model.sample(64, root_rng(13))
+        draws = model.sample(64, spawn_rng(13))
         assert all(g.n == 4 for g in draws)
 
     def test_fixed_size_sampling(self):
-        draws = coin_sequence(3).sample(50, root_rng(14))
+        draws = coin_sequence(3).sample(50, spawn_rng(14))
         assert all(g.n == 3 for g in draws)
 
 
@@ -227,7 +227,7 @@ class TestJointAndMarginal:
     def test_marginal_equals_dedup_over_encodings(self):
         """Summing over orderings must equal summing distinct encodings."""
         model = small_adjacency(seed=21)
-        g = random_graph(root_rng(22), 5, 0.4)
+        g = random_graph(spawn_rng(22), 5, 0.4)
         pis = list(permutations(range(5)))
         by_enc = {}
         for pi, lp in zip(pis, model.log_prob_orderings(g, pis).data):
@@ -249,7 +249,7 @@ class TestJointAndMarginal:
 
     def test_cr_mode_joint_never_exceeds_exact(self):
         model = small_sequence(seed=31)
-        rng = root_rng(32)
+        rng = spawn_rng(32)
         for _ in range(20):
             g = random_graph(rng, 5, 0.5)
             pis = [rng.permutation(5)]
@@ -258,7 +258,7 @@ class TestJointAndMarginal:
             assert cr <= exact + 1e-12
 
     def test_marginal_budget_guard(self):
-        g = random_graph(root_rng(33), 5, 0.5)
+        g = random_graph(spawn_rng(33), 5, 0.5)
         with pytest.raises(ResourceError):
             exact_marginal_log_prob(small_adjacency(), g, max_nodes=4)
 
@@ -277,7 +277,7 @@ class TestScoringContract:
     @pytest.mark.parametrize("family", ["adjacency", "sequence"])
     def test_joint_is_log_prob_minus_log_multiplicity(self, family, mode):
         model = self.FAMILIES[family]()
-        rng = root_rng(61)
+        rng = spawn_rng(61)
         g = random_graph(rng, 5, 0.5)
         pis = np.array([rng.permutation(5) for _ in range(4)])
         rep, log_mult = joint_log_probs(model, g, pis, mode)
@@ -365,7 +365,7 @@ class TestPaddedPrefixBlocks:
                 max_nodes=16, hidden=8, edge_hidden=6, fixed_node_count=n if sized else None, seed=n
             )
         )
-        rng = root_rng(100 * batch + n)
+        rng = spawn_rng(100 * batch + n)
         g = random_graph(rng, n, 0.4)
         pis = np.array([rng.permutation(n) for _ in range(batch)])
         weights = rng.normal(size=batch)
@@ -388,7 +388,7 @@ class TestPaddedPrefixBlocks:
         # the benchmark's sequence model on a 16-node graph with S = 8: one
         # padded block; one propagation per prefix records 1,168 nodes
         model = SequenceModel(SequenceModelConfig(max_nodes=16, hidden=16, rounds=2, edge_hidden=16))
-        rng = root_rng(17)
+        rng = spawn_rng(17)
         g = random_graph(rng, 16, 0.3)
         tape = Tape()
         model.log_prob_orderings(g, np.array([rng.permutation(16) for _ in range(8)]), tape)
@@ -403,7 +403,7 @@ class TestCheckpoints:
         model.save(path, metadata={"epoch": 3})
         again = load_model(path)
         assert type(again) is type(model)
-        g = random_graph(root_rng(51), 4, 0.5)
+        g = random_graph(spawn_rng(51), 4, 0.5)
         pis = [[0, 1, 2, 3], [3, 1, 0, 2]]
         assert np.array_equal(joints(again, g, pis), joints(model, g, pis))
 

@@ -17,7 +17,7 @@ from graphorder.models import (
     exact_marginal_log_prob,
 )
 from graphorder.posterior import OrderPosterior, PosteriorConfig
-from graphorder.rng import root_rng
+from graphorder.rng import spawn_rng
 from graphorder.training import TrainConfig, grad_phi, grad_theta, train_loop
 
 # the overflows below warn as they happen; the errors are what is tested
@@ -92,17 +92,17 @@ class TestEstimatorsRaise:
     def test_grad_theta(self, kind, which):
         model, q = overflowing_pair(kind, which)
         with pytest.raises(NumericError):
-            grad_theta(model, q, C5, 2, root_rng(4))
+            grad_theta(model, q, C5, 2, spawn_rng(4))
 
     def test_grad_phi(self, kind, which):
         model, q = overflowing_pair(kind, which)
         with pytest.raises(NumericError):
-            grad_phi(model, q, C5, 2, root_rng(4))
+            grad_phi(model, q, C5, 2, spawn_rng(4))
 
     def test_importance_estimate(self, kind, which):
         model, q = overflowing_pair(kind, which)
         with pytest.raises(NumericError):
-            importance_estimate(model, q, C5, 4, root_rng(5))
+            importance_estimate(model, q, C5, 4, spawn_rng(5))
 
 
 class TestSamplersRaise:
@@ -110,7 +110,7 @@ class TestSamplersRaise:
         q = make_posterior()
         overflow(q.store)
         with pytest.raises(NumericError):
-            q.sample_orderings(C5, 4, root_rng(6))
+            q.sample_orderings(C5, 4, spawn_rng(6))
 
     @pytest.mark.parametrize("fixed", [None, 5], ids=["free", "fixed"])
     @pytest.mark.parametrize("kind", KINDS)
@@ -118,7 +118,7 @@ class TestSamplersRaise:
         model = make_model(kind, fixed)
         overflow(model.store)
         with pytest.raises(NumericError):
-            model.sample(4, root_rng(7))
+            model.sample(4, spawn_rng(7))
 
 
 class TestExactMarginalRaises:

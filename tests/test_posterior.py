@@ -16,7 +16,7 @@ from graphorder.posterior import (
     UniformOrderer,
     positional_encoding,
 )
-from graphorder.rng import root_rng
+from graphorder.rng import spawn_rng
 from graphorder.tensor import Tape, backward, mean as tensor_mean
 from oracles import central_difference, random_graph
 
@@ -39,14 +39,14 @@ class TestNormalizationAndValues:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_all_orderings_sum_to_one(self, seed):
         q = tiny_posterior(seed)
-        for g in (P3, random_graph(root_rng(seed + 40), 5, 0.5)):
+        for g in (P3, random_graph(spawn_rng(seed + 40), 5, 0.5)):
             table = log_q(q, g, list(permutations(range(g.n))))
             assert len(table) == math.factorial(g.n)
             assert log_sum_exp(table) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_parameters_give_uniform(self):
         q = tiny_posterior(zero=True)
-        g = random_graph(root_rng(41), 4, 0.5)
+        g = random_graph(spawn_rng(41), 4, 0.5)
         table = log_q(q, g, list(permutations(range(4))))
         assert np.allclose(table, -math.log(24), rtol=0.0, atol=1e-12)
 
@@ -107,15 +107,15 @@ class TestAutomorphismInvariance:
 class TestSampling:
     def test_replayed_log_prob_matches(self):
         q = tiny_posterior(seed=13)
-        g = random_graph(root_rng(42), 5, 0.4)
-        samples = q.sample_orderings(g, 6, root_rng(43))
+        g = random_graph(spawn_rng(42), 5, 0.4)
+        samples = q.sample_orderings(g, 6, spawn_rng(43))
         assert all(sorted(s.pi) == list(range(5)) for s in samples)
         replayed = log_q(q, g, [s.pi for s in samples])
         assert np.allclose(replayed, [s.log_q for s in samples], rtol=0.0, atol=1e-9)
 
     def test_first_step_marginal_uniform_on_cycle(self):
         q = tiny_posterior(seed=14)
-        draws = q.sample_orderings(C5, 3000, root_rng(44))
+        draws = q.sample_orderings(C5, 3000, spawn_rng(44))
         counts = np.bincount([s.pi[0] for s in draws], minlength=5)
         sigma = math.sqrt(0.2 * 0.8 / 3000)
         assert np.all(np.abs(counts / 3000 - 0.2) < 3 * sigma)
@@ -124,9 +124,9 @@ class TestSampling:
         """Per-sample child streams: a shorter batch is a prefix of a longer
         one drawn from a fresh generator with the same seed."""
         q = tiny_posterior(seed=15)
-        g = random_graph(root_rng(45), 5, 0.5)
-        short = q.sample_orderings(g, 3, root_rng(46))
-        long = q.sample_orderings(g, 5, root_rng(46))
+        g = random_graph(spawn_rng(45), 5, 0.5)
+        short = q.sample_orderings(g, 3, spawn_rng(46))
+        long = q.sample_orderings(g, 5, spawn_rng(46))
         assert [s.pi for s in short] == [s.pi for s in long[:3]]
 
     def test_sampled_log_q_matches_teacher_forced(self):
@@ -135,8 +135,8 @@ class TestSampling:
         q = tiny_posterior(seed=16)
         q.store.get("head.w")[:] *= 8.0
         for n in (6, 7, 8):
-            g = random_graph(root_rng(47 + n), n, 0.4)
-            samples = q.sample_orderings(g, 256, root_rng(60 + n))
+            g = random_graph(spawn_rng(47 + n), n, 0.4)
+            samples = q.sample_orderings(g, 256, spawn_rng(60 + n))
             assert len({s.pi[:2] for s in samples}) < 256
             pis = np.array([s.pi for s in samples])
             teacher = q.log_probs_orderings(g, pis).data
@@ -144,9 +144,9 @@ class TestSampling:
 
     def test_deterministic_given_seed(self):
         q = tiny_posterior(seed=17)
-        g = random_graph(root_rng(48), 6, 0.5)
-        a = q.sample_orderings(g, 4, root_rng(49))
-        b = q.sample_orderings(g, 4, root_rng(49))
+        g = random_graph(spawn_rng(48), 6, 0.5)
+        a = q.sample_orderings(g, 4, spawn_rng(49))
+        b = q.sample_orderings(g, 4, spawn_rng(49))
         assert [s.pi for s in a] == [s.pi for s in b]
         assert [s.log_q for s in a] == [s.log_q for s in b]
 
@@ -154,7 +154,7 @@ class TestSampling:
 class TestGradients:
     def test_teacher_forced_gradients_match_finite_differences(self):
         q = OrderPosterior(PosteriorConfig(max_nodes=6, layers=2, heads=2, head_dim=3, seed=18))
-        g = random_graph(root_rng(50), 4, 0.5)
+        g = random_graph(spawn_rng(50), 4, 0.5)
         pis = np.array([[0, 1, 2, 3], [3, 1, 0, 2]])
 
         def run():
@@ -195,8 +195,8 @@ class TestPositionalEncoding:
 
 class TestUniformBaseline:
     def test_log_q_is_minus_log_factorial(self):
-        g = random_graph(root_rng(51), 4, 0.5)
-        (sample,) = UniformOrderer().sample_orderings(g, 1, root_rng(52))
+        g = random_graph(spawn_rng(51), 4, 0.5)
+        (sample,) = UniformOrderer().sample_orderings(g, 1, spawn_rng(52))
         assert sample.log_q == pytest.approx(-math.log(24), abs=1e-12)
         assert sorted(sample.pi) == list(range(4))
 
@@ -209,7 +209,7 @@ class TestUniformBaseline:
 
     def test_empirical_uniformity(self):
         u = UniformOrderer()
-        draws = u.sample_orderings(P3, 6000, root_rng(53))
+        draws = u.sample_orderings(P3, 6000, spawn_rng(53))
         counts = {}
         for s in draws:
             counts[s.pi] = counts.get(s.pi, 0) + 1
@@ -220,7 +220,7 @@ class TestUniformBaseline:
             assert abs(c / 6000 - p) < 3 * sigma
 
     def test_single_node(self):
-        (sample,) = UniformOrderer().sample_orderings(Graph(1, (0,)), 1, root_rng(54))
+        (sample,) = UniformOrderer().sample_orderings(Graph(1, (0,)), 1, spawn_rng(54))
         assert sample.pi == (0,)
         assert sample.log_q == 0.0
 
@@ -231,7 +231,7 @@ class TestCheckpoint:
         path = tmp_path / "posterior.json"
         q.save(path, metadata={"epoch": 2})
         again = OrderPosterior.load(path)
-        g = random_graph(root_rng(55), 5, 0.5)
+        g = random_graph(spawn_rng(55), 5, 0.5)
         pis = [(4, 2, 0, 1, 3), (0, 1, 2, 3, 4)]
         assert np.array_equal(log_q(again, g, pis), log_q(q, g, pis))
 

@@ -19,14 +19,13 @@ from graphorder.models import (
     exact_marginal_log_prob,
     joint_log_probs,
 )
-from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
+from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer, draw_orderings
 from graphorder import training
-from graphorder.rng import root_rng, spawn_rng
+from graphorder.rng import spawn_rng
 from graphorder.tensor import ParameterStore, Tape, Tensor, backward, mean, mul, tensor_sum
 from graphorder.training import (
     TrainConfig,
     TrainReport,
-    elbo_estimate,
     grad_phi,
     grad_theta,
     train_loop,
@@ -54,27 +53,35 @@ def small_posterior(seed=2, max_nodes=6):
     )
 
 
+def mc_elbo(model, q, g, sample_count, rng, mode="cr") -> float:
+    """Monte Carlo ELBO: the mean of log p(G, pi) - log q(pi | G) over
+    orderings drawn from q."""
+    pis, log_q = draw_orderings(q, g, sample_count, rng)
+    rep, log_mult = joint_log_probs(model, g, pis, mode)
+    return float(np.mean(rep.data - log_mult - log_q))
+
+
 class TestElbo:
     def test_constant_integrand_is_exact(self):
         # joint log(1/48), uniform log q = -log 6: every sample gives log(1/8)
         for s in (1, 4):
-            est = elbo_estimate(coin3(), UniformOrderer(), K3, s, root_rng(1))
+            est = mc_elbo(coin3(), UniformOrderer(), K3, s, spawn_rng(1))
             assert est == pytest.approx(math.log(1 / 8), abs=1e-12)
 
     def test_elbo_never_beats_marginal(self):
         model = small_model(seed=3)
         q = UniformOrderer()
-        g = random_graph(root_rng(4), 4, 0.5)
+        g = random_graph(spawn_rng(4), 4, 0.5)
         exact = exact_marginal_log_prob(model, g)
         estimates = [
-            elbo_estimate(model, q, g, 4, spawn_rng(5, trial)) for trial in range(200)
+            mc_elbo(model, q, g, 4, spawn_rng(5, trial)) for trial in range(200)
         ]
         mean_est = float(np.mean(estimates))
         se = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))
         assert mean_est - 3 * se <= exact
 
     def test_learned_posterior_accepted(self):
-        est = elbo_estimate(small_model(6), small_posterior(7), P3, 3, root_rng(8))
+        est = mc_elbo(small_model(6), small_posterior(7), P3, 3, spawn_rng(8))
         assert math.isfinite(est)
 
 
@@ -101,7 +108,7 @@ class TestGradTheta:
 
     def test_fair_coin_pushes_triangle_edges_up(self):
         model = coin3()
-        grad_theta(model, UniformOrderer(), K3, 4, root_rng(13))
+        grad_theta(model, UniformOrderer(), K3, 4, spawn_rng(13))
         # ascent direction: observed edges are all ones, so edge weights rise
         assert np.all(model.store.grad("edges.b")[:2] > 0)
 
@@ -114,7 +121,7 @@ class TestGradPhi:
             PosteriorConfig(max_nodes=4, layers=1, heads=2, head_dim=3, seed=14),
             zero_init=True,
         )
-        vec = grad_phi(coin3(), q, K3, 4, root_rng(15))
+        vec = grad_phi(coin3(), q, K3, 4, spawn_rng(15))
         assert np.allclose(vec, 0.0, atol=1e-9)
 
     def test_matches_enumerated_expectation(self):
@@ -195,7 +202,7 @@ class TestTrainLoop:
     def test_oversized_graph_rejected(self):
         model = small_model(35, max_nodes=4)
         with pytest.raises(InputError):
-            train_loop(model, UniformOrderer(), [random_graph(root_rng(36), 5, 0.5)],
+            train_loop(model, UniformOrderer(), [random_graph(spawn_rng(36), 5, 0.5)],
                        TrainConfig(seed=37))
 
     def test_empty_dataset_rejected(self):
@@ -289,13 +296,16 @@ class TestConfig:
             TrainConfig(lr_model=0.0)
         with pytest.raises(InputError):
             TrainConfig(epochs=0)
+        for field, value in (("epochs", 1.5), ("epochs", True), ("sample_count", 2.0), ("sample_count", True)):
+            with pytest.raises(InputError, match=field):
+                TrainConfig(**{field: value})
 
 
 class TestVarianceTrace:
     def test_more_samples_less_variance(self):
         model = small_model(51)
         q = small_posterior(52)
-        g = random_graph(root_rng(53), 4, 0.5)
+        g = random_graph(spawn_rng(53), 4, 0.5)
         trace = variance_trace(model, q, g, [1, 8], trials=40, seed=54)
         assert trace[8] < trace[1]
         # i.i.d. averaging: variance should shrink roughly like 1/S
