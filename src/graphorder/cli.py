@@ -346,9 +346,9 @@ def _cmd_loglik(args) -> None:
         raise InputError("dataset is empty")
     if args.L < 1:
         raise InputError("--L must be at least 1")
+    if (args.proposal == "learned") != (args.posterior is not None):
+        raise InputError("--posterior <checkpoint> is given exactly when --proposal is learned")
     if args.proposal == "learned":
-        if args.posterior is None:
-            raise InputError("--proposal learned requires --posterior <checkpoint>")
         proposal = OrderPosterior.load(_require_file(args.posterior, "posterior checkpoint"))
     else:
         proposal = UniformOrderer()
@@ -401,11 +401,11 @@ def _cmd_mmd(args) -> None:
 def _cmd_analyze_order(args) -> None:
     if args.samples < 1:
         raise InputError("--samples must be at least 1")
+    if args.uniform == (args.checkpoint is not None):
+        raise InputError("provide exactly one of --checkpoint <posterior> and --uniform")
     if args.uniform:
         q = UniformOrderer()
     else:
-        if args.checkpoint is None:
-            raise InputError("provide --checkpoint <posterior> or --uniform")
         q = OrderPosterior.load(_require_file(args.checkpoint, "posterior checkpoint"))
     g = _graph_at(args.graph, args.index)
     avg = averaged_adjacency(q, g, args.samples, spawn_rng(args.seed, _ANALYZE_LANE))

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -19,15 +18,12 @@ CONNECT_RETRY_CAP = 200
 
 @dataclass(frozen=True)
 class GraphDataset:
-    """An ordered collection of graphs with provenance metadata."""
+    """An ordered collection of graphs."""
 
     graphs: tuple[Graph, ...]
-    name: str = "dataset"
-    metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "graphs", tuple(self.graphs))
-        object.__setattr__(self, "metadata", dict(self.metadata))
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -97,9 +93,7 @@ def format_graphs(graphs: Iterator[Graph] | tuple[Graph, ...] | list[Graph]) -> 
 
 
 def load_dataset(path: str | Path) -> GraphDataset:
-    source = Path(path)
-    graphs = parse_graphs(read_text(source, "dataset file"))
-    return GraphDataset(tuple(graphs), name=source.stem, metadata={"source": str(source)})
+    return GraphDataset(parse_graphs(read_text(path, "dataset file")))
 
 
 def _er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -116,9 +110,7 @@ def gen_er(count: int, n: int, p: float, rng: np.random.Generator) -> GraphDatas
         raise InputError("node count must be positive")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
-    graphs = tuple(_er_graph(n, p, rng) for _ in range(count))
-    meta = {"generator": "er", "n": n, "p": p}
-    return GraphDataset(graphs, name="er", metadata=meta)
+    return GraphDataset(_er_graph(n, p, rng) for _ in range(count))
 
 
 def _connected_er(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -139,14 +131,9 @@ def community_halves(n: int) -> tuple[int, int]:
 
 
 def gen_community_small(
-    count: int,
-    n_range: tuple[int, int] = (12, 16),
-    p_intra: float = 0.7,
-    rng: np.random.Generator | None = None,
+    count: int, n_range: tuple[int, int], p_intra: float, rng: np.random.Generator
 ) -> GraphDataset:
     """Sample two connected communities joined by exactly one uniform bridge edge."""
-    if rng is None:
-        raise InputError("an explicit random generator is required")
     if count < 0:
         raise InputError("graph count must be nonnegative")
     lo, hi = n_range
@@ -164,21 +151,4 @@ def gen_community_small(
         edges.extend((a + u, a + v) for u, v in right.edges())
         edges.append((int(rng.integers(a)), a + int(rng.integers(b))))
         graphs.append(Graph.from_edges(n, edges))
-    meta = {"generator": "community-small", "n_range": (lo, hi), "p_intra": p_intra}
-    return GraphDataset(tuple(graphs), name="community-small", metadata=meta)
-
-
-def split(
-    ds: GraphDataset, train_fraction: float, rng: np.random.Generator
-) -> tuple[GraphDataset, GraphDataset]:
-    """Shuffle and cut into ceil(fraction * N) training graphs plus the rest."""
-    if not 0.0 < train_fraction < 1.0:
-        raise InputError(f"train fraction must lie strictly in (0, 1), got {train_fraction}")
-    order = rng.permutation(len(ds.graphs))
-    cut = math.ceil(train_fraction * len(ds.graphs))
-    parts = []
-    for label, idx in (("train", order[:cut]), ("test", order[cut:])):
-        meta = dict(ds.metadata, split=label, train_fraction=train_fraction)
-        graphs = tuple(ds.graphs[i] for i in idx)
-        parts.append(GraphDataset(graphs, name=f"{ds.name}-{label}", metadata=meta))
-    return parts[0], parts[1]
+    return GraphDataset(graphs)

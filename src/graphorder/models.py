@@ -107,11 +107,11 @@ def _check_model_config(cfg, sizes: tuple[str, ...]) -> None:
     """The checks both model configs share: ``max_nodes`` and ``sizes`` are
     positive integers, there are at least two nodes, and a fixed node count
     is an integer in [1, max_nodes]."""
-    check_positive_ints(cfg, ("max_nodes", *sizes))
+    check_positive_ints(**{name: getattr(cfg, name) for name in ("max_nodes", *sizes)})
     if cfg.max_nodes < 2:
         raise InputError("max_nodes must be at least 2")
     if cfg.fixed_node_count is not None:
-        check_positive_ints(cfg, ("fixed_node_count",))
+        check_positive_ints(fixed_node_count=cfg.fixed_node_count)
         if cfg.fixed_node_count > cfg.max_nodes:
             raise InputError("fixed_node_count must lie in [1, max_nodes]")
 
@@ -164,16 +164,16 @@ class AdjacencyModel(GraphModel):
     kind = "adjacency"
     config_type = AdjacencyModelConfig
 
-    def __init__(self, cfg: AdjacencyModelConfig, zero_init: bool = False):
+    def __init__(self, cfg: AdjacencyModelConfig):
         self.cfg = cfg
         self.store = ParameterStore()
         rng = spawn_rng(cfg.seed, 0)
         width = cfg.max_nodes - 1
-        register_linear(self.store, "embed", width, cfg.row_embed, rng, zero=zero_init)
-        register_gru(self.store, "cell", cfg.row_embed, cfg.hidden, rng, zero=zero_init)
+        register_linear(self.store, "embed", width, cfg.row_embed, rng)
+        register_gru(self.store, "cell", cfg.row_embed, cfg.hidden, rng)
         self.store.add("state0", np.zeros(cfg.hidden))
-        register_linear(self.store, "edges", cfg.hidden, width, rng, zero=zero_init)
-        register_linear(self.store, "stop", cfg.hidden, 1, rng, zero=zero_init)
+        register_linear(self.store, "edges", cfg.hidden, width, rng)
+        register_linear(self.store, "stop", cfg.hidden, 1, rng)
 
     # -- step pieces shared by scoring and sampling -------------------------
 
@@ -232,8 +232,7 @@ class AdjacencyModel(GraphModel):
     def sample(self, count: int, rng: np.random.Generator) -> list[Graph]:
         """``count`` graphs drawn ancestrally; the stop and edge logits must
         be finite before each draw."""
-        if count < 1:
-            raise InputError("count must be positive")
+        check_positive_ints(count=count)
         cfg = self.cfg
         bound = self.store.bind(None)
         state = _broadcast_rows(bound["state0"], count)
@@ -293,17 +292,17 @@ class SequenceModel(GraphModel):
     kind = "sequence"
     config_type = SequenceModelConfig
 
-    def __init__(self, cfg: SequenceModelConfig, zero_init: bool = False):
+    def __init__(self, cfg: SequenceModelConfig):
         self.cfg = cfg
         self.store = ParameterStore()
         rng = spawn_rng(cfg.seed, 1)
         d = cfg.hidden
-        self.store.add("node0", np.zeros(d) if zero_init else spawn_rng(cfg.seed, 2).normal(0, 0.1, d))
-        register_linear(self.store, "msg", d, d, rng, zero=zero_init)
-        register_gru(self.store, "cell", d, d, rng, zero=zero_init)
-        register_linear(self.store, "edge1", 3 * d, cfg.edge_hidden, rng, zero=zero_init)
-        register_linear(self.store, "edge2", cfg.edge_hidden, 1, rng, zero=zero_init)
-        register_linear(self.store, "stop", d, 1, rng, zero=zero_init)
+        self.store.add("node0", spawn_rng(cfg.seed, 2).normal(0, 0.1, d))
+        register_linear(self.store, "msg", d, d, rng)
+        register_gru(self.store, "cell", d, d, rng)
+        register_linear(self.store, "edge1", 3 * d, cfg.edge_hidden, rng)
+        register_linear(self.store, "edge2", cfg.edge_hidden, 1, rng)
+        register_linear(self.store, "stop", d, 1, rng)
 
     # -- step pieces -----------------------------------------------------------
 
@@ -380,8 +379,7 @@ class SequenceModel(GraphModel):
     def sample(self, count: int, rng: np.random.Generator) -> list[Graph]:
         """``count`` graphs drawn ancestrally; the stop and edge logits must
         be finite before each draw."""
-        if count < 1:
-            raise InputError("count must be positive")
+        check_positive_ints(count=count)
         cfg = self.cfg
         bound = self.store.bind(None)
         out: list[Graph] = []
@@ -433,7 +431,7 @@ load_model = GraphModel.load
 
 
 def joint_log_probs(
-    model: GraphModel, g: Graph, orders: np.ndarray, mode: str = "exact", tape: Tape | None = None
+    model: GraphModel, g: Graph, orders: np.ndarray, mode: str, tape: Tape | None = None
 ) -> tuple[Tensor, np.ndarray]:
     """Batched joint log-probabilities for orderings of one graph.
 

@@ -26,10 +26,8 @@ def register_linear(
     in_dim: int,
     out_dim: int,
     rng: np.random.Generator,
-    zero: bool = False,
 ) -> None:
-    w = np.zeros((in_dim, out_dim)) if zero else glorot(rng, in_dim, out_dim)
-    store.add(f"{name}.w", w)
+    store.add(f"{name}.w", glorot(rng, in_dim, out_dim))
     store.add(f"{name}.b", np.zeros(out_dim))
 
 
@@ -46,13 +44,10 @@ def register_gru(
     in_dim: int,
     dim: int,
     rng: np.random.Generator,
-    zero: bool = False,
 ) -> None:
     for gate in _GRU_GATES:
-        wx = np.zeros((in_dim, dim)) if zero else glorot(rng, in_dim, dim)
-        wh = np.zeros((dim, dim)) if zero else glorot(rng, dim, dim)
-        store.add(f"{name}.{gate}.wx", wx)
-        store.add(f"{name}.{gate}.wh", wh)
+        store.add(f"{name}.{gate}.wx", glorot(rng, in_dim, dim))
+        store.add(f"{name}.{gate}.wh", glorot(rng, dim, dim))
         store.add(f"{name}.{gate}.b", np.zeros(dim))
 
 
@@ -81,14 +76,11 @@ def register_attention(
     heads: int,
     head_dim: int,
     rng: np.random.Generator,
-    zero: bool = False,
 ) -> None:
     for k in range(heads):
-        w = np.zeros((in_dim, head_dim)) if zero else glorot(rng, in_dim, head_dim)
-        store.add(f"{name}.head{k}.w", w)
+        store.add(f"{name}.head{k}.w", glorot(rng, in_dim, head_dim))
         for side in ("src", "dst"):
-            vec = np.zeros(head_dim) if zero else glorot(rng, head_dim, 1, shape=(head_dim,))
-            store.add(f"{name}.head{k}.{side}", vec)
+            store.add(f"{name}.head{k}.{side}", glorot(rng, head_dim, 1, shape=(head_dim,)))
 
 
 def neighborhood_mask(g: Graph) -> np.ndarray:
@@ -103,12 +95,12 @@ def attention_message_pass(
     feats,
     neighbor_mask: np.ndarray,
     heads: int,
-    slope: float = 0.2,
 ) -> Tensor:
     """One multi-head attention round restricted to ``neighbor_mask``.
 
     feats has shape (..., n, d).  Head k scores pair (i, j) as
-    leaky_relu(src_k . W_k f_i + dst_k . W_k f_j), normalises over each node's
+    leaky_relu(src_k . W_k f_i + dst_k . W_k f_j) (negative slope
+    ``tensor.ATTENTION_SLOPE``), normalises over each node's
     masked neighbourhood, and averages the projected features; head outputs
     are concatenated.  The weights come from one ``additive_attention`` op,
     so a taped head records five op nodes.  Permutation equivariant by
@@ -119,7 +111,7 @@ def attention_message_pass(
         z = matmul(feats, bound[f"{name}.head{k}.w"])
         s_src = matmul(z, bound[f"{name}.head{k}.src"])
         s_dst = matmul(z, bound[f"{name}.head{k}.dst"])
-        att = additive_attention(s_src, s_dst, neighbor_mask, slope)
+        att = additive_attention(s_src, s_dst, neighbor_mask)
         outs.append(matmul(att, z))
     return concat(outs, axis=-1)
 

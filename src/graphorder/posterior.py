@@ -61,7 +61,9 @@ class PosteriorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_positive_ints(self, ("max_nodes", "layers", "heads", "head_dim"))
+        check_positive_ints(
+            max_nodes=self.max_nodes, layers=self.layers, heads=self.heads, head_dim=self.head_dim
+        )
 
     @property
     def d_model(self) -> int:
@@ -74,15 +76,15 @@ class OrderPosterior(Checkpointable):
     kind = "posterior"
     config_type = PosteriorConfig
 
-    def __init__(self, cfg: PosteriorConfig, zero_init: bool = False):
+    def __init__(self, cfg: PosteriorConfig):
         self.cfg = cfg
         self.store = ParameterStore()
         rng = spawn_rng(cfg.seed, 10)
         d = cfg.d_model
-        self.store.add("h0", np.zeros(d) if zero_init else rng.normal(0, 0.1, d))
+        self.store.add("h0", rng.normal(0, 0.1, d))
         for i in range(cfg.layers):
-            register_attention(self.store, f"gnn.layer{i}", d, cfg.heads, cfg.head_dim, rng, zero=zero_init)
-        register_linear(self.store, "head", d, 1, rng, zero=zero_init)
+            register_attention(self.store, f"gnn.layer{i}", d, cfg.heads, cfg.head_dim, rng)
+        register_linear(self.store, "head", d, 1, rng)
         # rows 1..max_nodes mark the step at which a node was chosen
         self._pe = positional_encoding(np.arange(cfg.max_nodes + 1), d)
 
@@ -138,8 +140,7 @@ class OrderPosterior(Checkpointable):
         last step runs no network.  Each step's logits must be finite before
         they are drawn from."""
         self._check_graph(g)
-        if count < 1:
-            raise InputError("count must be positive")
+        check_positive_ints(count=count)
         n = g.n
         bound = self.store.bind(None)
         mask = neighborhood_mask(g)
@@ -189,8 +190,7 @@ class UniformOrderer:
     def sample_orderings(self, g: Graph, count: int, rng: np.random.Generator) -> list[OrderingSample]:
         """One uniform permutation per independent child stream; log q is
         -log n!."""
-        if count < 1:
-            raise InputError("count must be positive")
+        check_positive_ints(count=count)
         log_q = -math.lgamma(g.n + 1)
         return [
             OrderingSample(tuple(stream.permutation(g.n).tolist()), log_q)

@@ -3,9 +3,13 @@
 A Tape records tensors in creation order, which is already a topological
 order, so the backward pass is a single reverse sweep that visits each node
 once.  Ops are module functions (``add``, ``matmul``, ``tensor_sum``, ...);
-a Tensor has no operator methods.  Ops called on tensors that carry no tape
-run eagerly and keep nothing, which doubles as the no-gradient fast path for
-sampling and evaluation.
+a Tensor has no operator methods.  ``Tensor(data, tape, leaf_ref)`` builds a
+leaf only: its data, the tape that records it (if any) and, for a parameter
+leaf, the (store, name) that its gradient belongs to.  An op builds its own
+output, recorded on its operands' tape with the pull that sends gradients
+back to them.  Ops called on tensors that carry no tape run eagerly and keep
+nothing, which doubles as the no-gradient fast path for sampling and
+evaluation.
 Two ops work over the last axis restricted to a boolean mask:
 ``masked_log_softmax``, and ``additive_attention``, which turns the scores
 leaky_relu(src_i + dst_j) into attention weights in one (..., n, n) buffer,
@@ -43,6 +47,13 @@ import numpy as np
 from .errors import InputError, NumericError
 from .files import read_text, write_text_atomic
 
+# negative slope of the leaky step in ``additive_attention``
+ATTENTION_SLOPE = 0.2
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr``, or ``NumericError`` naming ``what`` if any entry is inf or nan."""
@@ -63,28 +74,16 @@ class Tape:
 class Tensor:
     """A float64 array, optionally recorded on a tape for backpropagation."""
 
-    __slots__ = ("data", "grad", "tape", "parents", "pull", "leaf_ref")
+    __slots__ = ("data", "grad", "tape", "pull", "leaf_ref")
 
-    def __init__(
-        self,
-        data,
-        tape: Tape | None = None,
-        parents: tuple["Tensor", ...] = (),
-        pull: Callable[[np.ndarray], None] | None = None,
-        leaf_ref: tuple | None = None,
-    ):
+    def __init__(self, data, tape: Tape | None = None, leaf_ref: tuple | None = None):
         self.data = ensure_finite(np.asarray(data, dtype=np.float64), "tensor data")
         self.grad: np.ndarray | None = None
         self.tape = tape
-        self.parents = parents if tape is not None else ()
-        self.pull = pull if tape is not None else None
+        self.pull: Callable[[np.ndarray], None] | None = None
         self.leaf_ref = leaf_ref
         if tape is not None:
             tape.nodes.append(self)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
@@ -109,9 +108,9 @@ def _result(inputs: tuple[Tensor, ...], data: np.ndarray, pull) -> Tensor:
     out.grad = None
     out.leaf_ref = None
     if tape is None:
-        out.tape, out.parents, out.pull = None, (), None
+        out.tape, out.pull = None, None
     else:
-        out.tape, out.parents, out.pull = tape, inputs, pull
+        out.tape, out.pull = tape, pull
         tape.nodes.append(out)
     return out
 
@@ -237,25 +236,22 @@ def log_sigmoid(x) -> Tensor:
     return _result((x,), data, pull)
 
 
-def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(x, axis=None) -> Tensor:
     x = _wrap(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
 
     def pull(g):
-        if axis is None:
-            _acc(x, np.broadcast_to(g, x.data.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _acc(x, np.broadcast_to(g, x.data.shape).copy())
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _acc(x, np.broadcast_to(g, x.data.shape).copy())
 
     return _result((x,), data, pull)
 
 
-def mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def mean(x, axis=None) -> Tensor:
     x = _wrap(x)
     count = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tensor_sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(tensor_sum(x, axis=axis), 1.0 / count)
 
 
 def reshape(x, shape) -> Tensor:
@@ -362,30 +358,29 @@ def masked_log_softmax(x, mask) -> Tensor:
     return _result((x,), data, pull)
 
 
-def additive_attention(src, dst, mask, slope: float) -> Tensor:
-    """Attention weights softmax_j(leaky_relu(src_i + dst_j, slope)) over
-    the entries of mask, for src and dst of shape (..., n) and a mask that
-    broadcasts to (..., n, n); excluded weights are exactly zero.
+def additive_attention(src, dst, mask) -> Tensor:
+    """Attention weights softmax_j(leaky_relu(src_i + dst_j)) with negative
+    slope ``ATTENTION_SLOPE`` over the entries of mask, for src and dst of
+    shape (..., n) and a mask that broadcasts to (..., n, n); excluded
+    weights are exactly zero.
 
     One (..., n, n) buffer holds the scores and is turned into the weights
-    in place.  The leaky step is max(x, slope * x), exact for
+    in place.  The leaky step is max(x, slope * x), exact because
     0 < slope < 1."""
     src, dst = _wrap(src), _wrap(dst)
     if src.data.ndim == 0 or src.data.shape != dst.data.shape:
         raise NumericError(f"additive_attention shape mismatch: {src.data.shape} vs {dst.data.shape}")
-    if not 0.0 < slope < 1.0:
-        raise InputError(f"additive_attention slope must lie in (0, 1), got {slope!r}")
     x = src.data[..., :, None] + dst.data[..., None, :]
     m = _mask_support(mask, x.shape)
     pos = x > 0
-    np.maximum(x, slope * x, out=x)
+    np.maximum(x, ATTENTION_SLOPE * x, out=x)
     np.copyto(x, -np.inf, where=~m)
     np.subtract(x, x.max(axis=-1, keepdims=True), out=x)
     np.exp(x, out=x)
     np.divide(x, x.sum(axis=-1, keepdims=True), out=x)
 
     def pull(g):
-        gx = x * (g - (g * x).sum(axis=-1, keepdims=True)) * np.where(pos, 1.0, slope)
+        gx = x * (g - (g * x).sum(axis=-1, keepdims=True)) * np.where(pos, 1.0, ATTENTION_SLOPE)
         _acc(src, gx.sum(axis=-1))
         _acc(dst, gx.sum(axis=-2))
 
@@ -471,36 +466,30 @@ class ParameterStore:
             if t.leaf_ref is not None and t.leaf_ref[0] is self and t.grad is not None:
                 self._grads[t.leaf_ref[1]] += t.grad
 
-    def adam_step(
-        self,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        """One Adam update; entries with zero accumulated gradient are left
-        untouched.  Gradients are cleared afterwards.  A non-finite gradient,
-        or a second moment that overflows (a finite gradient of 1e200
-        squares to inf), raises ``NumericError`` before that parameter or its
-        moments change."""
+    def adam_step(self, lr: float) -> None:
+        """One Adam update with the ``ADAM_*`` constants; entries with zero
+        accumulated gradient are left untouched.  Gradients are cleared
+        afterwards.  A non-finite gradient, or a second moment that
+        overflows (a finite gradient of 1e200 squares to inf), raises
+        ``NumericError`` before that parameter or its moments change."""
         self.step_count += 1
-        c1 = 1.0 - beta1**self.step_count
-        c2 = 1.0 - beta2**self.step_count
+        c1 = 1.0 - ADAM_BETA1**self.step_count
+        c2 = 1.0 - ADAM_BETA2**self.step_count
         for name, g in self._grads.items():
             upd = g != 0.0
             if not upd.any():
                 continue
             m, v = self._m[name], self._v[name]
-            v_next = np.where(upd, beta2 * v + (1.0 - beta2) * g * g, v)
+            v_next = np.where(upd, ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g, v)
             # one check covers both moments: a non-finite gradient makes v
             # non-finite, and so does any gradient beyond 1e154 (whose square
             # overflows), the only kind that can overflow m
             if not np.isfinite(v_next).all():
                 what = "Adam second moment" if np.isfinite(g).all() else "gradient"
                 raise NumericError(f"non-finite values in {what} of {name!r}")
-            m[:] = np.where(upd, beta1 * m + (1.0 - beta1) * g, m)
+            m[:] = np.where(upd, ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g, m)
             v[:] = v_next
-            step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            step = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             self._arrays[name] -= np.where(upd, step, 0.0)
             g[:] = 0.0
 
@@ -523,11 +512,10 @@ def parse_checkpoint(doc: dict) -> tuple[str, dict, dict[str, np.ndarray]]:
     return str(doc["modelKind"]), dict(metadata), params
 
 
-def check_positive_ints(cfg, names: Sequence[str]) -> None:
-    """Raise ``InputError`` unless each named field of the config ``cfg`` is
-    an integer of at least 1 (a bool is not one)."""
-    for name in names:
-        value = getattr(cfg, name)
+def check_positive_ints(**values) -> None:
+    """Raise ``InputError``, naming the keyword, unless each keyword's value
+    is an integer of at least 1 (a bool is not one)."""
+    for name, value in values.items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise InputError(f"{name} must be a positive integer, got {value!r}")
 

@@ -41,11 +41,13 @@ class TrainConfig:
     use_baseline: bool = False
 
     def __post_init__(self):
-        check_positive_ints(self, ("sample_count", "epochs"))
+        check_positive_ints(sample_count=self.sample_count, epochs=self.epochs)
         if self.multiplicity_mode not in MULTIPLICITY_MODES:
             raise InputError(f"multiplicity_mode must be one of {MULTIPLICITY_MODES}")
-        if self.lr_model <= 0 or self.lr_posterior <= 0:
-            raise InputError("learning rates must be positive")
+        for name in ("lr_model", "lr_posterior"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InputError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,21 +105,15 @@ def grad_theta(
 
 
 def grad_phi(
-    model: GraphModel,
-    q: OrderingModel,
-    g: Graph,
-    sample_count: int,
-    rng,
-    mode: str = "cr",
-    baseline: float = 0.0,
+    model: GraphModel, q: OrderingModel, g: Graph, sample_count: int, rng, mode: str = "cr"
 ) -> np.ndarray:
     """Accumulate the score-function ascent gradient
-    (1/S) sum_s [log p(G, pi_s) - log q(pi_s) - baseline] grad log q(pi_s)
-    into the posterior store."""
+    (1/S) sum_s [log p(G, pi_s) - log q(pi_s)] grad log q(pi_s) into the
+    posterior store."""
     pis, _ = draw_orderings(q, g, sample_count, rng)
     rep, log_mult = joint_log_probs(model, g, pis, mode)
     tape = Tape()
-    _, surrogate = _objective(rep, log_mult, q.log_probs_orderings(g, pis, tape=tape), baseline)
+    _, surrogate = _objective(rep, log_mult, q.log_probs_orderings(g, pis, tape=tape))
     backward(tape, surrogate)
     q.store.accumulate_from_tape(tape)
     return q.store.grad_vector()

@@ -220,6 +220,12 @@ def loop_orbit4_counts(g: Graph) -> np.ndarray:
     return counts
 
 
+def zero_store(store) -> None:
+    """Set every entry of a parameter store to zero."""
+    for name in store.names():
+        store.get(name)[:] = 0.0
+
+
 def central_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Componentwise central-difference gradient of scalar f at x."""
     grad = np.zeros_like(x, dtype=np.float64)

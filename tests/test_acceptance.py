@@ -450,7 +450,7 @@ def tensor_op_cases(rng) -> list:
                 ),
                 (
                     "additive_attention",
-                    lambda s, d, w=w244, m=att_mask: tensor_sum(mul(w * m, additive_attention(s, d, m, 0.2))),
+                    lambda s, d, w=w244, m=att_mask: tensor_sum(mul(w * m, additive_attention(s, d, m))),
                     off_kink(2, 4),
                 ),
                 (

@@ -13,6 +13,7 @@ from graphorder.errors import InputError, NumericError
 from graphorder.models import AdjacencyModel, AdjacencyModelConfig, load_model
 from graphorder.posterior import OrderPosterior, PosteriorConfig
 from graphorder.training import TrainConfig
+from oracles import zero_store
 
 
 @pytest.fixture()
@@ -31,9 +32,8 @@ def p3_file(tmp_path):
 
 @pytest.fixture()
 def coin_checkpoint(tmp_path):
-    model = AdjacencyModel(
-        AdjacencyModelConfig(max_nodes=5, fixed_node_count=3), zero_init=True
-    )
+    model = AdjacencyModel(AdjacencyModelConfig(max_nodes=5, fixed_node_count=3))
+    zero_store(model.store)
     path = tmp_path / "coin.json"
     model.save(path)
     return str(path)
@@ -350,6 +350,17 @@ class TestLoglikCommand:
         )
         assert code == 1 and "posterior" in err
 
+    def test_posterior_without_learned_proposal_rejected(self, tmp_path, capsys, coin_checkpoint, k3_file):
+        q_path = tmp_path / "posterior.json"
+        OrderPosterior(PosteriorConfig(max_nodes=5, layers=1, heads=2, head_dim=3, seed=1)).save(q_path)
+        code, out, err = run(
+            capsys,
+            ["loglik", "--checkpoint", coin_checkpoint, "--data", k3_file,
+             "--posterior", str(q_path), "--L", "4"],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_learned_proposal_runs(self, tmp_path, capsys, coin_checkpoint, k3_file):
         q = OrderPosterior(PosteriorConfig(max_nodes=5, layers=1, heads=2, head_dim=3, seed=1))
         q_path = tmp_path / "posterior.json"
@@ -422,6 +433,14 @@ class TestMmdCommand:
         )
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_one_error_line(self, capsys, k3_file, sigma):
+        code, out, err = run(
+            capsys, ["mmd", "--ref", k3_file, "--gen", k3_file, "--sigma", sigma]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestAnalyzeOrderCommand:
     def test_uniform_baseline_csv(self, capsys, p3_file):
@@ -467,6 +486,17 @@ class TestAnalyzeOrderCommand:
     def test_requires_some_posterior(self, capsys, p3_file):
         code, _, err = run(capsys, ["analyze-order", "--graph", p3_file])
         assert code == 1 and err.startswith("error:")
+
+    def test_uniform_with_checkpoint_rejected(self, tmp_path, capsys, p3_file):
+        q_path = tmp_path / "posterior.json"
+        OrderPosterior(PosteriorConfig(max_nodes=5, layers=1, heads=2, head_dim=3, seed=4)).save(q_path)
+        code, out, err = run(
+            capsys,
+            ["analyze-order", "--uniform", "--checkpoint", str(q_path), "--graph", p3_file,
+             "--samples", "5"],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestUsageErrors:

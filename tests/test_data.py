@@ -1,4 +1,4 @@
-"""Dataset format, synthetic generators, and splitting."""
+"""Dataset format and synthetic generators."""
 
 import math
 
@@ -15,7 +15,6 @@ from graphorder.data import (
     gen_er,
     load_dataset,
     parse_graphs,
-    split,
 )
 from graphorder.errors import GenerationError, InputError, ParseError
 from graphorder.files import write_text_atomic
@@ -79,12 +78,10 @@ class TestParsing:
         with pytest.raises(InputError):
             load_dataset(tmp_path / "absent.txt")
 
-    def test_load_records_source(self, tmp_path):
+    def test_load_reads_file_graphs(self, tmp_path):
         path = tmp_path / "toy.txt"
-        path.write_text("1 0\n")
-        ds = load_dataset(path)
-        assert ds.name == "toy"
-        assert ds.metadata["source"] == str(path)
+        path.write_text("1 0\n\n3 3\n0 1\n0 2\n1 2\n")
+        assert load_dataset(path).graphs == (Graph.from_edges(1, []), K3)
 
 
 class TestRoundTrip:
@@ -193,45 +190,6 @@ class TestCommunityGenerator:
             gen_community_small(1, (8, 6), 0.7, rng)
         with pytest.raises(InputError):
             gen_community_small(1, (6, 8), -0.1, rng)
-        with pytest.raises(InputError):
-            gen_community_small(1, (6, 8), 0.7, None)
-
-
-class TestSplit:
-    def test_sizes(self):
-        ds = gen_er(100, 4, 0.5, spawn_rng(1))
-        train, test = split(ds, 0.8, spawn_rng(2))
-        assert len(train) == 80 and len(test) == 20
-
-    def test_ceil_rounding(self):
-        ds = gen_er(5, 4, 0.5, spawn_rng(1))
-        train, test = split(ds, 0.5, spawn_rng(2))
-        assert len(train) == 3 and len(test) == 2
-
-    def test_union_is_original_multiset(self):
-        ds = gen_er(30, 5, 0.5, spawn_rng(4))
-        train, test = split(ds, 0.7, spawn_rng(5))
-        combined = sorted(g.adj for g in list(train) + list(test))
-        assert combined == sorted(g.adj for g in ds)
-
-    def test_same_seed_same_split(self):
-        ds = gen_er(30, 5, 0.5, spawn_rng(4))
-        first = split(ds, 0.7, spawn_rng(6))
-        second = split(ds, 0.7, spawn_rng(6))
-        assert list(first[0].graphs) == list(second[0].graphs)
-        assert list(first[1].graphs) == list(second[1].graphs)
-
-    def test_metadata_labels(self):
-        ds = gen_er(10, 4, 0.5, spawn_rng(1))
-        train, test = split(ds, 0.6, spawn_rng(2))
-        assert train.metadata["split"] == "train" and test.metadata["split"] == "test"
-        assert train.name.endswith("-train") and test.name.endswith("-test")
-
-    def test_rejects_degenerate_fraction(self):
-        ds = gen_er(10, 4, 0.5, spawn_rng(1))
-        for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(InputError):
-                split(ds, bad, spawn_rng(0))
 
 
 class TestDatasetContainer:

@@ -23,11 +23,17 @@ from graphorder.evaluation import (
     wasserstein1,
 )
 from graphorder.graphs import Graph, induced_subgraph, is_connected, isomorphic
-from graphorder.models import AdjacencyModel, AdjacencyModelConfig, exact_marginal_log_prob
+from graphorder.models import (
+    AdjacencyModel,
+    AdjacencyModelConfig,
+    SequenceModel,
+    SequenceModelConfig,
+    exact_marginal_log_prob,
+)
 from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
 from graphorder.rng import spawn_rng
 from graphorder.symmetry import orbit_partition
-from oracles import all_graphs, loop_orbit4_counts, random_graph
+from oracles import all_graphs, loop_orbit4_counts, random_graph, zero_store
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -40,7 +46,9 @@ K4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def coin3():
-    return AdjacencyModel(AdjacencyModelConfig(max_nodes=5, fixed_node_count=3), zero_init=True)
+    model = AdjacencyModel(AdjacencyModelConfig(max_nodes=5, fixed_node_count=3))
+    zero_store(model.store)
+    return model
 
 
 class TestImportanceLogLik:
@@ -251,12 +259,19 @@ class TestMmd:
             mmd([], [K3], "degree")
         with pytest.raises(InputError):
             mmd([K3], [K3], "unknown")
+        for bandwidth in (0.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                mmd([K3], [K3], "degree", bandwidth=bandwidth)
         with pytest.raises(InputError):
-            mmd([K3], [K3], "degree", bandwidth=0.0)
+            mmd([K3], [P3], lambda g: np.array([g.edge_count, 0.0]))
 
-    def test_callable_statistic(self):
-        value = mmd([K3], [P3], lambda g: np.array([g.edge_count, 0.0]))
-        assert value > 0
+    def test_callable_statistic(self, monkeypatch):
+        """A name is looked up in STATISTICS when mmd runs, so a callable
+        bound there (as the benchmark's tracer binds its wrappers) is used."""
+        # K3 and C4 share a degree histogram but not an edge count
+        assert mmd([K3], [C4], "degree") == 0.0
+        monkeypatch.setitem(STATISTICS, "degree", lambda g: np.array([g.edge_count, 0.0]))
+        assert mmd([K3], [C4], "degree") > 0
 
 
 class TestAveragedAdjacency:
@@ -289,3 +304,25 @@ class TestAveragedAdjacency:
     def test_guard(self):
         with pytest.raises(InputError):
             averaged_adjacency(UniformOrderer(), P3, 0, spawn_rng(24))
+
+
+def _count_entry_points():
+    """Each tape-free entry point that takes a draw count, as count -> call."""
+    q = OrderPosterior(PosteriorConfig(max_nodes=4, layers=1, heads=2, head_dim=3, seed=25))
+    adjacency = AdjacencyModel(AdjacencyModelConfig(max_nodes=4, hidden=4, row_embed=2, seed=26))
+    sequence = SequenceModel(SequenceModelConfig(max_nodes=4, hidden=4, edge_hidden=2, seed=27))
+    return {
+        "importance_estimate": lambda c: importance_estimate(adjacency, q, P3, c, spawn_rng(28)),
+        "averaged_adjacency": lambda c: averaged_adjacency(q, P3, c, spawn_rng(29)),
+        "posterior": lambda c: q.sample_orderings(P3, c, spawn_rng(30)),
+        "uniform": lambda c: UniformOrderer().sample_orderings(P3, c, spawn_rng(31)),
+        "adjacency_sample": lambda c: adjacency.sample(c, spawn_rng(32)),
+        "sequence_sample": lambda c: sequence.sample(c, spawn_rng(33)),
+    }
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True, 0])
+@pytest.mark.parametrize("entry", sorted(_count_entry_points()))
+def test_draw_counts_must_be_positive_integers(entry, count):
+    with pytest.raises(InputError, match="count must be a positive integer"):
+        _count_entry_points()[entry](count)

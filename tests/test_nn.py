@@ -13,7 +13,7 @@ from graphorder.nn import (
     residual_attention_stack,
 )
 from graphorder.tensor import ParameterStore, Tape, Tensor, backward, tensor_sum
-from oracles import central_difference
+from oracles import central_difference, zero_store
 
 
 def cycle(n):
@@ -42,7 +42,8 @@ def test_linear_forward():
 
 def test_gru_zero_parameters_halve_state():
     store = ParameterStore()
-    register_gru(store, "cell", 2, 3, np.random.default_rng(2), zero=True)
+    register_gru(store, "cell", 2, 3, np.random.default_rng(2))
+    zero_store(store)
     bound = store.bind(None)
     h = np.array([1.0, -2.0, 0.5])
     out = gru_step(bound, "cell", Tensor(h), Tensor(np.zeros(2)))

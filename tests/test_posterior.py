@@ -18,16 +18,14 @@ from graphorder.posterior import (
 )
 from graphorder.rng import spawn_rng
 from graphorder.tensor import Tape, backward, mean as tensor_mean
-from oracles import central_difference, random_graph
+from oracles import central_difference, random_graph, zero_store
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
-def tiny_posterior(seed=0, zero=False):
-    return OrderPosterior(
-        PosteriorConfig(max_nodes=8, layers=2, heads=2, head_dim=4, seed=seed), zero_init=zero
-    )
+def tiny_posterior(seed=0):
+    return OrderPosterior(PosteriorConfig(max_nodes=8, layers=2, heads=2, head_dim=4, seed=seed))
 
 
 def log_q(q, g, orders):
@@ -45,7 +43,8 @@ class TestNormalizationAndValues:
             assert log_sum_exp(table) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_parameters_give_uniform(self):
-        q = tiny_posterior(zero=True)
+        q = tiny_posterior()
+        zero_store(q.store)
         g = random_graph(spawn_rng(41), 4, 0.5)
         table = log_q(q, g, list(permutations(range(4))))
         assert np.allclose(table, -math.log(24), rtol=0.0, atol=1e-12)

@@ -151,7 +151,7 @@ class TestRefinementMatchesLoopOracle:
         assert len(seen) == 1 + 2 + 4 + 11 + 34
 
     def test_cr_multiplicity_community_graphs(self):
-        dataset = gen_community_small(8, (12, 16), rng=spawn_rng(17, 0))
+        dataset = gen_community_small(8, (12, 16), 0.7, spawn_rng(17, 0))
         rng = spawn_rng(17, 1)
         for g in dataset.graphs:
             for _ in range(5):

@@ -31,14 +31,16 @@ from graphorder.training import (
     train_loop,
     variance_trace,
 )
-from oracles import random_graph
+from oracles import random_graph, zero_store
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
 def coin3():
-    return AdjacencyModel(AdjacencyModelConfig(max_nodes=5, fixed_node_count=3), zero_init=True)
+    model = AdjacencyModel(AdjacencyModelConfig(max_nodes=5, fixed_node_count=3))
+    zero_store(model.store)
+    return model
 
 
 def small_model(seed=1, max_nodes=6):
@@ -117,10 +119,8 @@ class TestGradPhi:
     def test_constant_signal_gives_zero_gradient(self):
         """On a vertex-transitive graph every ordering carries the same
         learning signal, and symmetry forces the score to vanish."""
-        q = OrderPosterior(
-            PosteriorConfig(max_nodes=4, layers=1, heads=2, head_dim=3, seed=14),
-            zero_init=True,
-        )
+        q = OrderPosterior(PosteriorConfig(max_nodes=4, layers=1, heads=2, head_dim=3, seed=14))
+        zero_store(q.store)
         vec = grad_phi(coin3(), q, K3, 4, spawn_rng(15))
         assert np.allclose(vec, 0.0, atol=1e-9)
 
@@ -300,6 +300,12 @@ class TestConfig:
             with pytest.raises(InputError, match=field):
                 TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lr_model", "lr_posterior"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_learning_rate_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(InputError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestVarianceTrace:
     def test_more_samples_less_variance(self):
@@ -312,10 +318,8 @@ class TestVarianceTrace:
         assert trace[1] / 16 < trace[8] < trace[1] / 3
 
     def test_constant_signal_near_zero_variance(self):
-        q = OrderPosterior(
-            PosteriorConfig(max_nodes=4, layers=1, heads=2, head_dim=3, seed=55),
-            zero_init=True,
-        )
+        q = OrderPosterior(PosteriorConfig(max_nodes=4, layers=1, heads=2, head_dim=3, seed=55))
+        zero_store(q.store)
         trace = variance_trace(coin3(), q, K3, [2], trials=10, seed=56)
         assert trace[2] < 1e-18
 
