@@ -117,8 +117,9 @@ def _parse_setting(item: str, where: str) -> tuple[str, object]:
     return key, _convert(key, value, where)
 
 
-def parse_run_config(text: str, source: str = "config") -> dict:
-    """Flat ``key = value`` lines with ``#`` comments; unknown keys rejected."""
+def parse_run_config(text: str, source: str) -> dict:
+    """Flat ``key = value`` lines with ``#`` comments; unknown keys rejected.
+    Errors name ``source`` and the line."""
     values: dict = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -324,7 +324,7 @@ class SequenceModel(GraphModel):
         lead = h.data.shape[:-1]
         new = _broadcast_rows(bound["node0"], *lead)
         ro = _broadcast_rows(reshape(readout, readout.data.shape[:-1] + (1, self.cfg.hidden)), *lead)
-        feats = concat([h, new, ro], axis=-1)
+        feats = concat([h, new, ro])
         hidden = tanh(linear(bound, "edge1", feats))
         return reshape(linear(bound, "edge2", hidden), lead)
 

@@ -113,7 +113,7 @@ def attention_message_pass(
         s_dst = matmul(z, bound[f"{name}.head{k}.dst"])
         att = additive_attention(s_src, s_dst, neighbor_mask)
         outs.append(matmul(att, z))
-    return concat(outs, axis=-1)
+    return concat(outs)
 
 
 def residual_attention_stack(

@@ -188,11 +188,7 @@ class SymmetryReport:
         return doc
 
 
-def symmetry_report(
-    g: Graph,
-    order: Sequence[int] | None = None,
-    exact_sequence: bool = True,
-) -> SymmetryReport:
+def symmetry_report(g: Graph, order: Sequence[int] | None, exact_sequence: bool) -> SymmetryReport:
     seq_exact = seq_bound = None
     pi = None
     if order is not None:

@@ -13,7 +13,12 @@ evaluation.
 Two ops work over the last axis restricted to a boolean mask:
 ``masked_log_softmax``, and ``additive_attention``, which turns the scores
 leaky_relu(src_i + dst_j) into attention weights in one (..., n, n) buffer,
-in place, and pulls the whole chain back in one step.
+in place, and pulls the whole chain back in one step.  It shifts row i by
+the bound leaky_relu(src_i + max_j dst_j), not by the row's masked maximum,
+and multiplies exp's result by the mask, so excluded weights are exactly
+zero; only a row whose sum falls below ``ATTENTION_ROW_FLOOR`` is
+recomputed with its exact masked maximum (or, with an empty mask row,
+raises ``NumericError``).
 
 Parameters live in a ParameterStore; ``Checkpointable`` writes and reads
 the JSON checkpoint of any object built from a config and one store.
@@ -49,6 +54,11 @@ from .files import read_text, write_text_atomic
 
 # negative slope of the leaky step in ``additive_attention``
 ATTENTION_SLOPE = 0.2
+# a row of ``additive_attention`` whose sum is below this takes the exact
+# path.  Above it, the row's bound sits at most 40 + log n nats over its
+# largest score; rounding exp's argument then costs a weight a relative
+# error of about gap * eps / 2, which the floor keeps to a few dozen ulps.
+ATTENTION_ROW_FLOOR = math.exp(-40.0)
 # Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -265,19 +275,18 @@ def reshape(x, shape) -> Tensor:
     return _result((x,), data, pull)
 
 
-def concat(tensors: Sequence, axis: int = -1) -> Tensor:
+def concat(tensors: Sequence) -> Tensor:
+    """Tensors joined along the last axis."""
     parts = tuple(_wrap(t) for t in tensors)
     if not parts:
         raise InputError("concat needs at least one tensor")
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
+    data = np.concatenate([p.data for p in parts], axis=-1)
+    sizes = [p.data.shape[-1] for p in parts]
 
     def pull(g):
         offsets = np.cumsum([0] + sizes)
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _acc(p, g[tuple(idx)])
+            _acc(p, g[..., lo:hi])
 
     return _result(parts, data, pull)
 
@@ -321,9 +330,9 @@ def take_along_last(x, indices) -> Tensor:
     return _result((x,), data, pull)
 
 
-def _mask_support(mask, shape: tuple[int, ...]) -> np.ndarray:
+def _mask(mask, shape: tuple[int, ...]) -> np.ndarray:
     """``mask`` as a bool array; ``NumericError`` unless it broadcasts to
-    ``shape`` and every row (last axis) of the broadcast mask has an entry."""
+    ``shape``."""
     m = np.asarray(mask, dtype=bool)
     try:
         fits = np.broadcast_shapes(m.shape, shape) == shape
@@ -331,19 +340,23 @@ def _mask_support(mask, shape: tuple[int, ...]) -> np.ndarray:
         fits = False
     if not fits:
         raise NumericError(f"mask of shape {m.shape} does not broadcast to {shape}")
-    # broadcasting only repeats the mask's rows, so unless the broadcast
-    # mask is empty (or the mask has no rows) the mask as passed decides
-    rows = m if m.ndim and math.prod(shape) else np.broadcast_to(m, shape)
+    return m
+
+
+def _require_support(rows: np.ndarray) -> None:
+    """``NumericError`` unless every row (last axis) of ``rows`` has an entry."""
     if not rows.any(axis=-1).all():
         raise NumericError("masked softmax row with empty support")
-    return m
 
 
 def masked_log_softmax(x, mask) -> Tensor:
     """Log-probabilities over the last axis restricted to mask; excluded
     entries are set to zero and must not be read."""
     x = _wrap(x)
-    m = _mask_support(mask, x.data.shape)
+    m = _mask(mask, x.data.shape)
+    # broadcasting only repeats the mask's rows, so unless the broadcast
+    # mask is empty (or the mask has no rows) the mask as passed decides
+    _require_support(m if m.ndim and x.data.size else np.broadcast_to(m, x.data.shape))
     shifted = np.where(m, x.data, -np.inf)
     mx = shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted - mx)
@@ -366,18 +379,40 @@ def additive_attention(src, dst, mask) -> Tensor:
 
     One (..., n, n) buffer holds the scores and is turned into the weights
     in place.  The leaky step is max(x, slope * x), exact because
-    0 < slope < 1."""
+    0 < slope < 1.  Row i is shifted by the bound
+    leaky_relu(src_i + max_j dst_j) rather than by its masked maximum: the
+    leaky step is monotone, so the bound is at least every score of the row
+    and exp cannot overflow.  exp runs on every score and the mask
+    multiplies its result, so excluded weights are exactly zero.
+    A row whose sum falls below ``ATTENTION_ROW_FLOOR`` is the rare case:
+    it has no entry in the mask (``NumericError``), or every masked score
+    sits more than 40 nats below the bound, and then it is recomputed with
+    its exact masked maximum."""
     src, dst = _wrap(src), _wrap(dst)
     if src.data.ndim == 0 or src.data.shape != dst.data.shape:
         raise NumericError(f"additive_attention shape mismatch: {src.data.shape} vs {dst.data.shape}")
     x = src.data[..., :, None] + dst.data[..., None, :]
-    m = _mask_support(mask, x.shape)
-    pos = x > 0
+    m = _mask(mask, x.shape)
     np.maximum(x, ATTENTION_SLOPE * x, out=x)
-    np.copyto(x, -np.inf, where=~m)
-    np.subtract(x, x.max(axis=-1, keepdims=True), out=x)
+    # the leaky step keeps signs; the pull needs them only on a tape
+    pos = x > 0 if src.tape is not None or dst.tape is not None else None
+    bound = src.data + dst.data.max(axis=-1, keepdims=True)
+    np.maximum(bound, ATTENTION_SLOPE * bound, out=bound)
+    np.subtract(x, bound[..., None], out=x)
     np.exp(x, out=x)
-    np.divide(x, x.sum(axis=-1, keepdims=True), out=x)
+    np.multiply(x, m, out=x)
+    z = x.sum(axis=-1, keepdims=True)
+    low = z[..., 0] < ATTENTION_ROW_FLOOR
+    if low.any():
+        rows = np.broadcast_to(m, x.shape)[low]
+        _require_support(rows)
+        scores = src.data[low][:, None] + np.broadcast_to(dst.data[..., None, :], x.shape)[low]
+        np.maximum(scores, ATTENTION_SLOPE * scores, out=scores)
+        np.copyto(scores, -np.inf, where=~rows)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        x[low] = e / e.sum(axis=-1, keepdims=True)
+        z[low] = 1.0
+    np.divide(x, z, out=x)
 
     def pull(g):
         gx = x * (g - (g * x).sum(axis=-1, keepdims=True)) * np.where(pos, 1.0, ATTENTION_SLOPE)
@@ -550,7 +585,7 @@ class Checkpointable:
             params[name] = {"shape": list(arr.shape), "values": arr.ravel().tolist()}
         return {"modelKind": self.kind, "metadata": meta, "parameters": params}
 
-    def save(self, path, metadata: dict | None = None) -> None:
+    def save(self, path, metadata: dict) -> None:
         """Write the document to ``path`` atomically."""
         write_text_atomic(path, json.dumps(self.checkpoint(metadata), indent=1) + "\n")
 

@@ -435,7 +435,7 @@ def tensor_op_cases(rng) -> list:
                 ),
                 (
                     "concat",
-                    lambda x, y, w=w25: tensor_sum(mul(w, concat([x, y], axis=1))),
+                    lambda x, y, w=w25: tensor_sum(mul(w, concat([x, y]))),
                     (rand(2, 2), rand(2, 3)),
                 ),
                 (

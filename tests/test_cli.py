@@ -35,7 +35,7 @@ def coin_checkpoint(tmp_path):
     model = AdjacencyModel(AdjacencyModelConfig(max_nodes=5, fixed_node_count=3))
     zero_store(model.store)
     path = tmp_path / "coin.json"
-    model.save(path)
+    model.save(path, {})
     return str(path)
 
 
@@ -78,28 +78,28 @@ class TestSymmetryCommand:
 
 class TestConfigParsing:
     def test_comments_and_blanks(self):
-        values = parse_run_config("# top\nmodel = adjacency  # inline\n\nseed = 3\n")
+        values = parse_run_config("# top\nmodel = adjacency  # inline\n\nseed = 3\n", "config")
         assert values == {"model": "adjacency", "seed": 3}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InputError, match="line 1"):
-            parse_run_config("modle = adjacency\n")
+            parse_run_config("modle = adjacency\n", "config")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
-            parse_run_config("seed = 1\nseed = 2\n")
+            parse_run_config("seed = 1\nseed = 2\n", "config")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(InputError, match="line 2"):
-            parse_run_config("seed = 1\nepochs 4\n")
+            parse_run_config("seed = 1\nepochs 4\n", "config")
 
     def test_bad_int_rejected(self):
         with pytest.raises(InputError, match="invalid value"):
-            parse_run_config("epochs = soon\n")
+            parse_run_config("epochs = soon\n", "config")
 
     def test_bad_bool_rejected(self):
         with pytest.raises(InputError, match="invalid value"):
-            parse_run_config("use_baseline = yes\n")
+            parse_run_config("use_baseline = yes\n", "config")
 
     def test_resolve_requires_data_or_generator(self):
         with pytest.raises(InputError, match="data"):
@@ -352,7 +352,7 @@ class TestLoglikCommand:
 
     def test_posterior_without_learned_proposal_rejected(self, tmp_path, capsys, coin_checkpoint, k3_file):
         q_path = tmp_path / "posterior.json"
-        OrderPosterior(PosteriorConfig(max_nodes=5, layers=1, heads=2, head_dim=3, seed=1)).save(q_path)
+        OrderPosterior(PosteriorConfig(max_nodes=5, layers=1, heads=2, head_dim=3, seed=1)).save(q_path, {})
         code, out, err = run(
             capsys,
             ["loglik", "--checkpoint", coin_checkpoint, "--data", k3_file,
@@ -364,7 +364,7 @@ class TestLoglikCommand:
     def test_learned_proposal_runs(self, tmp_path, capsys, coin_checkpoint, k3_file):
         q = OrderPosterior(PosteriorConfig(max_nodes=5, layers=1, heads=2, head_dim=3, seed=1))
         q_path = tmp_path / "posterior.json"
-        q.save(q_path)
+        q.save(q_path, {})
         code, out, _ = run(
             capsys,
             ["loglik", "--checkpoint", coin_checkpoint, "--data", k3_file,
@@ -384,7 +384,7 @@ class TestLoglikCommand:
 
     def test_graph_above_checkpoint_max_nodes_is_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "small.json"
-        AdjacencyModel(AdjacencyModelConfig(max_nodes=4, hidden=4, row_embed=2)).save(path)
+        AdjacencyModel(AdjacencyModelConfig(max_nodes=4, hidden=4, row_embed=2)).save(path, {})
         graph = tmp_path / "p5.graph"
         graph.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
         code, out, err = run(
@@ -459,7 +459,7 @@ class TestAnalyzeOrderCommand:
     def test_posterior_checkpoint_accepted(self, tmp_path, capsys, p3_file):
         q = OrderPosterior(PosteriorConfig(max_nodes=5, layers=1, heads=2, head_dim=3, seed=4))
         q_path = tmp_path / "posterior.json"
-        q.save(q_path)
+        q.save(q_path, {})
         code, out, _ = run(
             capsys,
             ["analyze-order", "--checkpoint", str(q_path), "--graph", p3_file,
@@ -489,7 +489,7 @@ class TestAnalyzeOrderCommand:
 
     def test_uniform_with_checkpoint_rejected(self, tmp_path, capsys, p3_file):
         q_path = tmp_path / "posterior.json"
-        OrderPosterior(PosteriorConfig(max_nodes=5, layers=1, heads=2, head_dim=3, seed=4)).save(q_path)
+        OrderPosterior(PosteriorConfig(max_nodes=5, layers=1, heads=2, head_dim=3, seed=4)).save(q_path, {})
         code, out, err = run(
             capsys,
             ["analyze-order", "--uniform", "--checkpoint", str(q_path), "--graph", p3_file,

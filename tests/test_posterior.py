@@ -7,6 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from graphorder import nn
 from graphorder.errors import InputError
 from graphorder.graphs import Graph
 from graphorder.models import log_sum_exp
@@ -17,7 +18,7 @@ from graphorder.posterior import (
     positional_encoding,
 )
 from graphorder.rng import spawn_rng
-from graphorder.tensor import Tape, backward, mean as tensor_mean
+from graphorder.tensor import ATTENTION_SLOPE, Tape, additive_attention, backward, mean as tensor_mean
 from oracles import central_difference, random_graph, zero_store
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -141,6 +142,32 @@ class TestSampling:
             teacher = q.log_probs_orderings(g, pis).data
             assert np.allclose([s.log_q for s in samples], teacher, rtol=0.0, atol=1e-10)
 
+    def test_attention_scores_beyond_exp_range(self, monkeypatch):
+        """With the attention vectors scaled up, some rows' bound sits
+        hundreds of nats above every score they keep; log q stays finite
+        and the draws still match the teacher-forced pass."""
+        q = tiny_posterior(seed=19)
+        for name in q.store.names():
+            if name.endswith((".src", ".dst")):
+                q.store.get(name)[:] *= 1e4
+        gaps = []
+
+        def recording_attention(src, dst, mask):
+            scores = src.data[..., :, None] + dst.data[..., None, :]
+            scores = np.maximum(scores, ATTENTION_SLOPE * scores)
+            kept = np.where(mask, scores, -np.inf).max(axis=-1)
+            gaps.append((scores.max(axis=-1) - kept).max())
+            return additive_attention(src, dst, mask)
+
+        monkeypatch.setattr(nn, "additive_attention", recording_attention)
+        g = random_graph(spawn_rng(50), 7, 0.4)
+        samples = q.sample_orderings(g, 64, spawn_rng(51))
+        sampled = np.array([s.log_q for s in samples])
+        teacher = log_q(q, g, [s.pi for s in samples])
+        assert max(gaps) > 800
+        assert np.isfinite(sampled).all() and np.isfinite(teacher).all()
+        assert np.allclose(sampled, teacher, rtol=0.0, atol=1e-10)
+
     def test_deterministic_given_seed(self):
         q = tiny_posterior(seed=17)
         g = random_graph(spawn_rng(48), 6, 0.5)
@@ -239,6 +266,6 @@ class TestCheckpoint:
 
         model = AdjacencyModel(AdjacencyModelConfig(max_nodes=4, hidden=6, row_embed=4))
         path = tmp_path / "model.json"
-        model.save(path)
+        model.save(path, {})
         with pytest.raises(InputError):
             OrderPosterior.load(path)

@@ -335,7 +335,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_concat(self):
         rng = np.random.default_rng(11)
         scalar_grad_check(
-            lambda a, b: tensor_sum(tanh(concat([a, b], axis=1))),
+            lambda a, b: tensor_sum(tanh(concat([a, b]))),
             rng.normal(size=(2, 3)),
             rng.normal(size=(2, 2)),
         )
@@ -385,9 +385,35 @@ def attention_masks(n: int, rng) -> dict[str, np.ndarray]:
     return {"isolated": adj | np.eye(n, dtype=bool), "full": np.ones((n, n), dtype=bool)}
 
 
+# The fused op shifts each row by a bound and the chain by the row's masked
+# maximum, so exp's arguments round differently (by about gap * eps / 2 each,
+# see ``tensor.ATTENTION_ROW_FLOOR``).  Weights, which are at most 1, agree
+# within this many ulps of 1, and gradients within it times the largest
+# upstream gradient.
+CHAIN_TOL = 4 * np.finfo(np.float64).eps
+
+
+def assert_matches_chain(src, dst, mask, g, label) -> np.ndarray:
+    """The fused op's weights and gradients against the chain, within
+    ``CHAIN_TOL``; excluded weights are exactly 0 and taped and tape-free
+    weights are equal.  Returns the weights."""
+    expect, expect_src, expect_dst = chained_additive_attention(src, dst, mask, ATTENTION_SLOPE, g)
+    tape = Tape()
+    s, d = Tensor(src, tape=tape), Tensor(dst, tape=tape)
+    out = additive_attention(s, d, mask)
+    backward(tape, tensor_sum(mul(out, g)))
+    grad_tol = CHAIN_TOL * np.abs(g).max()
+    assert np.abs(out.data - expect).max() <= CHAIN_TOL, label
+    assert np.abs(s.grad - expect_src).max() <= grad_tol, label
+    assert np.abs(d.grad - expect_dst).max() <= grad_tol, label
+    assert np.array_equal(additive_attention(src, dst, mask).data, out.data), label
+    assert (out.data[..., ~mask] == 0.0).all(), label
+    return out.data
+
+
 class TestAdditiveAttentionMatchesChain:
     """The fused op against the add / leaky ReLU / masked softmax chain it
-    replaced: values and gradients are equal, not merely close."""
+    replaced."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     @pytest.mark.parametrize("lead", ["single", "batch", "rows"])
@@ -397,19 +423,33 @@ class TestAdditiveAttentionMatchesChain:
         for label, mask in attention_masks(n, rng).items():
             src, dst = rng.normal(size=(2,) + shape) * 2.0
             g = rng.normal(size=shape + (n,))
-            expect, expect_src, expect_dst = chained_additive_attention(src, dst, mask, 0.2, g)
-
-            tape = Tape()
-            s, d = Tensor(src, tape=tape), Tensor(dst, tape=tape)
-            out = additive_attention(s, d, mask)
-            backward(tape, tensor_sum(mul(out, g)))
-            assert np.array_equal(out.data, expect), label
-            assert np.array_equal(s.grad, expect_src), label
-            assert np.array_equal(d.grad, expect_dst), label
-            assert np.array_equal(additive_attention(src, dst, mask).data, expect), label
-            assert (out.data[..., ~mask] == 0.0).all(), label
+            out = assert_matches_chain(src, dst, mask, g, label)
             if label == "isolated":
-                assert (out.data[..., 0, 0] == 1.0).all()
+                assert (out[..., 0, 0] == 1.0).all()
+
+    @pytest.mark.parametrize("self_loops", [True, False], ids=["with-self", "without-self"])
+    def test_dst_spread_beyond_exp_range(self, self_loops):
+        """Node 0's dst sits 1e3 above the others' and node 1's 1e3 below, so
+        a row that does not reach node 0 has a bound hundreds of nats above
+        every score it keeps: shifted by the bound, all its exps underflow
+        to 0.  Those rows take the exact path and stay finite."""
+        n = 8
+        rng = np.random.default_rng(77)
+        ring = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        mask = ring | ring.T | (rng.random((n, n)) < 0.2)
+        mask = mask | mask.T
+        np.fill_diagonal(mask, self_loops)
+        src, dst = rng.normal(size=(2, 3, n))
+        dst[:, 0] += 1e3
+        dst[:, 1] -= 1e3
+        scores = src[..., :, None] + dst[..., None, :]
+        scores = np.maximum(scores, ATTENTION_SLOPE * scores)
+        # the leaky step is monotone, so a row's largest score is its bound
+        gap = scores.max(axis=-1) - np.where(mask, scores, -np.inf).max(axis=-1)
+        assert (gap > 800).any() and (gap == 0).any()
+        out = assert_matches_chain(src, dst, mask, rng.normal(size=(3, n, n)), "spread")
+        assert np.isfinite(out).all()
+        assert np.allclose(out.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_rejects_mismatched_operands_and_slope(self):
         with pytest.raises(NumericError):
