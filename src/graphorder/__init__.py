@@ -17,7 +17,6 @@ from .errors import (
 from .graphs import (
     Graph,
     LowerTriangularEncoding,
-    decode_adjacency,
     degree_sequence,
     encode_adjacency,
     induced_subgraph,
@@ -33,7 +32,6 @@ __all__ = [
     "NumericError",
     "ParseError",
     "ResourceError",
-    "decode_adjacency",
     "degree_sequence",
     "encode_adjacency",
     "induced_subgraph",

@@ -1,6 +1,6 @@
-"""Immutable simple undirected graphs plus orderings and encodings, and the
-two routines every symmetry computation is built on: color refinement and a
-key-preserving isomorphism search.
+"""Immutable simple undirected graphs plus orderings and the lower-triangular
+encoding, and the two routines every symmetry computation is built on: color
+refinement and a key-preserving isomorphism search.
 
 Adjacency is stored as one Python int bitmask per node, which keeps neighbour
 tests, induced subgraphs, and connectivity checks cheap at desk scale.
@@ -17,6 +17,11 @@ from .errors import InputError
 
 Ordering = tuple[int, ...]
 Coloring = tuple[int, ...]
+
+
+def _is_int(v) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -54,8 +59,15 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Graph on n nodes with the given (u, v) edges.  Node ids must be
+        Python or numpy integers: floats and bools are refused."""
         rows = [0] * max(n, 1)
         for u, v in edges:
+            # plain ints, the common case, skip the slower type check
+            if type(u) is not int or type(v) is not int:
+                if not (_is_int(u) and _is_int(v)):
+                    raise InputError(f"edge ({u!r}, {v!r}) node ids must be integers")
+                u, v = int(u), int(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -114,7 +126,7 @@ def validate_ordering(g: Graph, order: Sequence[int]) -> Ordering:
     must be Python or numpy integers: floats and bools are refused, not
     truncated."""
     pi = tuple(order)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in pi):
+    if not all(map(_is_int, pi)):
         raise InputError("ordering entries must be integers")
     pi = tuple(map(int, pi))
     if len(pi) != g.n or sorted(pi) != list(range(g.n)):
@@ -189,16 +201,6 @@ def encode_adjacency(g: Graph, order: Sequence[int]) -> LowerTriangularEncoding:
         for t in range(1, g.n)
     )
     return LowerTriangularEncoding(g.n, rows)
-
-
-def decode_adjacency(enc: LowerTriangularEncoding) -> Graph:
-    edges = [
-        (j, k + 1)
-        for k, row in enumerate(enc.rows)
-        for j, bit in enumerate(row)
-        if bit
-    ]
-    return Graph.from_edges(enc.n, edges)
 
 
 def color_refinement(g: Graph, initial: Sequence[int] | None = None) -> Coloring:

@@ -4,7 +4,9 @@ Two model families share one contract: for a batch of orderings of one graph,
 the log-probabilities of the ordered representations (lower-triangular
 adjacency rows, or node-by-node growth steps) and the log ordering
 multiplicities, whose difference is the joint log p(G, pi).  Both families
-also sample new graphs ancestrally.
+also sample new graphs ancestrally, growing one boolean (count, max_nodes,
+max_nodes) adjacency array; a free-size model stops at ``max_nodes`` with
+certainty, so neither sampling nor scoring draws or charges a stop there.
 """
 
 from __future__ import annotations
@@ -12,18 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import (
-    Graph,
-    LowerTriangularEncoding,
-    adjacency_matrix,
-    decode_adjacency,
-    validate_orderings,
-)
+from .graphs import Graph, adjacency_matrix, validate_orderings
 from .nn import gru_step, linear, register_gru, register_linear
 from .rng import spawn_rng
 from .symmetry import (
@@ -40,7 +36,6 @@ from .tensor import (
     check_positive_ints,
     concat,
     ensure_finite,
-    gather_rows,
     log_sigmoid,
     matmul,
     mean,
@@ -90,6 +85,20 @@ def _prefix_blocks(batch: int, last: int) -> list[tuple[int, int]]:
         blocks.append((lo, hi))
         lo = hi + 1
     return blocks
+
+
+def _bernoulli_draws(logits: np.ndarray, rng: np.random.Generator, what: str) -> np.ndarray:
+    """Boolean draws, one per finite logit, true with probability sigmoid."""
+    logits = ensure_finite(logits, what)
+    return rng.random(logits.shape) < 1.0 / (1.0 + np.exp(-logits))
+
+
+def _graphs(adj: np.ndarray, sizes: np.ndarray) -> list[Graph]:
+    """The graphs whose edges are the strict lower triangles of boolean
+    adjacency arrays, graph b on its first ``sizes[b]`` nodes."""
+    return [
+        Graph.from_edges(int(n), np.argwhere(np.tril(a[:n, :n])).tolist()) for a, n in zip(adj, sizes)
+    ]
 
 
 def _broadcast_rows(x: Tensor, *lead: int) -> Tensor:
@@ -189,7 +198,9 @@ class AdjacencyModel(GraphModel):
     # -- scoring -------------------------------------------------------------
 
     def log_prob_rows(self, rows: np.ndarray, tape: Tape | None = None) -> Tensor:
-        """Log-probabilities of (batch, n-1, max_nodes-1) padded row arrays."""
+        """Log-probabilities of (batch, n-1, max_nodes-1) padded row arrays.
+        A free-size model pays a continue term before each row and a stop
+        term after the last, except at ``max_nodes``, where it stops surely."""
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 3 or rows.shape[2] != self.cfg.max_nodes - 1:
             raise InputError("rows must have shape (batch, steps, max_nodes - 1)")
@@ -206,7 +217,7 @@ class AdjacencyModel(GraphModel):
             mask[: k + 1] = 1.0
             terms.append(_bernoulli_log_prob(self._row_logits(bound, state), rows[:, k, :], mask))
             state = self._advance(bound, state, rows[:, k, :])
-        if not sized:
+        if not sized and steps + 1 < self.cfg.max_nodes:
             terms.append(log_sigmoid(self._stop_logit(bound, state)))
         return reduce(add, terms)
 
@@ -217,8 +228,7 @@ class AdjacencyModel(GraphModel):
         pis = self._orderings(g, orders)
         aperm = _permuted_adjacency(g, pis)
         rows = np.zeros((len(pis), g.n - 1, self.cfg.max_nodes - 1))
-        for k in range(g.n - 1):
-            rows[:, k, : k + 1] = aperm[:, k + 1, : k + 1]
+        rows[:, :, : g.n - 1] = np.tril(aperm[:, 1:, :-1])
         return self.log_prob_rows(rows, tape)
 
     def log_multiplicities(self, g: Graph, orders: np.ndarray, mode: str) -> np.ndarray:
@@ -231,37 +241,27 @@ class AdjacencyModel(GraphModel):
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Graph]:
         """``count`` graphs drawn ancestrally; the stop and edge logits must
-        be finite before each draw."""
+        be finite before each draw.  Step k draws node k + 2's row for every
+        sample, and a stopped sample keeps a zero row, which is what the
+        next state reads."""
         check_positive_ints(count=count)
         cfg = self.cfg
         bound = self.store.bind(None)
         state = _broadcast_rows(bound["state0"], count)
+        adj = np.zeros((count, cfg.max_nodes, cfg.max_nodes), dtype=bool)
+        sizes = np.ones(count, dtype=np.int64)
         alive = np.ones(count, dtype=bool)
-        rows: list[list[tuple[int, ...]]] = [[] for _ in range(count)]
-        for k in range(cfg.max_nodes - 1):
-            if cfg.fixed_node_count is not None:
-                if k >= cfg.fixed_node_count - 1:
-                    break
-            else:
-                stop = ensure_finite(self._stop_logit(bound, state).data, "stop logits")
-                p_stop = 1.0 / (1.0 + np.exp(-stop))
-                stopping = alive & (rng.random(count) < p_stop)
-                alive &= ~stopping
+        for k in range((cfg.fixed_node_count or cfg.max_nodes) - 1):
+            if cfg.fixed_node_count is None:
+                alive &= ~_bernoulli_draws(self._stop_logit(bound, state).data, rng, "stop logits")
                 if not alive.any():
                     break
-            logits = ensure_finite(self._row_logits(bound, state).data[:, : k + 1], "edge logits")
-            bits = (rng.random(logits.shape) < 1.0 / (1.0 + np.exp(-logits))).astype(np.float64)
-            for b in range(count):
-                if alive[b]:
-                    rows[b].append(tuple(int(x) for x in bits[b]))
-            full = np.zeros((count, cfg.max_nodes - 1))
-            full[:, : k + 1] = np.where(alive[:, None], bits, 0.0)
-            state = self._advance(bound, state, full)
-        graphs = []
-        for b in range(count):
-            n = len(rows[b]) + 1
-            graphs.append(decode_adjacency(LowerTriangularEncoding(n, tuple(rows[b]))))
-        return graphs
+            logits = self._row_logits(bound, state).data[:, : k + 1]
+            bits = _bernoulli_draws(logits, rng, "edge logits") & alive[:, None]
+            adj[:, k + 1, : k + 1] = bits
+            sizes += alive
+            state = self._advance(bound, state, adj[:, k + 1, :-1].astype(np.float64))
+        return _graphs(adj, sizes)
 
 
 @dataclass(frozen=True)
@@ -339,7 +339,8 @@ class SequenceModel(GraphModel):
         """Log-probabilities of growing ``g`` along each ordering in ``orders``.
 
         The prefix of size t < n pays the continue term and the edges of the
-        node that joins it; the full graph (t = n) pays the stop term.  With
+        node that joins it; the full graph (t = n) pays the stop term, unless
+        n = ``max_nodes``, where the model stops surely.  With
         ``fixed_node_count`` set there are no stop terms and no t = n prefix.
         Prefix sizes are scored in blocks from ``_prefix_blocks``: each block
         pads its prefixes to its widest one, masks the adjacency, readout and
@@ -349,7 +350,8 @@ class SequenceModel(GraphModel):
         sized = self.cfg.fixed_node_count is not None
         bound = self.store.bind(tape)
         total = Tensor(np.zeros(batch), tape=tape)
-        for lo, hi in _prefix_blocks(batch, n - 1 if sized else n):
+        stops = not sized and n < self.cfg.max_nodes
+        for lo, hi in _prefix_blocks(batch, n if stops else n - 1):
             sizes = np.arange(lo, hi + 1)
             nodes = (np.arange(hi) < sizes[:, None]).astype(np.float64)  # (prefixes, hi)
             adj = aperm[:, None, :hi, :hi] * (nodes[:, :, None] * nodes[:, None, :])
@@ -378,51 +380,29 @@ class SequenceModel(GraphModel):
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Graph]:
         """``count`` graphs drawn ancestrally; the stop and edge logits must
-        be finite before each draw."""
+        be finite before each draw.  Every live sample has exactly t nodes at
+        step t, so one propagation of their (live, t, t) block serves both
+        heads; a sample that stops there draws no edges."""
         check_positive_ints(count=count)
         cfg = self.cfg
         bound = self.store.bind(None)
-        out: list[Graph] = []
-        adjs = [np.zeros((1, 1, 1)) for _ in range(count)]
-        alive = np.ones(count, dtype=bool)
-        # grow every sample in lockstep; finished samples stop participating
-        for t in range(1, cfg.max_nodes):
-            if cfg.fixed_node_count is not None:
-                if t >= cfg.fixed_node_count:
-                    break
-            live_idx = np.flatnonzero(alive)
-            if live_idx.size == 0:
-                break
-            block = np.stack([adjs[b][0] for b in live_idx])
-            h = self._propagate(bound, block)
+        adj = np.zeros((count, cfg.max_nodes, cfg.max_nodes), dtype=bool)
+        sizes = np.ones(count, dtype=np.int64)
+        live = np.arange(count)
+        for t in range(1, cfg.fixed_node_count or cfg.max_nodes):
+            h = self._propagate(bound, adj[live, :t, :t].astype(np.float64))
             readout = mean(h, axis=-2)
+            grows = np.ones(live.size, dtype=bool)
             if cfg.fixed_node_count is None:
-                stop = ensure_finite(self._stop_logit(bound, readout).data, "stop logits")
-                p_stop = 1.0 / (1.0 + np.exp(-stop))
-                stops = rng.random(live_idx.size) < p_stop
-                alive[live_idx[stops]] = False
-                live_idx = live_idx[~stops]
-                if live_idx.size == 0:
+                grows = ~_bernoulli_draws(self._stop_logit(bound, readout).data, rng, "stop logits")
+                if not grows.any():
                     break
-                # each sample propagates on its own, so the kept rows are
-                # the states a propagation of the kept block would give
-                kept = np.flatnonzero(~stops)
-                h, readout = gather_rows(h, kept), gather_rows(readout, kept)
-            logits = ensure_finite(self._edge_logits(bound, h, readout).data, "edge logits")
-            bits = (rng.random(logits.shape) < 1.0 / (1.0 + np.exp(-logits))).astype(np.float64)
-            for i, b in enumerate(live_idx):
-                old = adjs[b][0]
-                grown = np.zeros((t + 1, t + 1))
-                grown[:t, :t] = old
-                grown[t, :t] = bits[i]
-                grown[:t, t] = bits[i]
-                adjs[b] = grown[None]
-        for b in range(count):
-            a = adjs[b][0]
-            n = a.shape[0]
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if a[i, j] > 0]
-            out.append(Graph.from_edges(n, edges))
-        return out
+            logits = self._edge_logits(bound, h, readout).data[grows]
+            live = live[grows]
+            bits = _bernoulli_draws(logits, rng, "edge logits")
+            adj[live, t, :t] = adj[live, :t, t] = bits
+            sizes[live] = t + 1
+        return _graphs(adj, sizes)
 
 
 # one code path rebuilds both families: the shared base's checkpoint readers
@@ -453,18 +433,8 @@ def exact_marginal_log_prob(model: GraphModel, g: Graph, max_nodes: int = 8) -> 
             f"exact marginal enumerates {g.n}! orderings; raise max_nodes (currently {max_nodes}) to allow"
         )
     logs = []
-    chunk: list[tuple[int, ...]] = []
-
-    def flush() -> None:
-        if not chunk:
-            return
+    orderings = permutations(range(g.n))
+    while chunk := list(islice(orderings, 8192)):
         rep, log_mult = joint_log_probs(model, g, np.array(chunk), mode="exact")
         logs.append(rep.data - log_mult)
-        chunk.clear()
-
-    for pi in permutations(range(g.n)):
-        chunk.append(pi)
-        if len(chunk) == 8192:
-            flush()
-    flush()
     return log_sum_exp(ensure_finite(np.concatenate(logs), "joint log-probabilities"))

@@ -291,27 +291,6 @@ def concat(tensors: Sequence) -> Tensor:
     return _result(parts, data, pull)
 
 
-def gather_rows(x, indices) -> Tensor:
-    """Rows of x selected along axis 0; duplicate indices sum in the backward
-    pass."""
-    x = _wrap(x)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise InputError("gather_rows expects a 1-D index list")
-    if x.data.ndim < 1:
-        raise NumericError("gather_rows operand must be at least 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise InputError("gather_rows index out of range")
-    data = x.data[idx]
-
-    def pull(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, idx, g)
-        _acc(x, buf)
-
-    return _result((x,), data, pull)
-
-
 def take_along_last(x, indices) -> Tensor:
     """Pick one entry per row along the last axis; indices shape x.shape[:-1]."""
     x = _wrap(x)

@@ -244,7 +244,8 @@ def central_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 def per_prefix_log_prob_orderings(model, g: Graph, orders, tape=None) -> Tensor:
     """``SequenceModel.log_prob_orderings`` one prefix at a time: one
-    propagation over the unpadded first t nodes for each prefix size t."""
+    propagation over the unpadded first t nodes for each prefix size t.  A
+    free-size model pays the final stop term only below ``max_nodes``."""
     aperm = _permuted_adjacency(g, model._orderings(g, orders))
     batch, n, _ = aperm.shape
     sized = model.cfg.fixed_node_count is not None
@@ -257,7 +258,7 @@ def per_prefix_log_prob_orderings(model, g: Graph, orders, tape=None) -> Tensor:
             terms.append(log_sigmoid(mul(model._stop_logit(bound, readout), -1.0)))
         logits = model._edge_logits(bound, h, readout)
         terms.append(_bernoulli_log_prob(logits, aperm[:, t, :t], None))
-    if not sized:
+    if not sized and n < model.cfg.max_nodes:
         h = model._propagate(bound, aperm)
         terms.append(log_sigmoid(model._stop_logit(bound, mean(h, axis=-2))))
     return reduce(add, terms)

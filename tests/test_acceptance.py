@@ -53,7 +53,6 @@ from graphorder.tensor import (
     additive_attention,
     backward,
     concat,
-    gather_rows,
     log_sigmoid,
     masked_log_softmax,
     matmul,
@@ -406,7 +405,6 @@ def tensor_op_cases(rng) -> list:
         mask = row_mask(3, 5)
         att_mask = (rng.random((4, 4)) < 0.6) | np.eye(4, dtype=bool)
         w244 = rand(2, 4, 4)
-        idx_rows = np.array([0, 2, 2, 4])
         idx_last = np.array([1, 3, 0])
         cases.extend(
             [
@@ -437,11 +435,6 @@ def tensor_op_cases(rng) -> list:
                     "concat",
                     lambda x, y, w=w25: tensor_sum(mul(w, concat([x, y]))),
                     (rand(2, 2), rand(2, 3)),
-                ),
-                (
-                    "gather_rows",
-                    lambda x, i=idx_rows: tensor_sum(mul(np.arange(1.0, 13.0).reshape(4, 3), gather_rows(x, i))),
-                    (rand(5, 3),),
                 ),
                 (
                     "take_along_last",

@@ -228,6 +228,47 @@ class TestSampling:
         assert all(g.n == 3 for g in draws)
 
 
+class TestStopAtMaxNodes:
+    """A free-size model stops surely at ``max_nodes``: no stop term is
+    scored there, so the class probabilities sum to 1 and samples, which
+    stop at different sizes within one batch, follow them."""
+
+    N = 4000
+    MODELS = [
+        AdjacencyModel(AdjacencyModelConfig(max_nodes=3, hidden=8, row_embed=4, seed=5)),
+        SequenceModel(SequenceModelConfig(max_nodes=3, hidden=8, edge_hidden=6, seed=5)),
+    ]
+
+    @staticmethod
+    def class_probabilities(model) -> dict[tuple[int, int], float]:
+        """p(G) = sum over orderings of p(rep) / |Aut(G)| for the 7 graphs of
+        at most 3 nodes, keyed by (nodes, edges), which tells them apart."""
+        probs = {}
+        for n in (1, 2, 3):
+            pis = np.array(list(permutations(range(n))))
+            for g in all_graphs(n):
+                key = (n, g.edge_count)
+                if key not in probs:
+                    rep = model.log_prob_orderings(g, pis).data
+                    probs[key] = float(np.exp(rep).sum()) / automorphism_count(g)
+        return probs
+
+    @pytest.mark.parametrize("model", MODELS, ids=["adjacency", "sequence"])
+    def test_class_probabilities_sum_to_one(self, model):
+        probs = self.class_probabilities(model)
+        assert len(probs) == 7
+        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS, ids=["adjacency", "sequence"])
+    def test_sample_frequencies_match_class_probabilities(self, model):
+        probs = self.class_probabilities(model)
+        draws = model.sample(self.N, spawn_rng(31))
+        assert len({g.n for g in draws}) == 3
+        for key, p in probs.items():
+            freq = sum((g.n, g.edge_count) == key for g in draws) / self.N
+            assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / self.N), key
+
+
 class TestJointAndMarginal:
     def test_marginal_equals_dedup_over_encodings(self):
         """Summing over orderings must equal summing distinct encodings."""
@@ -241,6 +282,20 @@ class TestJointAndMarginal:
         assert math.factorial(5) // automorphism_count(g) == len(by_enc)
         expect = log_sum_exp(np.array(list(by_enc.values())))
         assert exact_marginal_log_prob(model, g) == pytest.approx(expect, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_adjacency_scores_the_encoding_rows(self, n):
+        """``log_prob_orderings`` scores the rows of ``encode_adjacency``,
+        padded to the model's row width."""
+        model = small_adjacency(seed=23)
+        rng = spawn_rng(24, n)
+        g = random_graph(rng, n, 0.5)
+        pis = np.array([rng.permutation(n) for _ in range(6)])
+        rows = np.zeros((len(pis), n - 1, model.cfg.max_nodes - 1))
+        for b, pi in enumerate(pis):
+            for k, row in enumerate(encode_adjacency(g, pi).rows):
+                rows[b, k, : k + 1] = row
+        assert np.array_equal(model.log_prob_orderings(g, pis).data, model.log_prob_rows(rows).data)
 
     @given(graphs(min_nodes=2, max_nodes=5), st.integers(0, 3))
     def test_sequence_joint_sums_to_marginal(self, g, seed):

@@ -15,7 +15,6 @@ from graphorder.tensor import (
     additive_attention,
     backward,
     concat,
-    gather_rows,
     log_sigmoid,
     masked_log_softmax,
     matmul,
@@ -338,12 +337,6 @@ class TestGradientsAgainstFiniteDifferences:
             lambda a, b: tensor_sum(tanh(concat([a, b]))),
             rng.normal(size=(2, 3)),
             rng.normal(size=(2, 2)),
-        )
-
-    def test_gather_rows_with_duplicates(self):
-        rng = np.random.default_rng(12)
-        scalar_grad_check(
-            lambda x: tensor_sum(tanh(gather_rows(x, [0, 2, 0]))), rng.normal(size=(3, 4))
         )
 
     def test_take_along_last(self):
