@@ -290,8 +290,7 @@ def _cmd_symmetry(args) -> None:
             order = tuple(int(part) for part in args.order.split(","))
         except ValueError:
             raise InputError(f"--order must be comma-separated integers, got {args.order!r}") from None
-    report = symmetry_report(g, order=order, exact_sequence=args.exact_seq)
-    _emit(json.dumps(report.to_dict(), indent=2), args.out)
+    _emit(json.dumps(symmetry_report(g, order, args.exact_seq), indent=2), args.out)
 
 
 def _cmd_train(args) -> None:
@@ -357,7 +356,7 @@ def _cmd_loglik(args) -> None:
     estimates = []
     for index, g in enumerate(dataset):
         rng = spawn_rng(args.seed, _LOGLIK_LANE, index)
-        est = importance_estimate(model, proposal, g, args.L, rng, mode=args.mode)
+        est = importance_estimate(model, proposal, g, args.L, rng)
         exact = None
         if g.n <= args.exact_max_n:
             exact = exact_marginal_log_prob(model, g, max_nodes=args.exact_max_n)
@@ -376,7 +375,6 @@ def _cmd_loglik(args) -> None:
         "checkpoint": args.checkpoint,
         "data": args.data,
         "proposal": args.proposal,
-        "multiplicityMode": args.mode,
         "seed": args.seed,
         "graphs": rows,
         "meanIsEstimate": float(np.mean(estimates)),
@@ -498,12 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help="also enumerate the exact value for graphs up to this size (default 8)",
-    )
-    p.add_argument(
-        "--mode",
-        choices=("exact", "cr"),
-        default="exact",
-        help="ordering-multiplicity mode for the joint (default exact)",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument("--out", default=None, help="output file (default stdout)")

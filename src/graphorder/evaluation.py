@@ -53,23 +53,18 @@ def jackknife_log_mean_stderr(log_weights: np.ndarray) -> float:
 
 
 def importance_estimate(
-    model: GraphModel,
-    proposal: OrderingModel,
-    g: Graph,
-    sample_count: int,
-    rng,
-    mode: str = "exact",
+    model: GraphModel, proposal: OrderingModel, g: Graph, sample_count: int, rng
 ) -> ImportanceEstimate:
     """log of the average importance ratio p(G, pi)/q(pi | G) over draws
-    from the proposal; consistent for log p(G) and a lower bound in
-    expectation."""
+    from the proposal, with the exact joint; consistent for log p(G) and a
+    lower bound in expectation."""
     check_positive_ints(sample_count=sample_count)
     log_weights = []
     remaining = sample_count
     while remaining > 0:
         block = min(_IS_CHUNK, remaining)
         pis, log_q = draw_orderings(proposal, g, block, rng)
-        rep, log_mult = joint_log_probs(model, g, pis, mode)
+        rep, log_mult = joint_log_probs(model, g, pis, "exact")
         w = rep.data - log_mult - log_q
         if not np.all(np.isfinite(w)):
             raise NumericError("non-finite importance ratio")

@@ -4,9 +4,14 @@ Two model families share one contract: for a batch of orderings of one graph,
 the log-probabilities of the ordered representations (lower-triangular
 adjacency rows, or node-by-node growth steps) and the log ordering
 multiplicities, whose difference is the joint log p(G, pi).  Both families
-also sample new graphs ancestrally, growing one boolean (count, max_nodes,
-max_nodes) adjacency array; a free-size model stops at ``max_nodes`` with
-certainty, so neither sampling nor scoring draws or charges a stop there.
+emit the labelled adjacency matrix of the ordering, which exactly |Aut(G)|
+orderings reach, so both divide by |Aut(G)| in ``exact`` mode.  The orbit
+products of ``symmetry`` count the orderings that grow the same sequence of
+prefix classes, a set that can be larger; no model divides by them.
+Both families also sample new graphs ancestrally, growing one boolean
+(count, max_nodes, max_nodes) adjacency array; a free-size model stops at
+``max_nodes`` with certainty, so neither sampling nor scoring draws or
+charges a stop there.
 """
 
 from __future__ import annotations
@@ -22,11 +27,7 @@ from .errors import InputError, ResourceError
 from .graphs import Graph, adjacency_matrix, validate_orderings
 from .nn import gru_step, linear, register_gru, register_linear
 from .rng import spawn_rng
-from .symmetry import (
-    automorphism_count,
-    sequence_multiplicity_cr,
-    sequence_multiplicity_exact,
-)
+from .symmetry import automorphism_count, sequence_multiplicity_cr
 from .tensor import (
     Checkpointable,
     ParameterStore,
@@ -133,8 +134,9 @@ class GraphModel(Checkpointable):
     methods: ``log_prob_orderings(g, orders, tape)`` gives the (S,) tensor of
     log-probabilities of the ordered representations, and
     ``log_multiplicities(g, orders, mode)`` the (S,) array of the log of how
-    many orderings share each representation.  ``joint_log_probs`` returns
-    both; the joint log p(G, pi) is their difference."""
+    many orderings share each representation: |Aut(G)| for both families in
+    ``exact`` mode.  ``joint_log_probs`` returns both; the joint log p(G, pi)
+    is their difference."""
 
     def _check_n(self, n: int) -> None:
         if not 1 <= n <= self.cfg.max_nodes:
@@ -147,6 +149,13 @@ class GraphModel(Checkpointable):
         """The checked (S, n) ordering batch of a graph this model can generate."""
         self._check_n(g.n)
         return validate_orderings(g, orders)
+
+    def log_multiplicities(self, g: Graph, orders: np.ndarray, mode: str) -> np.ndarray:
+        """log |Aut(g)| per ordering: every ordering shares its labelled
+        adjacency matrix with exactly the orderings it maps to under an
+        automorphism."""
+        pis = self._orderings(g, orders)
+        return np.full(len(pis), math.log(cached_automorphism_count(g)))
 
 
 @dataclass(frozen=True)
@@ -230,12 +239,6 @@ class AdjacencyModel(GraphModel):
         rows = np.zeros((len(pis), g.n - 1, self.cfg.max_nodes - 1))
         rows[:, :, : g.n - 1] = np.tril(aperm[:, 1:, :-1])
         return self.log_prob_rows(rows, tape)
-
-    def log_multiplicities(self, g: Graph, orders: np.ndarray, mode: str) -> np.ndarray:
-        """log |Aut(g)| per ordering, in either mode: every ordering shares
-        its rows with exactly the orderings it maps to under an automorphism."""
-        pis = self._orderings(g, orders)
-        return np.full(len(pis), math.log(cached_automorphism_count(g)))
 
     # -- sampling ------------------------------------------------------------
 
@@ -370,11 +373,13 @@ class SequenceModel(GraphModel):
         return total
 
     def log_multiplicities(self, g: Graph, orders: np.ndarray, mode: str) -> np.ndarray:
-        """Log of the number of orderings that grow the same sequence of
-        graphs as each ordering: exact orbit products in ``exact`` mode, the
-        colour-refinement upper bound in ``cr`` mode."""
-        count = sequence_multiplicity_exact if mode == "exact" else sequence_multiplicity_cr
-        return np.array([math.log(count(g, tuple(pi))) for pi in self._orderings(g, orders).tolist()])
+        """log |Aut(g)| in ``exact`` mode; in ``cr`` mode the log of the
+        colour-refinement bound, which is at least the orbit product and so
+        at least |Aut(g)|: the joint it gives is a lower bound."""
+        if mode == "exact":
+            return super().log_multiplicities(g, orders, mode)
+        pis = self._orderings(g, orders).tolist()
+        return np.array([math.log(sequence_multiplicity_cr(g, tuple(pi))) for pi in pis])
 
     # -- sampling ---------------------------------------------------------------
 
@@ -416,10 +421,10 @@ def joint_log_probs(
     """Batched joint log-probabilities for orderings of one graph.
 
     Returns (representation log-probs as a tensor, log-multiplicities as a
-    constant array); the joint is their difference.  Adjacency models always
-    divide by the exact automorphism count; for sequence models ``mode``
-    selects the exact orbit product or its cheaper colour-refinement upper
-    bound (which makes the joint a lower bound).
+    constant array); the joint is their difference.  ``exact`` mode divides
+    by |Aut(G)| for both families; in ``cr`` mode a sequence model divides
+    by the colour-refinement upper bound instead, which makes its joint a
+    lower bound.
     """
     if mode not in MULTIPLICITY_MODES:
         raise InputError(f"multiplicity mode must be one of {MULTIPLICITY_MODES}")

@@ -2,10 +2,13 @@
 and the ordering multiplicities they induce.
 
 The number of orderings of a graph G that produce a given lower-triangular
-matrix A equals |Aut(G)|, and the number producing a given sequence of
-prefix isomorphism classes equals the product over steps t of the orbit size
-of the node added at t inside the t-node prefix.  Replacing true orbits with
-color-refinement classes gives a cheap upper bound on that product.
+matrix A equals |Aut(G)|; both model families emit such labelled matrices,
+so both divide by it.  The number producing a given sequence of prefix
+isomorphism classes, which can be larger, equals the product over steps t
+of the orbit size of the node added at t inside the t-node prefix; no model
+divides by this orbit product.  Replacing true orbits with color-refinement
+classes gives a cheap upper bound on it, and so on |Aut(G)|, which a
+sequence model may divide by instead (``cr`` mode) for a lower-bound joint.
 
 Every exact answer takes one path: ``color_refinement`` colors the graph,
 ``find_isomorphism`` (both from ``graphs``) searches for an automorphism
@@ -23,7 +26,6 @@ node per step, and refines each prefix's lists with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -31,7 +33,6 @@ from .errors import ResourceError
 from .graphs import (
     Coloring,
     Graph,
-    Ordering,
     bit_indices,
     color_refinement,
     find_isomorphism,
@@ -162,46 +163,19 @@ def sequence_multiplicity_cr(g: Graph, order: Sequence[int]) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Summary of a graph's symmetry structure, JSON-friendly."""
-
-    node_count: int
-    aut_count: int
-    orbits: tuple[tuple[int, ...], ...]
-    stable_coloring: Coloring
-    order: Ordering | None = None
-    sequence_multiplicity: int | None = None
-    sequence_multiplicity_bound: int | None = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "nodeCount": self.node_count,
-            "autCount": self.aut_count,
-            "orbits": [list(cell) for cell in self.orbits],
-            "stableColoring": list(self.stable_coloring),
-        }
-        if self.order is not None:
-            doc["order"] = list(self.order)
-            doc["sequenceMultiplicityExact"] = self.sequence_multiplicity
-            doc["sequenceMultiplicityBound"] = self.sequence_multiplicity_bound
-        return doc
-
-
-def symmetry_report(g: Graph, order: Sequence[int] | None, exact_sequence: bool) -> SymmetryReport:
-    seq_exact = seq_bound = None
-    pi = None
-    if order is not None:
-        pi = validate_ordering(g, order)
-        seq_bound = sequence_multiplicity_cr(g, pi)
-        if exact_sequence:
-            seq_exact = sequence_multiplicity_exact(g, pi)
-    return SymmetryReport(
-        node_count=g.n,
-        aut_count=automorphism_count(g),
-        orbits=tuple(tuple(sorted(cell)) for cell in orbit_partition(g)),
-        stable_coloring=color_refinement(g),
-        order=pi,
-        sequence_multiplicity=seq_exact,
-        sequence_multiplicity_bound=seq_bound,
-    )
+def symmetry_report(g: Graph, order: Sequence[int] | None, exact_sequence: bool) -> dict:
+    """The JSON summary of g's symmetry: |Aut(g)|, its orbits and stable
+    colouring, and for an ordering, its colour-refinement bound and (with
+    ``exact_sequence``, else null) its orbit product."""
+    pi = None if order is None else validate_ordering(g, order)
+    doc = {
+        "nodeCount": g.n,
+        "autCount": automorphism_count(g),
+        "orbits": [sorted(cell) for cell in orbit_partition(g)],
+        "stableColoring": list(color_refinement(g)),
+    }
+    if pi is not None:
+        doc["order"] = list(pi)
+        doc["sequenceMultiplicityExact"] = sequence_multiplicity_exact(g, pi) if exact_sequence else None
+        doc["sequenceMultiplicityBound"] = sequence_multiplicity_cr(g, pi)
+    return doc

@@ -332,6 +332,7 @@ class TestLoglikCommand:
         assert row["stderr"] == pytest.approx(0.0, abs=1e-12)
         assert row["L"] == 16
         assert doc["meanIsEstimate"] == pytest.approx(math.log(1 / 8), abs=1e-9)
+        assert set(doc) == {"checkpoint", "data", "proposal", "seed", "graphs", "meanIsEstimate"}
 
     def test_exact_skipped_above_cap(self, capsys, coin_checkpoint, k3_file):
         code, out, _ = run(
@@ -530,5 +531,6 @@ class TestUsageErrors:
         assert info.value.code == 0
         out = capsys.readouterr().out
         for flag in ("--checkpoint", "--data", "--proposal", "--posterior", "--L",
-                     "--exact-max-n", "--mode", "--seed", "--out"):
+                     "--exact-max-n", "--seed", "--out"):
             assert flag in out
+        assert "--mode" not in out

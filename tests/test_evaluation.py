@@ -51,21 +51,33 @@ def coin3():
     return model
 
 
+def coin3_sequence():
+    model = SequenceModel(SequenceModelConfig(max_nodes=5, fixed_node_count=3))
+    zero_store(model.store)
+    return model
+
+
 class TestImportanceLogLik:
     def test_constant_ratio_exact_at_one_sample(self):
-        # fair coin on K_3: joint 1/48 against uniform 1/6, ratio always 1/8
-        est = importance_estimate(coin3(), UniformOrderer(), K3, 1, spawn_rng(1)).log_lik
-        assert est == pytest.approx(math.log(1 / 8), abs=1e-12)
-        # on P_3 the ratio is (1/16)/(1/6) for every ordering
-        est = importance_estimate(coin3(), UniformOrderer(), P3, 1, spawn_rng(2)).log_lik
-        assert est == pytest.approx(math.log(3 / 8), abs=1e-12)
+        for coin in (coin3(), coin3_sequence()):
+            # fair coin on K_3: joint 1/48 against uniform 1/6, ratio always 1/8
+            est = importance_estimate(coin, UniformOrderer(), K3, 1, spawn_rng(1)).log_lik
+            assert est == pytest.approx(math.log(1 / 8), abs=1e-12)
+            # on P_3 the ratio is (1/16)/(1/6) for every ordering, as every
+            # ordering divides by |Aut(P_3)| = 2
+            est = importance_estimate(coin, UniformOrderer(), P3, 16, spawn_rng(2))
+            assert est.log_lik == pytest.approx(math.log(3 / 8), abs=1e-12), coin.kind
+            assert est.stderr == pytest.approx(0.0, abs=1e-12), coin.kind
 
     def test_converges_to_enumerated_value(self):
-        model = AdjacencyModel(AdjacencyModelConfig(max_nodes=6, hidden=8, row_embed=4, seed=3))
         g = random_graph(spawn_rng(4), 4, 0.5)
-        exact = exact_marginal_log_prob(model, g)
-        est = importance_estimate(model, UniformOrderer(), g, 5000, spawn_rng(5)).log_lik
-        assert abs(est - exact) < 0.05
+        for model in (
+            AdjacencyModel(AdjacencyModelConfig(max_nodes=6, hidden=8, row_embed=4, seed=3)),
+            SequenceModel(SequenceModelConfig(max_nodes=6, hidden=8, edge_hidden=6, seed=3)),
+        ):
+            exact = exact_marginal_log_prob(model, g)
+            est = importance_estimate(model, UniformOrderer(), g, 5000, spawn_rng(5)).log_lik
+            assert abs(est - exact) < 0.05, model.kind
 
     def test_learned_proposal_accepted(self):
         q = OrderPosterior(PosteriorConfig(max_nodes=6, layers=1, heads=2, head_dim=3, seed=6))

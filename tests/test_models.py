@@ -28,11 +28,7 @@ from graphorder.models import (
 )
 from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
 from graphorder.rng import spawn_rng
-from graphorder.symmetry import (
-    automorphism_count,
-    sequence_multiplicity_cr,
-    sequence_multiplicity_exact,
-)
+from graphorder.symmetry import automorphism_count, sequence_multiplicity_cr
 from graphorder.tensor import Checkpointable, Tape, backward, mean as tensor_mean, mul, tensor_sum
 from oracles import all_graphs, central_difference, per_prefix_log_prob_orderings, random_graph, zero_store
 from strategies import graphs
@@ -107,16 +103,16 @@ class TestFairCoinValues:
                 s = float(seq.log_prob_orderings(g, np.array([pi])).data[0])
                 assert a == pytest.approx(s, abs=1e-12)
 
-    def test_sequence_marginal_splits_by_multiplicity(self):
-        # triangle: every ordering gives the same sequence, multiplicity 6
+    def test_sequence_marginal_divides_by_automorphisms(self):
+        # triangle: 6 orderings, |Aut| = 6, each worth 1/8
         assert exact_marginal_log_prob(coin_sequence(), K3) == pytest.approx(
             math.log(1 / 8), abs=1e-12
         )
-        # path: trace-based joints undercount when distinct traces share a
-        # sequence class (two traces grow leaf-first), so the ordering sum
-        # is 1/4, strictly below the 3/8 frequency of sampled paths
+        # path: 6 orderings, |Aut| = 2, so 3/8, the frequency of sampled
+        # paths; dividing by orbit products (4 for the orderings that end on
+        # a leaf) would give 1/4
         assert exact_marginal_log_prob(coin_sequence(), P3) == pytest.approx(
-            math.log(1 / 4), abs=1e-12
+            math.log(3 / 8), abs=1e-12
         )
 
 
@@ -230,43 +226,47 @@ class TestSampling:
 
 class TestStopAtMaxNodes:
     """A free-size model stops surely at ``max_nodes``: no stop term is
-    scored there, so the class probabilities sum to 1 and samples, which
-    stop at different sizes within one batch, follow them."""
+    scored there, so the exact marginals of the graphs it can generate sum
+    to 1 and samples, which stop at different sizes within one batch, follow
+    them."""
 
     N = 4000
     MODELS = [
         AdjacencyModel(AdjacencyModelConfig(max_nodes=3, hidden=8, row_embed=4, seed=5)),
         SequenceModel(SequenceModelConfig(max_nodes=3, hidden=8, edge_hidden=6, seed=5)),
+        SequenceModel(SequenceModelConfig(max_nodes=4, hidden=8, edge_hidden=6, seed=5)),
     ]
+    IDS = ["adjacency", "sequence", "sequence-4"]
+    # isomorphism classes of graphs with at most 3 and 4 nodes
+    CLASS_COUNTS = {3: 7, 4: 18}
 
     @staticmethod
-    def class_probabilities(model) -> dict[tuple[int, int], float]:
-        """p(G) = sum over orderings of p(rep) / |Aut(G)| for the 7 graphs of
-        at most 3 nodes, keyed by (nodes, edges), which tells them apart."""
-        probs = {}
-        for n in (1, 2, 3):
-            pis = np.array(list(permutations(range(n))))
+    def class_probabilities(model) -> list[tuple[Graph, float]]:
+        """One graph of each isomorphism class the model can generate, with
+        exp of its ``exact_marginal_log_prob``."""
+        classes = []
+        for n in range(1, model.cfg.max_nodes + 1):
             for g in all_graphs(n):
-                key = (n, g.edge_count)
-                if key not in probs:
-                    rep = model.log_prob_orderings(g, pis).data
-                    probs[key] = float(np.exp(rep).sum()) / automorphism_count(g)
-        return probs
+                if not any(isomorphic(g, h) for h, _ in classes):
+                    classes.append((g, math.exp(exact_marginal_log_prob(model, g))))
+        return classes
 
-    @pytest.mark.parametrize("model", MODELS, ids=["adjacency", "sequence"])
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
     def test_class_probabilities_sum_to_one(self, model):
-        probs = self.class_probabilities(model)
-        assert len(probs) == 7
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+        probs = [p for _, p in self.class_probabilities(model)]
+        assert len(probs) == self.CLASS_COUNTS[model.cfg.max_nodes]
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("model", MODELS, ids=["adjacency", "sequence"])
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
     def test_sample_frequencies_match_class_probabilities(self, model):
-        probs = self.class_probabilities(model)
+        classes = self.class_probabilities(model)
         draws = model.sample(self.N, spawn_rng(31))
-        assert len({g.n for g in draws}) == 3
-        for key, p in probs.items():
-            freq = sum((g.n, g.edge_count) == key for g in draws) / self.N
-            assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / self.N), key
+        assert len({g.n for g in draws}) == model.cfg.max_nodes
+        hits = [0] * len(classes)
+        for g in draws:
+            hits[next(i for i, (h, _) in enumerate(classes) if isomorphic(g, h))] += 1
+        for (h, p), count in zip(classes, hits):
+            assert abs(count / self.N - p) < 4 * math.sqrt(p * (1 - p) / self.N), h
 
 
 class TestJointAndMarginal:
@@ -343,11 +343,10 @@ class TestScoringContract:
         rep, log_mult = joint_log_probs(model, g, pis, mode)
         assert np.array_equal(rep.data, model.log_prob_orderings(g, pis).data)
         assert np.array_equal(log_mult, model.log_multiplicities(g, pis, mode))
-        if family == "adjacency":
-            expect = [automorphism_count(g)] * len(pis)
+        if family == "sequence" and mode == "cr":
+            expect = [sequence_multiplicity_cr(g, pi) for pi in pis]
         else:
-            count = sequence_multiplicity_exact if mode == "exact" else sequence_multiplicity_cr
-            expect = [count(g, pi) for pi in pis]
+            expect = [automorphism_count(g)] * len(pis)
         assert np.allclose(log_mult, np.log(expect), rtol=0.0, atol=1e-12)
 
     @staticmethod

@@ -313,16 +313,21 @@ class TestSequenceMultiplicity:
 
 class TestSymmetryReport:
     def test_report_contents(self):
-        rep = symmetry_report(complete(3), order=(0, 1, 2), exact_sequence=True)
-        assert rep.aut_count == 6
-        assert rep.orbits == ((0, 1, 2),)
-        assert rep.sequence_multiplicity == 6
-        assert rep.sequence_multiplicity_bound == 6
-        doc = rep.to_dict()
-        assert doc["autCount"] == 6
-        assert doc["sequenceMultiplicityExact"] == 6
+        doc = symmetry_report(complete(3), order=(0, 1, 2), exact_sequence=True)
+        assert doc == {
+            "nodeCount": 3,
+            "autCount": 6,
+            "orbits": [[0, 1, 2]],
+            "stableColoring": [0, 0, 0],
+            "order": [0, 1, 2],
+            "sequenceMultiplicityExact": 6,
+            "sequenceMultiplicityBound": 6,
+        }
 
     def test_report_without_order(self):
-        doc = symmetry_report(path(3), order=None, exact_sequence=True).to_dict()
+        doc = symmetry_report(path(3), order=None, exact_sequence=True)
         assert "order" not in doc
         assert doc["stableColoring"][0] == doc["stableColoring"][2]
+        doc = symmetry_report(path(3), order=(1, 0, 2), exact_sequence=False)
+        assert doc["sequenceMultiplicityExact"] is None
+        assert doc["sequenceMultiplicityBound"] == 4

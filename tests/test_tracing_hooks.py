@@ -55,7 +55,7 @@ def test_instrument_finds_and_restores_every_target(tracing):
     [
         ("adjacency", "exact", "models.aut_lookup"),
         ("adjacency", "cr", "models.aut_lookup"),
-        ("sequence", "exact", "symmetry.exact"),
+        ("sequence", "exact", "models.aut_lookup"),
         ("sequence", "cr", "symmetry.cr"),
     ],
 )
@@ -72,4 +72,5 @@ def test_joint_log_probs_reaches_every_wrapped_layer(tracing, family, mode, span
         models.joint_log_probs(model, g, pis, mode)
     assert rec.calls["models.joint"] == 1
     assert rec.calls["models.forward"] == 1
-    assert rec.calls[span] == (1 if family == "adjacency" else len(pis))
+    # one |Aut| lookup per batch; one refinement bound per ordering
+    assert rec.calls[span] == (len(pis) if span == "symmetry.cr" else 1)
