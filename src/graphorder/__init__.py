@@ -16,9 +16,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    LowerTriangularEncoding,
     degree_sequence,
-    encode_adjacency,
     induced_subgraph,
     isomorphic,
 )
@@ -28,12 +26,10 @@ __all__ = [
     "Graph",
     "GraphOrderError",
     "InputError",
-    "LowerTriangularEncoding",
     "NumericError",
     "ParseError",
     "ResourceError",
     "degree_sequence",
-    "encode_adjacency",
     "induced_subgraph",
     "isomorphic",
 ]

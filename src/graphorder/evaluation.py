@@ -18,6 +18,9 @@ from .models import GraphModel, joint_log_probs, log_sum_exp
 from .posterior import OrderingModel, draw_orderings
 from .tensor import check_positive_ints
 
+# orderings drawn and scored per block; it also bounds the rows of the
+# work arrays that ``OrderPosterior.sample_orderings`` allocates per call,
+# and so their memory (a few MB at 512 rows of 16 nodes)
 _IS_CHUNK = 512
 
 CLUSTERING_BINS = 100

@@ -1,6 +1,6 @@
-"""Immutable simple undirected graphs plus orderings and the lower-triangular
-encoding, and the two routines every symmetry computation is built on: color
-refinement and a key-preserving isomorphism search.
+"""Immutable simple undirected graphs plus orderings, and the two routines
+every symmetry computation is built on: color refinement and a
+key-preserving isomorphism search.
 
 Adjacency is stored as one Python int bitmask per node, which keeps neighbour
 tests, induced subgraphs, and connectivity checks cheap at desk scale.
@@ -167,40 +167,6 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(k, tuple(rows))
-
-
-@dataclass(frozen=True)
-class LowerTriangularEncoding:
-    """Strictly lower-triangular adjacency bits of an ordered graph.
-
-    ``rows[k]`` has k+1 binary entries and describes the node at position k+1:
-    entry j is 1 iff it is adjacent to the node at position j.  A single-node
-    graph has no rows.
-    """
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.n <= 0:
-            raise InputError("encoding must cover at least one node")
-        if len(self.rows) != self.n - 1:
-            raise InputError("encoding must have n - 1 rows")
-        for k, row in enumerate(self.rows):
-            if len(row) != k + 1:
-                raise InputError(f"row {k} must have {k + 1} entries, got {len(row)}")
-            if any(b not in (0, 1) for b in row):
-                raise InputError(f"row {k} entries must be 0 or 1")
-
-
-def encode_adjacency(g: Graph, order: Sequence[int]) -> LowerTriangularEncoding:
-    """Lower-triangular encoding of g with nodes relabeled by ``order``."""
-    pi = validate_ordering(g, order)
-    rows = tuple(
-        tuple(int(g.has_edge(pi[t], pi[j])) for j in range(t))
-        for t in range(1, g.n)
-    )
-    return LowerTriangularEncoding(g.n, rows)
 
 
 def color_refinement(g: Graph, initial: Sequence[int] | None = None) -> Coloring:

@@ -3,10 +3,13 @@ Glorot initialisation, linear maps, a GRU cell, and a multi-head additive
 attention round over graph neighbourhoods (node and neighbours, self
 included).  Each head's attention weights come from the fused
 ``tensor.additive_attention`` op (Velickovic et al. 2018, "Graph Attention
-Networks").
+Networks").  A tape-free attention stack can write its large results into
+the arrays of an ``AttentionWork`` instead of allocating them.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,12 +92,58 @@ def neighborhood_mask(g: Graph) -> np.ndarray:
     return adjacency_matrix(g).astype(bool) | np.eye(g.n, dtype=bool)
 
 
+class AttentionWork(NamedTuple):
+    """Arrays that a tape-free ``residual_attention_stack`` writes its
+    (batch, n, ...) results into, each passed to its op as ``out=``: the
+    states ``h``, the joined head outputs ``joined`` (then their tanh), and
+    per head its output ``head_out[k]``, projected features ``z``, source
+    and target scores ``src`` and ``dst``, and attention ``weights``.  With
+    every field None, the default ``ALLOCATE``, each op allocates its
+    result, which a taped call must do."""
+
+    h: np.ndarray | None = None
+    joined: np.ndarray | None = None
+    head_out: np.ndarray | None = None
+    z: np.ndarray | None = None
+    src: np.ndarray | None = None
+    dst: np.ndarray | None = None
+    weights: np.ndarray | None = None
+
+    @classmethod
+    def allocate(cls, rows: int, n: int, d: int, heads: int) -> AttentionWork:
+        """Uninitialised arrays for batches of up to ``rows`` rows of ``n``
+        nodes, with ``heads`` heads of d // heads lanes each."""
+        head_dim = d // heads
+        return cls(
+            h=np.empty((rows, n, d)),
+            joined=np.empty((rows, n, d)),
+            head_out=np.empty((heads, rows, n, head_dim)),
+            z=np.empty((rows, n, head_dim)),
+            src=np.empty((rows, n)),
+            dst=np.empty((rows, n)),
+            weights=np.empty((rows, n, n)),
+        )
+
+    def rows(self, b: int) -> AttentionWork:
+        """Views of the first ``b`` batch rows of every array."""
+        return AttentionWork(
+            *(arr[:, :b] if field == "head_out" else arr[:b] for field, arr in zip(self._fields, self))
+        )
+
+    def head(self, k: int) -> np.ndarray | None:
+        return None if self.head_out is None else self.head_out[k]
+
+
+ALLOCATE = AttentionWork()
+
+
 def attention_message_pass(
     bound: dict[str, Tensor],
     name: str,
     feats,
     neighbor_mask: np.ndarray,
     heads: int,
+    work: AttentionWork = ALLOCATE,
 ) -> Tensor:
     """One multi-head attention round restricted to ``neighbor_mask``.
 
@@ -104,16 +153,17 @@ def attention_message_pass(
     masked neighbourhood, and averages the projected features; head outputs
     are concatenated.  The weights come from one ``additive_attention`` op,
     so a taped head records five op nodes.  Permutation equivariant by
-    construction.
+    construction.  The result is written into ``work.joined``; see
+    ``AttentionWork``.
     """
     outs = []
     for k in range(heads):
-        z = matmul(feats, bound[f"{name}.head{k}.w"])
-        s_src = matmul(z, bound[f"{name}.head{k}.src"])
-        s_dst = matmul(z, bound[f"{name}.head{k}.dst"])
-        att = additive_attention(s_src, s_dst, neighbor_mask)
-        outs.append(matmul(att, z))
-    return concat(outs)
+        z = matmul(feats, bound[f"{name}.head{k}.w"], out=work.z)
+        s_src = matmul(z, bound[f"{name}.head{k}.src"], out=work.src)
+        s_dst = matmul(z, bound[f"{name}.head{k}.dst"], out=work.dst)
+        att = additive_attention(s_src, s_dst, neighbor_mask, out=work.weights)
+        outs.append(matmul(att, z, out=work.head(k)))
+    return concat(outs, out=work.joined)
 
 
 def residual_attention_stack(
@@ -123,11 +173,15 @@ def residual_attention_stack(
     neighbor_mask: np.ndarray,
     layers: int,
     heads: int,
+    work: AttentionWork = ALLOCATE,
 ) -> Tensor:
     """``layers`` attention rounds with tanh nonlinearity and residual sums.
 
-    Requires in_dim == heads * head_dim so outputs can be added back."""
+    Requires in_dim == heads * head_dim so outputs can be added back.  Each
+    sum is written into ``work.h``, which may hold ``feats`` itself: a round
+    reads the states before it adds to them."""
     h = feats
     for layer in range(layers):
-        h = add(h, tanh(attention_message_pass(bound, f"{name}.layer{layer}", h, neighbor_mask, heads)))
+        message = attention_message_pass(bound, f"{name}.layer{layer}", h, neighbor_mask, heads, work)
+        h = add(h, tanh(message, out=work.joined), out=work.h)
     return h

@@ -18,7 +18,15 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import Graph, Ordering, validate_orderings
-from .nn import neighborhood_mask, register_attention, register_linear, residual_attention_stack, linear
+from .nn import (
+    ALLOCATE,
+    AttentionWork,
+    linear,
+    neighborhood_mask,
+    register_attention,
+    register_linear,
+    residual_attention_stack,
+)
 from .rng import spawn_rng
 from .tensor import (
     Checkpointable,
@@ -94,11 +102,14 @@ class OrderPosterior(Checkpointable):
 
     # -- shared forward: per-node logits from marked features ---- -------------------
 
-    def _node_logits(self, bound, mask: np.ndarray, feats_np: np.ndarray, tape: Tape | None) -> Tensor:
+    def _node_logits(
+        self, bound, mask: np.ndarray, feats_np: np.ndarray, tape: Tape | None, work: AttentionWork = ALLOCATE
+    ) -> Tensor:
         """(..., n) logits from (..., n, d_model) chosen-step features, with
-        attention restricted to the (n, n) ``neighborhood_mask`` of the graph."""
-        h = add(Tensor(feats_np, tape=tape), bound["h0"])
-        states = residual_attention_stack(bound, "gnn", h, mask, self.cfg.layers, self.cfg.heads)
+        attention restricted to the (n, n) ``neighborhood_mask`` of the graph.
+        A tape-free call may pass ``work`` for the attention stack."""
+        h = add(Tensor(feats_np, tape=tape), bound["h0"], out=work.h)
+        states = residual_attention_stack(bound, "gnn", h, mask, self.cfg.layers, self.cfg.heads, work)
         return reshape(linear(bound, "head", states), feats_np.shape[:-1])
 
     def _step_features(self, g: Graph, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,26 +149,33 @@ class OrderPosterior(Checkpointable):
         ``id * n + node`` and is renumbered by ``np.unique``.  The last node
         is the only candidate left, with log-probability exactly zero, so the
         last step runs no network.  Each step's logits must be finite before
-        they are drawn from."""
+        they are drawn from.
+
+        There are never more than ``count`` distinct prefixes, so the
+        network's work arrays and the prefix state are allocated once per
+        call with ``count`` rows, and each step uses their first rows."""
         self._check_graph(g)
         check_positive_ints(count=count)
-        n = g.n
+        n, d = g.n, self.cfg.d_model
         bound = self.store.bind(None)
         mask = neighborhood_mask(g)
         uniforms = np.stack([stream.random(n) for stream in rng.spawn(count)])
-        # marked features and chosen flags per distinct prefix; row i has
-        # drawn the prefix numbered prefix[i]
-        feats = np.zeros((1, n, self.cfg.d_model))
-        chosen = np.zeros((1, n), dtype=bool)
+        work = AttentionWork.allocate(count, n, d, self.cfg.heads)
+        # marked features and chosen flags of the b distinct prefixes, in the
+        # first b rows of one of two buffers that swap at each step; row i
+        # has drawn the prefix numbered prefix[i]
+        feats, feats_next = np.empty((count, n, d)), np.empty((count, n, d))
+        chosen, chosen_next = np.empty((count, n), dtype=bool), np.empty((count, n), dtype=bool)
+        feats[0], chosen[0], b = 0.0, False, 1
         prefix = np.zeros(count, dtype=np.int64)
         pis = np.zeros((count, n), dtype=np.int64)
         log_q = np.zeros(count)
         rows = np.arange(count)
         for s in range(n - 1):
-            logits = self._node_logits(bound, mask, feats, None)
+            logits = self._node_logits(bound, mask, feats[:b], None, work.rows(b))
             ensure_finite(logits.data, "posterior logits")
-            lp = masked_log_softmax(logits, ~chosen).data
-            probs = np.where(chosen, 0.0, np.exp(lp))
+            lp = masked_log_softmax(logits, ~chosen[:b]).data
+            probs = np.where(chosen[:b], 0.0, np.exp(lp))
             cum = np.cumsum(probs, axis=-1)[prefix]
             r = uniforms[:, s] * cum[:, -1]
             idx = np.minimum((cum <= r[:, None]).sum(axis=-1), n - 1)
@@ -167,9 +185,12 @@ class OrderPosterior(Checkpointable):
             pis[:, s] = idx
             _, first, prefix_next = np.unique(prefix * n + idx, return_index=True, return_inverse=True)
             parents, picked = prefix[first], idx[first]
-            feats, chosen = feats[parents], chosen[parents]
-            feats[np.arange(len(first)), picked] = self._pe[s + 1]
-            chosen[np.arange(len(first)), picked] = True
+            b = len(first)
+            np.take(feats, parents, axis=0, out=feats_next[:b], mode="clip")
+            np.take(chosen, parents, axis=0, out=chosen_next[:b], mode="clip")
+            feats, feats_next, chosen, chosen_next = feats_next, feats, chosen_next, chosen
+            feats[np.arange(b), picked] = self._pe[s + 1]
+            chosen[np.arange(b), picked] = True
             prefix = prefix_next
         pis[:, n - 1] = np.argmin(chosen[prefix], axis=-1)
         return [OrderingSample(tuple(pi), lq) for pi, lq in zip(pis.tolist(), log_q.tolist())]

@@ -7,9 +7,17 @@ a Tensor has no operator methods.  ``Tensor(data, tape, leaf_ref)`` builds a
 leaf only: its data, the tape that records it (if any) and, for a parameter
 leaf, the (store, name) that its gradient belongs to.  An op builds its own
 output, recorded on its operands' tape with the pull that sends gradients
-back to them.  Ops called on tensors that carry no tape run eagerly and keep
-nothing, which doubles as the no-gradient fast path for sampling and
+back to them.  Ops called on tensors that carry no tape run eagerly and
+record nothing, which doubles as the no-gradient fast path for sampling and
 evaluation.
+
+On that path, and only there, ``add``, ``matmul``, ``tanh``, ``concat`` and
+``additive_attention`` take ``out=``: a float64 array of the result's shape
+that the op writes its result into and returns as the result's data, so a
+caller can reuse its work arrays from call to call.  ``out=`` with an
+operand on a tape raises ``InputError``, since the tape would keep a view of
+an array that the caller goes on to overwrite.
+
 Two ops work over the last axis restricted to a boolean mask:
 ``masked_log_softmax``, and ``additive_attention``, which turns the scores
 leaky_relu(src_i + dst_j) into attention weights in one (..., n, n) buffer,
@@ -146,18 +154,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _elementwise(op, a: Tensor, b: Tensor, name: str) -> np.ndarray:
-    """``op(a.data, b.data)`` with numpy broadcasting; operands that do not
-    broadcast raise ``NumericError``."""
+def _tape_free(out, inputs: tuple[Tensor, ...]) -> None:
+    """``InputError`` if ``out`` is given and an operand is on a tape."""
+    if out is not None:
+        for t in inputs:
+            if t.tape is not None:
+                raise InputError("out= is only for operands that carry no tape")
+
+
+def _elementwise(op, a: Tensor, b: Tensor, name: str, out=None) -> np.ndarray:
+    """``op(a.data, b.data)`` with numpy broadcasting, written into ``out``
+    if given; operands that do not broadcast raise ``NumericError``."""
     try:
-        return op(a.data, b.data)
+        return op(a.data, b.data, out=out)
     except ValueError as exc:
         raise NumericError(f"{name} shape mismatch: {a.data.shape} vs {b.data.shape}") from exc
 
 
-def add(a, b) -> Tensor:
+def add(a, b, out=None) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = _elementwise(np.add, a, b, "add")
+    _tape_free(out, (a, b))
+    data = _elementwise(np.add, a, b, "add", out)
 
     def pull(g):
         _acc(a, _unbroadcast(g, a.data.shape))
@@ -189,9 +206,10 @@ def mul(a, b) -> Tensor:
     return _result((a, b), data, pull)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, out=None) -> Tensor:
     """np.matmul semantics: batched 2-D products, 1-D operands promoted."""
     a, b = _wrap(a), _wrap(b)
+    _tape_free(out, (a, b))
     A, B = a.data, b.data
     if A.ndim == 0 or B.ndim == 0:
         raise NumericError("matmul operands must be at least 1-D")
@@ -199,7 +217,7 @@ def matmul(a, b) -> Tensor:
     b1 = B[:, None] if B.ndim == 1 else B
     if a1.shape[-1] != b1.shape[-2]:
         raise NumericError(f"matmul shape mismatch: {A.shape} @ {B.shape}")
-    data = np.matmul(A, B)
+    data = np.matmul(A, B, out=out)
 
     def pull(g):
         g1 = g
@@ -225,9 +243,10 @@ def sigmoid(x) -> Tensor:
     return _result((x,), data, pull)
 
 
-def tanh(x) -> Tensor:
+def tanh(x, out=None) -> Tensor:
     x = _wrap(x)
-    data = np.tanh(x.data)
+    _tape_free(out, (x,))
+    data = np.tanh(x.data, out=out)
 
     def pull(g):
         _acc(x, g * (1.0 - data * data))
@@ -275,12 +294,13 @@ def reshape(x, shape) -> Tensor:
     return _result((x,), data, pull)
 
 
-def concat(tensors: Sequence) -> Tensor:
+def concat(tensors: Sequence, out=None) -> Tensor:
     """Tensors joined along the last axis."""
     parts = tuple(_wrap(t) for t in tensors)
     if not parts:
         raise InputError("concat needs at least one tensor")
-    data = np.concatenate([p.data for p in parts], axis=-1)
+    _tape_free(out, parts)
+    data = np.concatenate([p.data for p in parts], axis=-1, out=out)
     sizes = [p.data.shape[-1] for p in parts]
 
     def pull(g):
@@ -350,14 +370,14 @@ def masked_log_softmax(x, mask) -> Tensor:
     return _result((x,), data, pull)
 
 
-def additive_attention(src, dst, mask) -> Tensor:
+def additive_attention(src, dst, mask, out=None) -> Tensor:
     """Attention weights softmax_j(leaky_relu(src_i + dst_j)) with negative
     slope ``ATTENTION_SLOPE`` over the entries of mask, for src and dst of
     shape (..., n) and a mask that broadcasts to (..., n, n); excluded
     weights are exactly zero.
 
-    One (..., n, n) buffer holds the scores and is turned into the weights
-    in place.  The leaky step is max(x, slope * x), exact because
+    One (..., n, n) buffer, ``out`` if given, holds the scores and is turned
+    into the weights in place.  The leaky step is max(x, slope * x), exact because
     0 < slope < 1.  Row i is shifted by the bound
     leaky_relu(src_i + max_j dst_j) rather than by its masked maximum: the
     leaky step is monotone, so the bound is at least every score of the row
@@ -370,7 +390,8 @@ def additive_attention(src, dst, mask) -> Tensor:
     src, dst = _wrap(src), _wrap(dst)
     if src.data.ndim == 0 or src.data.shape != dst.data.shape:
         raise NumericError(f"additive_attention shape mismatch: {src.data.shape} vs {dst.data.shape}")
-    x = src.data[..., :, None] + dst.data[..., None, :]
+    _tape_free(out, (src, dst))
+    x = np.add(src.data[..., :, None], dst.data[..., None, :], out=out)
     m = _mask(mask, x.shape)
     np.maximum(x, ATTENTION_SLOPE * x, out=x)
     # the leaky step keeps signs; the pull needs them only on a tape

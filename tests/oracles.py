@@ -7,12 +7,15 @@ from minimising over all relabelings, gradients from finite differences.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
+from typing import Sequence
 
 import numpy as np
 
-from graphorder.graphs import Graph, bit_indices, induced_subgraph
+from graphorder.errors import InputError
+from graphorder.graphs import Graph, bit_indices, induced_subgraph, validate_ordering
 from graphorder.models import _bernoulli_log_prob, _permuted_adjacency
 from graphorder.tensor import Tensor, add, log_sigmoid, mean, mul
 
@@ -22,6 +25,40 @@ def all_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+@dataclass(frozen=True)
+class LowerTriangularEncoding:
+    """Strictly lower-triangular adjacency bits of an ordered graph.
+
+    ``rows[k]`` has k+1 binary entries and describes the node at position k+1:
+    entry j is 1 iff it is adjacent to the node at position j.  A single-node
+    graph has no rows.
+    """
+
+    n: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if self.n <= 0:
+            raise InputError("encoding must cover at least one node")
+        if len(self.rows) != self.n - 1:
+            raise InputError("encoding must have n - 1 rows")
+        for k, row in enumerate(self.rows):
+            if len(row) != k + 1:
+                raise InputError(f"row {k} must have {k + 1} entries, got {len(row)}")
+            if any(b not in (0, 1) for b in row):
+                raise InputError(f"row {k} entries must be 0 or 1")
+
+
+def encode_adjacency(g: Graph, order: Sequence[int]) -> LowerTriangularEncoding:
+    """Lower-triangular encoding of g with nodes relabeled by ``order``."""
+    pi = validate_ordering(g, order)
+    rows = tuple(
+        tuple(int(g.has_edge(pi[t], pi[j])) for j in range(t))
+        for t in range(1, g.n)
+    )
+    return LowerTriangularEncoding(g.n, rows)
 
 
 def loop_color_refinement(g: Graph, initial=None) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ import pytest
 
 from graphorder.data import gen_community_small, gen_er
 from graphorder.evaluation import averaged_adjacency, importance_estimate, mmd
-from graphorder.graphs import Graph, encode_adjacency, induced_subgraph, isomorphic
+from graphorder.graphs import Graph, induced_subgraph, isomorphic
 from graphorder.models import (
     AdjacencyModel,
     AdjacencyModelConfig,
@@ -71,6 +71,7 @@ from oracles import (
     all_graphs,
     brute_canonical_form,
     central_difference,
+    encode_adjacency,
     random_graph,
     search_automorphism_count,
 )

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from graphorder.errors import InputError
 from graphorder.graphs import (
     Graph,
-    LowerTriangularEncoding,
     adjacency_matrix,
     degree_sequence,
-    encode_adjacency,
     induced_subgraph,
     is_connected,
     isomorphic,
@@ -17,7 +15,14 @@ from graphorder.graphs import (
     validate_orderings,
 )
 from graphorder.symmetry import sequence_multiplicity_cr
-from oracles import all_graphs, brute_canonical_form, edges_preserved, random_graph
+from oracles import (
+    LowerTriangularEncoding,
+    all_graphs,
+    brute_canonical_form,
+    edges_preserved,
+    encode_adjacency,
+    random_graph,
+)
 from strategies import graphs, graphs_with_ordering
 
 

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphorder.errors import InputError, ResourceError
-from graphorder.graphs import Graph, encode_adjacency, isomorphic
+from graphorder.graphs import Graph, isomorphic
 from graphorder.models import (
     PADDED_ROWS,
     AdjacencyModel,
@@ -30,7 +30,14 @@ from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
 from graphorder.rng import spawn_rng
 from graphorder.symmetry import automorphism_count, sequence_multiplicity_cr
 from graphorder.tensor import Checkpointable, Tape, backward, mean as tensor_mean, mul, tensor_sum
-from oracles import all_graphs, central_difference, per_prefix_log_prob_orderings, random_graph, zero_store
+from oracles import (
+    all_graphs,
+    central_difference,
+    encode_adjacency,
+    per_prefix_log_prob_orderings,
+    random_graph,
+    zero_store,
+)
 from strategies import graphs
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])

@@ -122,12 +122,21 @@ class TestSampling:
 
     def test_sample_streams_prefix_stable(self):
         """Per-sample child streams: a shorter batch is a prefix of a longer
-        one drawn from a fresh generator with the same seed."""
+        one drawn from a fresh generator with the same seed, in orderings
+        and log q.  256 draws on 7 nodes fill most rows of the sampler's
+        work arrays, whose first rows each step reuses, so that case also
+        shows that no step's rows carry state into the next; 1 and 2 nodes
+        are the edge cases of no network step and one."""
         q = tiny_posterior(seed=15)
-        g = random_graph(spawn_rng(45), 5, 0.5)
-        short = q.sample_orderings(g, 3, spawn_rng(46))
-        long = q.sample_orderings(g, 5, spawn_rng(46))
-        assert [s.pi for s in short] == [s.pi for s in long[:3]]
+        for n, short_count, long_count in ((5, 3, 5), (7, 8, 256), (1, 3, 5), (2, 3, 5)):
+            g = random_graph(spawn_rng(45), n, 0.5)
+            short = q.sample_orderings(g, short_count, spawn_rng(46))
+            long = q.sample_orderings(g, long_count, spawn_rng(46))
+            assert [s.pi for s in short] == [s.pi for s in long[:short_count]]
+            assert [s.log_q for s in short] == [s.log_q for s in long[:short_count]]
+            if long_count == 256:
+                # distinct prefixes at the last network step
+                assert len({s.pi[:-2] for s in long}) > 0.9 * long_count
 
     def test_sampled_log_q_matches_teacher_forced(self):
         """256 draws share prefixes and skip the network at the last step;
@@ -152,12 +161,12 @@ class TestSampling:
                 q.store.get(name)[:] *= 1e4
         gaps = []
 
-        def recording_attention(src, dst, mask):
+        def recording_attention(src, dst, mask, out=None):
             scores = src.data[..., :, None] + dst.data[..., None, :]
             scores = np.maximum(scores, ATTENTION_SLOPE * scores)
             kept = np.where(mask, scores, -np.inf).max(axis=-1)
             gaps.append((scores.max(axis=-1) - kept).max())
-            return additive_attention(src, dst, mask)
+            return additive_attention(src, dst, mask, out=out)
 
         monkeypatch.setattr(nn, "additive_attention", recording_attention)
         g = random_graph(spawn_rng(50), 7, 0.4)

@@ -269,6 +269,46 @@ class TestBackward:
         assert eager.tape is None and eager.pull is None
 
 
+def _out_cases():
+    """(op, operand arrays, extra arguments) for each op that takes out=."""
+    rng = np.random.default_rng(3)
+    mask = np.eye(4, dtype=bool) | (rng.random((4, 4)) < 0.5)
+    return {
+        "add": (add, [rng.normal(size=(3, 4, 5)), rng.normal(size=5)], []),
+        "matmul": (matmul, [rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 2))], []),
+        "matmul-vector": (matmul, [rng.normal(size=(3, 4, 5)), rng.normal(size=5)], []),
+        "tanh": (tanh, [rng.normal(size=(3, 4))], []),
+        "concat": (
+            lambda *parts, **kw: concat(parts, **kw),
+            [rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4, 3))],
+            [],
+        ),
+        "additive_attention": (
+            additive_attention,
+            [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
+            [mask],
+        ),
+    }
+
+
+class TestOutArrays:
+    @pytest.mark.parametrize("case", list(_out_cases()))
+    def test_out_equals_allocating_call_and_refuses_a_tape(self, case):
+        """A tape-free op writes into out= exactly what it would allocate;
+        with any operand on a tape, out= raises InputError."""
+        op, arrays, extra = _out_cases()[case]
+        fresh = op(*[Tensor(a) for a in arrays], *extra)
+        out = np.full(fresh.data.shape, np.nan)
+        written = op(*[Tensor(a) for a in arrays], *extra, out=out)
+        assert written.data is out and written.tape is None
+        assert np.array_equal(out, fresh.data)
+        for taped in range(len(arrays)):
+            tape = Tape()
+            operands = [Tensor(a, tape=tape if i == taped else None) for i, a in enumerate(arrays)]
+            with pytest.raises(InputError, match="out="):
+                op(*operands, *extra, out=np.empty(fresh.data.shape))
+
+
 class TestGradientsAgainstFiniteDifferences:
     def test_add_broadcast(self):
         rng = np.random.default_rng(3)
