@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .files import read_text, write_text_atomic
 from .models import (
     AdjacencyModel,
     AdjacencyModelConfig,
-    GraphModel,
     SequenceModel,
     SequenceModelConfig,
     exact_marginal_log_prob,
@@ -51,54 +52,76 @@ _LOGLIK_LANE = 40
 _SAMPLE_LANE = 41
 _ANALYZE_LANE = 42
 
-_MODEL_KINDS = ("adjacency", "sequence")
-_POSTERIOR_KINDS = ("learned", "uniform")
-_GENERATOR_KINDS = ("er", "community-small")
 
-_INT_KEYS = frozenset(
-    (
-        "max_nodes",
-        "hidden",
-        "row_embed",
-        "rounds",
-        "edge_hidden",
-        "layers",
-        "heads",
-        "head_dim",
-        "sample_count",
-        "epochs",
-        "seed",
-        "count",
-        "n",
-        "n_min",
-        "n_max",
-        "checkpoint_every",
-    )
-)
-_FLOAT_KEYS = frozenset(("lr_model", "lr_posterior", "p", "p_intra"))
-_BOOL_KEYS = frozenset(("use_baseline",))
-_STR_KEYS = frozenset(("model", "posterior", "multiplicity_mode", "data", "generator", "out_dir"))
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+def _community_small(count: int, rng, n_min: int = 12, n_max: int = 16, p_intra: float = 0.7):
+    return gen_community_small(count, (n_min, n_max), p_intra, rng)
 
-_ADJACENCY_ONLY = frozenset(("row_embed",))
-_SEQUENCE_ONLY = frozenset(("rounds", "edge_hidden"))
-_LEARNED_ONLY = frozenset(("layers", "heads", "head_dim", "lr_posterior"))
-_ER_ONLY = frozenset(("n", "p"))
-_COMMUNITY_ONLY = frozenset(("n_min", "n_max", "p_intra"))
+
+# What each value of a choice key selects: the config class or generator that
+# receives the keys it owns (None: the uniform posterior, which has none).
+_CHOICES = {
+    "model": {"adjacency": AdjacencyModelConfig, "sequence": SequenceModelConfig},
+    "posterior": {"learned": PosteriorConfig, "uniform": None},
+    "generator": {"er": gen_er, "community-small": _community_small},
+}
+_MODELS = {cls.config_type: cls for cls in (AdjacencyModel, SequenceModel)}
+_RUN = "run"  # the owner of the keys that resolve_run_config reads itself
+
+
+class _Key(NamedTuple):
+    convert: type
+    owners: tuple
+    applies_to: tuple
+
+
+def _key(convert: type, *owners, applies_to: tuple = ()) -> _Key:
+    return _Key(convert, owners, applies_to or owners)
+
+
+# The run-config schema. Each key has a converter (int, float, bool or str)
+# and owners: config classes take it as a field, generators as an argument.
+# A key applies to its owners unless ``applies_to`` names others, and it is
+# refused when the config's choices select none of them.
+_KEYS = {
+    "model": _key(str, _RUN),
+    "posterior": _key(str, _RUN),
+    "data": _key(str, _RUN),
+    "generator": _key(str, _RUN),
+    "seed": _key(int, _RUN),
+    "out_dir": _key(str, _RUN),
+    "checkpoint_every": _key(int, _RUN),
+    "max_nodes": _key(int, AdjacencyModelConfig, SequenceModelConfig),
+    "hidden": _key(int, AdjacencyModelConfig, SequenceModelConfig),
+    "row_embed": _key(int, AdjacencyModelConfig),
+    "rounds": _key(int, SequenceModelConfig),
+    "edge_hidden": _key(int, SequenceModelConfig),
+    "layers": _key(int, PosteriorConfig),
+    "heads": _key(int, PosteriorConfig),
+    "head_dim": _key(int, PosteriorConfig),
+    "sample_count": _key(int, TrainConfig),
+    "epochs": _key(int, TrainConfig),
+    "multiplicity_mode": _key(str, TrainConfig),
+    "lr_model": _key(float, TrainConfig),
+    "lr_posterior": _key(float, TrainConfig, applies_to=(PosteriorConfig,)),
+    "use_baseline": _key(bool, TrainConfig),
+    "count": _key(int, gen_er, _community_small),
+    "n": _key(int, gen_er),
+    "p": _key(float, gen_er),
+    "n_min": _key(int, _community_small),
+    "n_max": _key(int, _community_small),
+    "p_intra": _key(float, _community_small),
+}
 
 
 def _convert(key: str, value: str, where: str):
+    convert = _KEYS[key].convert
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
+        if convert is bool:
             lowered = value.lower()
             if lowered not in ("true", "false"):
                 raise ValueError(value)
             return lowered == "true"
-        return value
+        return convert(value)
     except ValueError:
         raise InputError(f"{where}: invalid value {value!r} for key {key!r}") from None
 
@@ -110,7 +133,7 @@ def _parse_setting(item: str, where: str) -> tuple[str, object]:
         raise InputError(f"{where}: expected 'key = value', got {item.strip()!r}")
     key, _, value = item.partition("=")
     key, value = key.strip(), value.strip()
-    if key not in _ALL_KEYS:
+    if key not in _KEYS:
         raise InputError(f"{where}: unknown config key {key!r}")
     if not value:
         raise InputError(f"{where}: empty value for key {key!r}")
@@ -135,11 +158,11 @@ def parse_run_config(text: str, source: str) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated training-run settings built from a config mapping."""
+    """Fully validated training-run settings built from a config mapping. The
+    model family is the type of ``model_config``; ``posterior_config`` is None
+    for the uniform posterior."""
 
-    model_kind: str
     model_config: AdjacencyModelConfig | SequenceModelConfig
-    posterior_kind: str
     posterior_config: PosteriorConfig | None
     train: TrainConfig
     data_path: str | None
@@ -148,83 +171,59 @@ class RunConfig:
     checkpoint_every: int
 
 
-def _reject_inapplicable(values: dict, present: frozenset, reason: str) -> None:
-    used = present & values.keys()
-    if used:
-        raise InputError(f"config keys {sorted(used)} only apply to {reason}")
+def _choose(values: dict, group: str, default: str | None):
+    """The owner that the value of choice key ``group`` selects, once the keys
+    that apply only to its other values are refused."""
+    options = _CHOICES[group]
+    kind = values.get(group, default)
+    if kind is not None and kind not in options:
+        raise InputError(f"{group} must be one of {tuple(options)}, got {kind!r}")
+    others = {value: owner for value, owner in options.items() if value != kind}
+    stray = sorted(k for k in values if set(_KEYS[k].applies_to) <= set(others.values()))
+    if stray:
+        reason = f"{group} configs" if kind is None else f"the {' or '.join(others)} {group}"
+        raise InputError(f"config keys {stray} only apply to {reason}")
+    return options.get(kind)
+
+
+def _owned(values: dict, owner) -> dict:
+    return {key: value for key, value in values.items() if owner in _KEYS[key].owners}
 
 
 def resolve_run_config(values: dict) -> RunConfig:
-    unknown = values.keys() - _ALL_KEYS
+    unknown = values.keys() - _KEYS.keys()
     if unknown:
         raise InputError(f"unknown config keys {sorted(unknown)}")
     seed = values.get("seed", 0)
-    model_kind = values.get("model", "adjacency")
-    if model_kind not in _MODEL_KINDS:
-        raise InputError(f"model must be one of {_MODEL_KINDS}, got {model_kind!r}")
-    arch = {k: values[k] for k in ("max_nodes", "hidden") if k in values}
-    if model_kind == "adjacency":
-        _reject_inapplicable(values, _SEQUENCE_ONLY, "the sequence model")
-        if "row_embed" in values:
-            arch["row_embed"] = values["row_embed"]
-        model_config = AdjacencyModelConfig(seed=seed, **arch)
-    else:
-        _reject_inapplicable(values, _ADJACENCY_ONLY, "the adjacency model")
-        for key in ("rounds", "edge_hidden"):
-            if key in values:
-                arch[key] = values[key]
-        model_config = SequenceModelConfig(seed=seed, **arch)
-
-    posterior_kind = values.get("posterior", "learned")
-    if posterior_kind not in _POSTERIOR_KINDS:
-        raise InputError(f"posterior must be one of {_POSTERIOR_KINDS}, got {posterior_kind!r}")
+    model_owner = _choose(values, "model", "adjacency")
+    model_config = model_owner(seed=seed, **_owned(values, model_owner))
+    posterior_owner = _choose(values, "posterior", "learned")
     posterior_config = None
-    if posterior_kind == "learned":
-        q_arch = {k: values[k] for k in ("layers", "heads", "head_dim") if k in values}
-        posterior_config = PosteriorConfig(
-            max_nodes=model_config.max_nodes, seed=seed, **q_arch
+    if posterior_owner is not None:
+        posterior_config = posterior_owner(
+            max_nodes=model_config.max_nodes, seed=seed, **_owned(values, posterior_owner)
         )
-    else:
-        _reject_inapplicable(values, _LEARNED_ONLY, "the learned posterior")
-
-    train_keys = ("sample_count", "multiplicity_mode", "lr_model", "lr_posterior", "epochs", "use_baseline")
-    train = TrainConfig(seed=seed, **{k: values[k] for k in train_keys if k in values})
+    train = TrainConfig(seed=seed, **_owned(values, TrainConfig))
 
     data_path = values.get("data")
+    if "generator" in values and data_path is not None:
+        raise InputError("config must set either 'data' or 'generator', not both")
+    if "generator" not in values and data_path is None:
+        raise InputError("config must set one of 'data' or 'generator'")
+    generate = _choose(values, "generator", None)
     generator = None
-    if "generator" in values:
-        if data_path is not None:
-            raise InputError("config must set either 'data' or 'generator', not both")
-        kind = values["generator"]
-        if kind not in _GENERATOR_KINDS:
-            raise InputError(f"generator must be one of {_GENERATOR_KINDS}, got {kind!r}")
+    if generate is not None:
         if "count" not in values:
             raise InputError("generator configs must set 'count'")
-        generator = {"kind": kind, "count": values["count"], "seed": seed}
-        if kind == "er":
-            _reject_inapplicable(values, _COMMUNITY_ONLY, "the community-small generator")
-            if "n" not in values or "p" not in values:
-                raise InputError("er generator needs 'n' and 'p'")
-            generator.update(n=values["n"], p=values["p"])
-        else:
-            _reject_inapplicable(values, _ER_ONLY, "the er generator")
-            generator.update(
-                n_min=values.get("n_min", 12),
-                n_max=values.get("n_max", 16),
-                p_intra=values.get("p_intra", 0.7),
-            )
-    elif data_path is None:
-        raise InputError("config must set one of 'data' or 'generator'")
-    else:
-        _reject_inapplicable(values, _ER_ONLY | _COMMUNITY_ONLY | {"count"}, "generator configs")
+        if generate is gen_er and not {"n", "p"} <= values.keys():
+            raise InputError("er generator needs 'n' and 'p'")
+        generator = {"kind": values["generator"], "seed": seed, **_owned(values, generate)}
 
     checkpoint_every = values.get("checkpoint_every", 0)
     if checkpoint_every < 0:
         raise InputError("checkpoint_every must be nonnegative")
     return RunConfig(
-        model_kind=model_kind,
         model_config=model_config,
-        posterior_kind=posterior_kind,
         posterior_config=posterior_config,
         train=train,
         data_path=data_path,
@@ -238,16 +237,8 @@ def _training_dataset(rc: RunConfig) -> GraphDataset:
     if rc.data_path is not None:
         return load_dataset(rc.data_path)
     gen = dict(rc.generator)
-    rng = spawn_rng(gen["seed"], 50)
-    if gen["kind"] == "er":
-        return gen_er(gen["count"], gen["n"], gen["p"], rng)
-    return gen_community_small(gen["count"], (gen["n_min"], gen["n_max"]), gen["p_intra"], rng)
-
-
-def _build_model(rc: RunConfig) -> GraphModel:
-    if rc.model_kind == "adjacency":
-        return AdjacencyModel(rc.model_config)
-    return SequenceModel(rc.model_config)
+    rng = spawn_rng(gen.pop("seed"), 50)
+    return _CHOICES["generator"][gen.pop("kind")](rng=rng, **gen)
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -299,19 +290,21 @@ def _cmd_train(args) -> None:
     for item in args.set or []:
         key, value = _parse_setting(item, "--set")
         values[key] = value
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.epochs is not None:
-        values["epochs"] = args.epochs
-    if args.out_dir is not None:
-        values["out_dir"] = args.out_dir
+    for key in ("seed", "epochs", "out_dir"):
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     rc = resolve_run_config(values)
 
     dataset = _training_dataset(rc)
-    model = _build_model(rc)
-    q = OrderPosterior(rc.posterior_config) if rc.posterior_kind == "learned" else UniformOrderer()
+    model = _MODELS[type(rc.model_config)](rc.model_config)
+    q = OrderPosterior(rc.posterior_config) if rc.posterior_config is not None else UniformOrderer()
     out_dir = Path(rc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    def save(suffix: str, metadata: dict) -> None:
+        model.save(out_dir / f"model{suffix}.json", metadata)
+        if rc.posterior_config is not None:
+            q.save(out_dir / f"posterior{suffix}.json", metadata)
 
     finished = 0
 
@@ -320,15 +313,18 @@ def _cmd_train(args) -> None:
         finished += 1
         print(line)
         if rc.checkpoint_every and finished % rc.checkpoint_every == 0:
-            model.save(out_dir / f"model_epoch{finished}.json", {"epoch": finished})
-            if rc.posterior_kind == "learned":
-                q.save(out_dir / f"posterior_epoch{finished}.json", {"epoch": finished})
+            save(f"_epoch{finished}", {"epoch": finished})
 
     report = train_loop(model, q, dataset, rc.train, progress=progress)
-    model.save(out_dir / "model.json", {"epochs": rc.train.epochs})
-    if rc.posterior_kind == "learned":
-        q.save(out_dir / "posterior.json", {"epochs": rc.train.epochs})
-    write_text_atomic(out_dir / "train_report.json", report.to_json())
+    save("", {"epochs": rc.train.epochs})
+    # the settings, read back as a config file, repeat the run
+    stamp = {
+        "settings": [f"{key} = {value}" for key, value in values.items()],
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    doc = {**report.to_dict(), "reproduction": stamp}
+    write_text_atomic(out_dir / "train_report.json", json.dumps(doc, indent=1) + "\n")
 
 
 def _cmd_sample(args) -> None:
@@ -485,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset file to score")
     p.add_argument(
         "--proposal",
-        choices=_POSTERIOR_KINDS,
+        choices=tuple(_CHOICES["posterior"]),
         default="uniform",
         help="ordering proposal (default uniform)",
     )

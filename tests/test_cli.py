@@ -1,7 +1,11 @@
 """Command-line interface: subcommand outputs, exit codes, config parsing."""
 
+import dataclasses
+import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,12 @@ from graphorder import cli
 from graphorder.cli import main, parse_run_config, resolve_run_config
 from graphorder.data import load_dataset
 from graphorder.errors import InputError, NumericError
-from graphorder.models import AdjacencyModel, AdjacencyModelConfig, load_model
+from graphorder.models import (
+    MULTIPLICITY_MODES,
+    AdjacencyModel,
+    AdjacencyModelConfig,
+    load_model,
+)
 from graphorder.posterior import OrderPosterior, PosteriorConfig
 from graphorder.training import TrainConfig
 from oracles import zero_store
@@ -129,8 +138,7 @@ class TestConfigParsing:
 
     def test_resolve_defaults(self):
         rc = resolve_run_config({"data": "x"})
-        assert rc.model_kind == "adjacency"
-        assert rc.posterior_kind == "learned"
+        assert rc.model_config == AdjacencyModelConfig(seed=0)
         assert rc.posterior_config == PosteriorConfig(max_nodes=20, seed=0)
         assert rc.train == TrainConfig()
         assert rc.out_dir == "run"
@@ -143,6 +151,27 @@ class TestConfigParsing:
         assert rc.model_config.seed == 9
         assert rc.posterior_config.seed == 9
         assert rc.train.seed == 9
+
+
+class TestConfigSchema:
+    def test_owned_keys_are_fields_or_arguments_of_their_owners(self):
+        for key, row in cli._KEYS.items():
+            for owner in row.owners:
+                if dataclasses.is_dataclass(owner):
+                    assert key in {f.name for f in dataclasses.fields(owner)}, (key, owner)
+                elif owner != cli._RUN:
+                    assert key in inspect.signature(owner).parameters, (key, owner)
+
+    def test_every_train_field_but_seed_is_a_key(self):
+        fields = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
+        assert fields == {key for key, row in cli._KEYS.items() if TrainConfig in row.owners}
+
+    def test_readme_key_list_names_the_table_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme[readme.index("\nKeys: ") :].split("\n\n", 1)[0]
+        named = {token.split(" = ")[0] for token in re.findall(r"`([^`]+)`", paragraph)}
+        choice_values = {value for options in cli._CHOICES.values() for value in options}
+        assert named - choice_values - set(MULTIPLICITY_MODES) == set(cli._KEYS)
 
 
 def write_config(tmp_path, **overrides):
@@ -185,6 +214,23 @@ class TestTrainCommand:
         model = load_model(run_dir / "model.json")
         assert model.kind == "adjacency"
         OrderPosterior.load(run_dir / "posterior.json")
+
+    def test_report_stamp_reproduces_the_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=3)
+        code, _, _ = run(capsys, ["train", "--config", cfg, "--set", "p=0.6", "--seed", "11",
+                                  "--epochs", "2"])
+        assert code == 0
+        first = tmp_path / "run"
+        stamp = json.loads((first / "train_report.json").read_text())["reproduction"]
+        assert {"seed = 11", "epochs = 2", "p = 0.6"} <= set(stamp["settings"])
+        assert stamp["numpy"] == np.__version__
+        again = tmp_path / "again.cfg"
+        again.write_text("\n".join(stamp["settings"]) + "\n")
+        second = tmp_path / "again"
+        code, _, _ = run(capsys, ["train", "--config", str(again), "--out-dir", str(second)])
+        assert code == 0
+        for name in ("model.json", "posterior.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
     def test_uniform_posterior_skips_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path, posterior="uniform", layers=None, heads=None, head_dim=None)
