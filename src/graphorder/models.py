@@ -42,13 +42,16 @@ from .tensor import (
     mean,
     mul,
     reshape,
+    take,
     tanh,
     tensor_sum,
 )
 
 MULTIPLICITY_MODES = ("exact", "cr")
-# node rows (batch x prefixes x widest prefix) of one padded block of
-# sequence-model prefixes: bounds the memory of large tape-free batches
+# state rows of one block of a large batch: node rows (batch x prefixes x
+# widest prefix) of one padded block of sequence-model prefixes, and
+# recurrent states (orderings x row steps) of one tape-free block of
+# adjacency rows.  Bounds the memory of large tape-free batches
 PADDED_ROWS = 4096
 
 
@@ -173,10 +176,14 @@ class AdjacencyModelConfig:
 class AdjacencyModel(GraphModel):
     """Recurrent model over lower-triangular adjacency rows.
 
-    A GRU consumes one full-width row per step; each state emits Bernoulli
-    logits for the next row's entries and for the continue/stop decision.
-    With ``fixed_node_count`` set, size is deterministic and the stop terms
-    vanish (useful for hand-built fixtures).
+    Each row, zero-padded to width ``max_nodes - 1``, is embedded and fed
+    to a GRU; state k emits Bernoulli logits for row k + 1's entries and
+    for the continue/stop decision.  Scoring embeds every row in one op,
+    runs only the GRU steps in its loop, and emits from all the stacked
+    states in one pass, reading the logits of the lower-triangle entries
+    alone; the sampler runs one row per step.  With ``fixed_node_count``
+    set, size is deterministic and the stop terms vanish (useful for
+    hand-built fixtures).
     """
 
     kind = "adjacency"
@@ -195,8 +202,8 @@ class AdjacencyModel(GraphModel):
 
     # -- step pieces shared by scoring and sampling -------------------------
 
-    def _advance(self, bound, state: Tensor, row: np.ndarray | Tensor) -> Tensor:
-        return gru_step(bound, "cell", state, tanh(linear(bound, "embed", row)))
+    def _embed(self, bound, rows: np.ndarray) -> Tensor:
+        return tanh(linear(bound, "embed", rows))
 
     def _row_logits(self, bound, state: Tensor) -> Tensor:
         return linear(bound, "edges", state)
@@ -209,25 +216,43 @@ class AdjacencyModel(GraphModel):
     def log_prob_rows(self, rows: np.ndarray, tape: Tape | None = None) -> Tensor:
         """Log-probabilities of (batch, n-1, max_nodes-1) padded row arrays.
         A free-size model pays a continue term before each row and a stop
-        term after the last, except at ``max_nodes``, where it stops surely."""
+        term after the last, except at ``max_nodes``, where it stops surely.
+        Row k's entries past k are embedded but never scored.  A tape-free
+        batch is scored in blocks of at most ``PADDED_ROWS`` states."""
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 3 or rows.shape[2] != self.cfg.max_nodes - 1:
             raise InputError("rows must have shape (batch, steps, max_nodes - 1)")
-        batch, steps, width = rows.shape
+        batch, steps, _ = rows.shape
         self._check_n(steps + 1)
+        block = max(1, PADDED_ROWS // (steps + 1))
+        if tape is not None or batch <= block:
+            return self._score_rows(rows, tape)
+        return concat([self._score_rows(rows[lo : lo + block], None) for lo in range(0, batch, block)])
+
+    def _score_rows(self, rows: np.ndarray, tape: Tape | None) -> Tensor:
+        """``log_prob_rows`` of one block.  State k, for k < steps, scores
+        row k and its continue term; state ``steps`` scores the final stop,
+        when there is one."""
+        batch, steps, width = rows.shape
         sized = self.cfg.fixed_node_count is not None
+        count = steps + (not sized and steps + 1 < self.cfg.max_nodes)
+        if count == 0:
+            return Tensor(np.zeros(batch), tape=tape)
         bound = self.store.bind(tape)
-        state = _broadcast_rows(bound["state0"], batch)
-        terms = [Tensor(np.zeros(batch), tape=tape)]
-        for k in range(steps):
-            if not sized:
-                terms.append(log_sigmoid(mul(self._stop_logit(bound, state), -1.0)))
-            mask = np.zeros(width)
-            mask[: k + 1] = 1.0
-            terms.append(_bernoulli_log_prob(self._row_logits(bound, state), rows[:, k, :], mask))
-            state = self._advance(bound, state, rows[:, k, :])
-        if not sized and steps + 1 < self.cfg.max_nodes:
-            terms.append(log_sigmoid(self._stop_logit(bound, state)))
+        states = [_broadcast_rows(bound["state0"], batch)]
+        if count > 1:
+            inputs = self._embed(bound, rows[:, : count - 1])
+            for k in range(count - 1):
+                states.append(gru_step(bound, "cell", states[-1], take(inputs, k, axis=1)))
+        stacked = reshape(concat(states), (batch, count, self.cfg.hidden))
+        terms = []
+        if steps:
+            k, j = np.tril_indices(steps)
+            logits = reshape(self._row_logits(bound, stacked), (batch, count * width))
+            terms.append(_bernoulli_log_prob(take(logits, k * width + j, axis=1), rows[:, k, j], None))
+        if not sized:
+            sign = np.where(np.arange(count) < steps, -1.0, 1.0)
+            terms.append(tensor_sum(log_sigmoid(mul(self._stop_logit(bound, stacked), sign)), axis=-1))
         return reduce(add, terms)
 
     def log_prob_orderings(
@@ -263,7 +288,7 @@ class AdjacencyModel(GraphModel):
             bits = _bernoulli_draws(logits, rng, "edge logits") & alive[:, None]
             adj[:, k + 1, : k + 1] = bits
             sizes += alive
-            state = self._advance(bound, state, adj[:, k + 1, :-1].astype(np.float64))
+            state = gru_step(bound, "cell", state, self._embed(bound, adj[:, k + 1, :-1].astype(np.float64)))
         return _graphs(adj, sizes)
 
 

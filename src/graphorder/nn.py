@@ -1,10 +1,11 @@
 """Neural building blocks shared by the generative models and the posterior:
 Glorot initialisation, linear maps, a GRU cell, and a multi-head additive
 attention round over graph neighbourhoods (node and neighbours, self
-included).  Each head's attention weights come from the fused
-``tensor.additive_attention`` op (Velickovic et al. 2018, "Graph Attention
-Networks").  A tape-free attention stack can write its large results into
-the arrays of an ``AttentionWork`` instead of allocating them.
+included).  A GRU step is one fused ``tensor.gru`` op, and each head's
+attention weights come from the fused ``tensor.additive_attention`` op
+(Velickovic et al. 2018, "Graph Attention Networks").  A tape-free
+attention stack can write its large results into the arrays of an
+``AttentionWork`` instead of allocating them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph, adjacency_matrix
-from .tensor import ParameterStore, Tensor, add, additive_attention, concat, matmul, mul, sigmoid, sub, tanh
+from .tensor import ParameterStore, Tensor, add, additive_attention, concat, gru, matmul, tanh
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -55,21 +56,9 @@ def register_gru(
 
 
 def gru_step(bound: dict[str, Tensor], name: str, h, x) -> Tensor:
-    """One gated recurrent update; h (..., dim), x (..., in_dim)."""
-
-    def gate(which: str, state) -> Tensor:
-        return add(
-            add(
-                matmul(x, bound[f"{name}.{which}.wx"]),
-                matmul(state, bound[f"{name}.{which}.wh"]),
-            ),
-            bound[f"{name}.{which}.b"],
-        )
-
-    z = sigmoid(gate("update", h))
-    r = sigmoid(gate("reset", h))
-    cand = tanh(gate("candidate", mul(r, h)))
-    return add(mul(sub(1.0, z), cand), mul(z, h))
+    """One gated recurrent update, h (..., dim), x (..., in_dim), recorded
+    as one ``tensor.gru`` op."""
+    return gru(h, x, [[bound[f"{name}.{gate}.{p}"] for p in ("wx", "wh", "b")] for gate in _GRU_GATES])
 
 
 def register_attention(
@@ -97,9 +86,10 @@ class AttentionWork(NamedTuple):
     (batch, n, ...) results into, each passed to its op as ``out=``: the
     states ``h``, the joined head outputs ``joined`` (then their tanh), and
     per head its output ``head_out[k]``, projected features ``z``, source
-    and target scores ``src`` and ``dst``, and attention ``weights``.  With
-    every field None, the default ``ALLOCATE``, each op allocates its
-    result, which a taped call must do."""
+    and target scores ``src`` and ``dst``, attention ``weights``, and the
+    leaky step's temporary ``leaky`` (passed as ``scratch=``).  With every
+    field None, the default ``ALLOCATE``, each op allocates its result,
+    which a taped call must do."""
 
     h: np.ndarray | None = None
     joined: np.ndarray | None = None
@@ -108,6 +98,7 @@ class AttentionWork(NamedTuple):
     src: np.ndarray | None = None
     dst: np.ndarray | None = None
     weights: np.ndarray | None = None
+    leaky: np.ndarray | None = None
 
     @classmethod
     def allocate(cls, rows: int, n: int, d: int, heads: int) -> AttentionWork:
@@ -122,6 +113,7 @@ class AttentionWork(NamedTuple):
             src=np.empty((rows, n)),
             dst=np.empty((rows, n)),
             weights=np.empty((rows, n, n)),
+            leaky=np.empty((rows, n, n)),
         )
 
     def rows(self, b: int) -> AttentionWork:
@@ -161,7 +153,7 @@ def attention_message_pass(
         z = matmul(feats, bound[f"{name}.head{k}.w"], out=work.z)
         s_src = matmul(z, bound[f"{name}.head{k}.src"], out=work.src)
         s_dst = matmul(z, bound[f"{name}.head{k}.dst"], out=work.dst)
-        att = additive_attention(s_src, s_dst, neighbor_mask, out=work.weights)
+        att = additive_attention(s_src, s_dst, neighbor_mask, out=work.weights, scratch=work.leaky)
         outs.append(matmul(att, z, out=work.head(k)))
     return concat(outs, out=work.joined)
 

@@ -2,21 +2,34 @@
 
 A Tape records tensors in creation order, which is already a topological
 order, so the backward pass is a single reverse sweep that visits each node
-once.  Ops are module functions (``add``, ``matmul``, ``tensor_sum``, ...);
-a Tensor has no operator methods.  ``Tensor(data, tape, leaf_ref)`` builds a
-leaf only: its data, the tape that records it (if any) and, for a parameter
-leaf, the (store, name) that its gradient belongs to.  An op builds its own
-output, recorded on its operands' tape with the pull that sends gradients
-back to them.  Ops called on tensors that carry no tape run eagerly and
-record nothing, which doubles as the no-gradient fast path for sampling and
-evaluation.
+once.  Ops are module functions; a Tensor has no operator methods:
+
+- elementwise and linear: ``add``, ``sub``, ``mul``, ``matmul``,
+  ``sigmoid``, ``tanh``, ``log_sigmoid``;
+- shape and selection: ``tensor_sum`` (and ``mean`` built on it),
+  ``reshape``, ``concat`` (last axis), ``take`` (np.take along one axis; its
+  pull scatter-adds, so repeated indices are summed) and
+  ``take_along_last``;
+- masked: ``masked_log_softmax`` and ``additive_attention`` (below);
+- fused: ``gru``, one GRU update whose forward has the bits of the chain of
+  ``matmul``/``add``/``sigmoid``/``mul``/``tanh``/``sub`` ops it stands for,
+  recorded as one node with one hand-written pull.
+
+``Tensor(data, tape, leaf_ref)`` builds a leaf only: its data, the tape
+that records it (if any) and, for a parameter leaf, the (store, name) that
+its gradient belongs to.  An op builds its own output, recorded on its
+operands' tape with the pull that sends gradients back to them.  Ops
+called on tensors that carry no tape run eagerly and record nothing, which
+doubles as the no-gradient fast path for sampling and evaluation.
 
 On that path, and only there, ``add``, ``matmul``, ``tanh``, ``concat`` and
 ``additive_attention`` take ``out=``: a float64 array of the result's shape
 that the op writes its result into and returns as the result's data, so a
-caller can reuse its work arrays from call to call.  ``out=`` with an
-operand on a tape raises ``InputError``, since the tape would keep a view of
-an array that the caller goes on to overwrite.
+caller can reuse its work arrays from call to call; ``additive_attention``
+also takes ``scratch=``, an array of the same shape for its one temporary.
+``out=`` (or ``scratch=``) with an operand on a tape raises ``InputError``,
+since the tape would keep a view of an array that the caller goes on to
+overwrite.
 
 Two ops work over the last axis restricted to a boolean mask:
 ``masked_log_softmax``, and ``additive_attention``, which turns the scores
@@ -36,7 +49,8 @@ result, so an op that overflows returns inf or nan and passes it on.
 ``NumericError`` is raised for non-finite values in:
 
 - tensors built by calling ``Tensor(...)``, which includes constants that
-  ops wrap and the parameter leaves of ``ParameterStore.bind``;
+  ops wrap (every operand of ``gru`` and ``take`` too) and the parameter
+  leaves of ``ParameterStore.bind``;
 - the root of ``backward``;
 - ``ParameterStore.add``, checkpoints read by ``parse_checkpoint``, and the
   gradients and updated moments of ``ParameterStore.adam_step``.
@@ -233,9 +247,13 @@ def matmul(a, b, out=None) -> Tensor:
     return _result((a, b), data, pull)
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
+
+
 def sigmoid(x) -> Tensor:
     x = _wrap(x)
-    data = 1.0 / (1.0 + np.exp(-np.clip(x.data, -500, 500)))
+    data = _sigmoid(x.data)
 
     def pull(g):
         _acc(x, g * data * (1.0 - data))
@@ -329,6 +347,80 @@ def take_along_last(x, indices) -> Tensor:
     return _result((x,), data, pull)
 
 
+def take(x, indices, axis: int) -> Tensor:
+    """``np.take(x, indices, axis)``: the slices of x along ``axis`` at the
+    integer ``indices`` (a scalar or an array, entries may repeat), in
+    their place.  The pull adds each slice's gradient back at its index."""
+    x = _wrap(x)
+    idx = np.asarray(indices, dtype=np.int64)
+    try:
+        data = np.take(x.data, idx, axis=axis)
+    except IndexError as exc:
+        raise InputError(f"take: {exc}") from exc
+    where = (slice(None),) * (axis % x.data.ndim) + (idx,)
+
+    def pull(g):
+        buf = np.zeros_like(x.data)
+        np.add.at(buf, where, g)
+        _acc(x, buf)
+
+    return _result((x,), data, pull)
+
+
+def gru(h, x, gates: Sequence[Sequence]) -> Tensor:
+    """One gated recurrent update (Cho et al. 2014) as one op.  For states
+    h (..., dim), inputs x (..., in_dim) and the (wx, wh, b) triples of the
+    update, reset and candidate gates, with a_k(s) = x wx_k + s wh_k + b_k:
+
+        z = sigmoid(a_update(h)),  r = sigmoid(a_reset(h)),
+        c = tanh(a_candidate(r * h)),  out = (1 - z) * c + z * h.
+
+    The forward evaluates the numpy expressions of the ops ``matmul``,
+    ``add``, ``sigmoid``, ``mul``, ``tanh`` and ``sub`` in the order in
+    which a chain of those ops would, so its result has the same bits; one
+    pull sends the gradient to h, x and the nine parameters.  Weights must
+    be 2-D and biases 1-D; h and x broadcast over their leading axes."""
+    h, x = _wrap(h), _wrap(x)
+    params = tuple(_wrap(p) for gate in gates for p in gate)
+    if [p.data.ndim for p in params] != [2, 2, 1] * 3:
+        raise InputError("gru takes three (wx, wh, b) gates of 2-D weights and 1-D biases")
+    wxz, whz, bz, wxr, whr, br, wxc, whc, bc = (p.data for p in params)
+    H, X = h.data, x.data
+    try:
+        z = _sigmoid(np.matmul(X, wxz) + np.matmul(H, whz) + bz)
+        r = _sigmoid(np.matmul(X, wxr) + np.matmul(H, whr) + br)
+        rh = r * H
+        c = np.tanh(np.matmul(X, wxc) + np.matmul(rh, whc) + bc)
+        data = (1.0 - z) * c + z * H
+    except ValueError as exc:
+        raise NumericError(f"gru shape mismatch: h {H.shape}, x {X.shape}") from exc
+    lead, dim = data.shape[:-1], data.shape[-1]
+
+    def rows(a: np.ndarray) -> np.ndarray:
+        """``a`` broadcast to the output's leading axes, as (rows, last)."""
+        return np.broadcast_to(a, lead + a.shape[-1:]).reshape(-1, a.shape[-1])
+
+    def pull(g):
+        g, Z, R, C = (a.reshape(-1, dim) for a in (g, z, r, c))
+        H2, X2 = rows(H), rows(X)
+        dc = g * (1.0 - Z) * (1.0 - C * C)
+        dz = g * (H2 - C) * Z * (1.0 - Z)
+        drh = dc @ whc.T
+        dr = drh * H2 * R * (1.0 - R)
+        if h.tape is not None:
+            dh = g * Z + drh * R + dz @ whz.T + dr @ whr.T
+            _acc(h, _unbroadcast(dh.reshape(lead + (dim,)), H.shape))
+        if x.tape is not None:
+            dx = dz @ wxz.T + dr @ wxr.T + dc @ wxc.T
+            _acc(x, _unbroadcast(dx.reshape(lead + X.shape[-1:]), X.shape))
+        grads = (X2.T @ dz, H2.T @ dz, dz.sum(axis=0), X2.T @ dr, H2.T @ dr, dr.sum(axis=0))
+        grads += (X2.T @ dc, rows(rh).T @ dc, dc.sum(axis=0))
+        for p, grad in zip(params, grads):
+            _acc(p, grad)
+
+    return _result((h, x, *params), data, pull)
+
+
 def _mask(mask, shape: tuple[int, ...]) -> np.ndarray:
     """``mask`` as a bool array; ``NumericError`` unless it broadcasts to
     ``shape``."""
@@ -370,15 +462,16 @@ def masked_log_softmax(x, mask) -> Tensor:
     return _result((x,), data, pull)
 
 
-def additive_attention(src, dst, mask, out=None) -> Tensor:
+def additive_attention(src, dst, mask, out=None, scratch=None) -> Tensor:
     """Attention weights softmax_j(leaky_relu(src_i + dst_j)) with negative
     slope ``ATTENTION_SLOPE`` over the entries of mask, for src and dst of
     shape (..., n) and a mask that broadcasts to (..., n, n); excluded
     weights are exactly zero.
 
     One (..., n, n) buffer, ``out`` if given, holds the scores and is turned
-    into the weights in place.  The leaky step is max(x, slope * x), exact because
-    0 < slope < 1.  Row i is shifted by the bound
+    into the weights in place.  The leaky step is max(x, slope * x), exact
+    because 0 < slope < 1; a second buffer, ``scratch`` if given (tape-free
+    only, like ``out``), holds slope * x.  Row i is shifted by the bound
     leaky_relu(src_i + max_j dst_j) rather than by its masked maximum: the
     leaky step is monotone, so the bound is at least every score of the row
     and exp cannot overflow.  exp runs on every score and the mask
@@ -391,9 +484,10 @@ def additive_attention(src, dst, mask, out=None) -> Tensor:
     if src.data.ndim == 0 or src.data.shape != dst.data.shape:
         raise NumericError(f"additive_attention shape mismatch: {src.data.shape} vs {dst.data.shape}")
     _tape_free(out, (src, dst))
+    _tape_free(scratch, (src, dst))
     x = np.add(src.data[..., :, None], dst.data[..., None, :], out=out)
     m = _mask(mask, x.shape)
-    np.maximum(x, ATTENTION_SLOPE * x, out=x)
+    np.maximum(x, np.multiply(x, ATTENTION_SLOPE, out=scratch), out=x)
     # the leaky step keeps signs; the pull needs them only on a tape
     pos = x > 0 if src.tape is not None or dst.tape is not None else None
     bound = src.data + dst.data.max(axis=-1, keepdims=True)

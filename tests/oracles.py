@@ -16,8 +16,9 @@ import numpy as np
 
 from graphorder.errors import InputError
 from graphorder.graphs import Graph, bit_indices, induced_subgraph, validate_ordering
-from graphorder.models import _bernoulli_log_prob, _permuted_adjacency
-from graphorder.tensor import Tensor, add, log_sigmoid, mean, mul
+from graphorder.models import _bernoulli_log_prob, _broadcast_rows, _permuted_adjacency
+from graphorder.nn import linear
+from graphorder.tensor import Tensor, add, log_sigmoid, matmul, mean, mul, sigmoid, sub, tanh
 
 
 def all_graphs(n: int):
@@ -298,6 +299,49 @@ def per_prefix_log_prob_orderings(model, g: Graph, orders, tape=None) -> Tensor:
     if not sized and n < model.cfg.max_nodes:
         h = model._propagate(bound, aperm)
         terms.append(log_sigmoid(model._stop_logit(bound, mean(h, axis=-2))))
+    return reduce(add, terms)
+
+
+def composed_gru_step(bound: dict, name: str, h, x) -> Tensor:
+    """``nn.gru_step`` as the chain of tape ops it replaced: each gate is
+    add(add(matmul(x, wx), matmul(state, wh)), b), with about 19 op nodes
+    per step."""
+
+    def gate(which: str, state) -> Tensor:
+        return add(
+            add(
+                matmul(x, bound[f"{name}.{which}.wx"]),
+                matmul(state, bound[f"{name}.{which}.wh"]),
+            ),
+            bound[f"{name}.{which}.b"],
+        )
+
+    z = sigmoid(gate("update", h))
+    r = sigmoid(gate("reset", h))
+    cand = tanh(gate("candidate", mul(r, h)))
+    return add(mul(sub(1.0, z), cand), mul(z, h))
+
+
+def per_step_log_prob_rows(model, rows: np.ndarray, tape=None) -> Tensor:
+    """``AdjacencyModel.log_prob_rows`` one row step at a time, with the
+    composed GRU: state k pays the continue term and the masked full-width
+    Bernoulli terms of row k, then embeds row k and steps.  A free-size
+    model pays the final stop term only below ``max_nodes``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    batch, steps, width = rows.shape
+    sized = model.cfg.fixed_node_count is not None
+    bound = model.store.bind(tape)
+    state = _broadcast_rows(bound["state0"], batch)
+    terms = [Tensor(np.zeros(batch), tape=tape)]
+    for k in range(steps):
+        if not sized:
+            terms.append(log_sigmoid(mul(model._stop_logit(bound, state), -1.0)))
+        mask = np.zeros(width)
+        mask[: k + 1] = 1.0
+        terms.append(_bernoulli_log_prob(linear(bound, "edges", state), rows[:, k, :], mask))
+        state = composed_gru_step(bound, "cell", state, tanh(linear(bound, "embed", rows[:, k, :])))
+    if not sized and steps + 1 < model.cfg.max_nodes:
+        terms.append(log_sigmoid(model._stop_logit(bound, state)))
     return reduce(add, terms)
 
 

@@ -35,6 +35,7 @@ from oracles import (
     central_difference,
     encode_adjacency,
     per_prefix_log_prob_orderings,
+    per_step_log_prob_rows,
     random_graph,
     zero_store,
 )
@@ -459,6 +460,69 @@ class TestPaddedPrefixBlocks:
         tape = Tape()
         model.log_prob_orderings(g, np.array([rng.permutation(16) for _ in range(8)]), tape)
         assert len(tape.nodes) <= 150
+
+
+class TestRowScorer:
+    """``AdjacencyModel.log_prob_rows`` runs the GRU steps alone in its loop
+    and emits from the stacked states in one pass; its values and gradients
+    are those of one emission per step, and tape-free batches of any size
+    score in blocks."""
+
+    MAX_NODES = 9
+
+    def model(self, n, sized):
+        return AdjacencyModel(
+            AdjacencyModelConfig(
+                max_nodes=self.MAX_NODES, hidden=8, row_embed=5, fixed_node_count=n if sized else None, seed=n
+            )
+        )
+
+    def rows(self, rng, batch, n):
+        """Random 0/1 rows, with entries past the lower triangle too: they
+        are embedded but never scored."""
+        return (rng.random((batch, n - 1, self.MAX_NODES - 1)) < 0.4).astype(np.float64)
+
+    @pytest.mark.parametrize("sized", [False, True], ids=["free", "fixed"])
+    @pytest.mark.parametrize("n", [1, 2, 5, MAX_NODES])
+    def test_matches_per_step_loop(self, n, sized):
+        model = self.model(n, sized)
+        rng = spawn_rng(200 + n, int(sized))
+        rows = self.rows(rng, 6, n)
+        weights = rng.normal(size=6)
+        results = []
+        for score in (model.log_prob_rows, lambda r, tape: per_step_log_prob_rows(model, r, tape)):
+            model.store.zero_grads()
+            tape = Tape()
+            rep = score(rows, tape)
+            backward(tape, tensor_sum(mul(rep, weights)))
+            model.store.accumulate_from_tape(tape)
+            results.append((rep.data, model.store.grad_vector()))
+        (got, got_grad), (want, want_grad) = results
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(got_grad - want_grad).max() <= 1e-12
+        assert np.abs(model.log_prob_rows(rows).data - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("sized", [False, True], ids=["free", "fixed"])
+    def test_tape_free_batch_spans_several_blocks(self, sized):
+        n = self.MAX_NODES
+        model = self.model(n, sized)
+        block = PADDED_ROWS // n
+        rng = spawn_rng(210, int(sized))
+        rows = self.rows(rng, 2 * block + 7, n)
+        want = per_step_log_prob_rows(model, rows).data
+        assert np.abs(model.log_prob_rows(rows).data - want).max() <= 1e-12
+        assert np.abs(model.log_prob_rows(rows, Tape()).data - want).max() <= 1e-12
+
+    def test_training_shape_tape_stays_small(self):
+        # the benchmark's adjacency model on a 15-node graph with S = 8: one
+        # emission per step with the composed GRU records 566 op nodes, and
+        # this scorer 52
+        model = AdjacencyModel(AdjacencyModelConfig(max_nodes=16, hidden=32, row_embed=16))
+        rng = spawn_rng(18)
+        g = random_graph(rng, 15, 0.3)
+        tape = Tape()
+        model.log_prob_orderings(g, np.array([rng.permutation(15) for _ in range(8)]), tape)
+        assert len([t for t in tape.nodes if t.pull is not None]) <= 60
 
 
 class TestCheckpoints:

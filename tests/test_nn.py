@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from graphorder.errors import NumericError
 from graphorder.graphs import Graph
 from graphorder.nn import (
     attention_message_pass,
@@ -12,8 +14,8 @@ from graphorder.nn import (
     register_linear,
     residual_attention_stack,
 )
-from graphorder.tensor import ParameterStore, Tape, Tensor, backward, tensor_sum
-from oracles import central_difference, zero_store
+from graphorder.tensor import ParameterStore, Tape, Tensor, backward, mul, tensor_sum
+from oracles import central_difference, composed_gru_step, zero_store
 
 
 def cycle(n):
@@ -63,31 +65,83 @@ def test_gru_batched_matches_single():
         assert np.allclose(batched[i], single, atol=1e-12)
 
 
-def test_gru_gradients_match_finite_differences():
+def random_gru(in_dim, dim, seed) -> ParameterStore:
+    """A GRU with Glorot weights and random (not zero) biases."""
     store = ParameterStore()
-    register_gru(store, "cell", 2, 3, np.random.default_rng(5))
-    rng = np.random.default_rng(6)
-    h0 = rng.normal(size=(3,))
-    x0 = rng.normal(size=(2,))
-    name = "cell.update.wx"
+    register_gru(store, "cell", in_dim, dim, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for name in store.names():
+        if name.endswith(".b"):
+            store.get(name)[:] = rng.normal(size=dim)
+    return store
 
+
+GRU_SHAPES = {
+    "1-d": ((8,), (5,)),
+    "batched": ((6, 8), (6, 5)),
+    "prefix-blocks": ((4, 3, 5, 8), (4, 3, 5, 5)),
+    "broadcast-state": ((8,), (6, 5)),
+}
+
+
+@pytest.mark.parametrize("case", list(GRU_SHAPES))
+def test_gru_forward_equals_composed_ops(case):
+    """The fused op repeats the composed ops' numpy expressions in their
+    order, so the bits agree, taped or not; a taped step is one op node."""
+    h_shape, x_shape = GRU_SHAPES[case]
+    store = random_gru(5, 8, seed=30)
+    rng = np.random.default_rng(31)
+    h, x = rng.normal(size=h_shape), rng.normal(size=x_shape)
+    expect = composed_gru_step(store.bind(None), "cell", Tensor(h), Tensor(x)).data
+    assert np.array_equal(gru_step(store.bind(None), "cell", Tensor(h), Tensor(x)).data, expect)
     tape = Tape()
     bound = store.bind(tape)
-    out = tensor_sum(gru_step(bound, "cell", Tensor(h0, tape=tape), Tensor(x0, tape=tape)))
-    backward(tape, out)
+    leaves = len(tape.nodes)
+    taped = gru_step(bound, "cell", Tensor(h, tape=tape), Tensor(x, tape=tape))
+    assert np.array_equal(taped.data, expect)
+    assert [t.pull is None for t in tape.nodes[leaves:]] == [True, True, False]
+
+
+def test_gru_gradients_match_finite_differences():
+    for case in ("1-d", "batched", "broadcast-state"):
+        check_gru_gradients(*GRU_SHAPES[case])
+
+
+def check_gru_gradients(h_shape, x_shape):
+    """The pull's gradients of h, x and all nine parameters against central
+    differences."""
+    store = random_gru(5, 8, seed=32)
+    rng = np.random.default_rng(33)
+    h0, x0 = rng.normal(size=h_shape), rng.normal(size=x_shape)
+    w = rng.normal(size=np.broadcast_shapes(h_shape[:-1], x_shape[:-1]) + (8,))
+
+    def value(h, x):
+        return float(tensor_sum(mul(w, gru_step(store.bind(None), "cell", Tensor(h), Tensor(x)))).data)
+
+    tape = Tape()
+    h, x = Tensor(h0, tape=tape), Tensor(x0, tape=tape)
+    backward(tape, tensor_sum(mul(w, gru_step(store.bind(tape), "cell", h, x))))
     store.accumulate_from_tape(tape)
+    assert np.abs(h.grad - central_difference(lambda v: value(v, x0), h0.copy())).max() < 1e-6
+    assert np.abs(x.grad - central_difference(lambda v: value(h0, v), x0.copy())).max() < 1e-6
+    assert len(store.names()) == 9
+    for name in store.names():
+        base = store.get(name).copy()
 
-    base = store.get(name).copy()
+        def f(v, name=name, base=base):
+            store.get(name)[:] = v
+            val = value(h0, x0)
+            store.get(name)[:] = base
+            return val
 
-    def f(w):
-        store.get(name)[:] = w
-        bound2 = store.bind(None)
-        val = float(tensor_sum(gru_step(bound2, "cell", Tensor(h0), Tensor(x0))).data)
-        store.get(name)[:] = base
-        return val
+        assert np.abs(store.grad(name) - central_difference(f, base.copy())).max() < 1e-6, (name, h_shape)
 
-    num = central_difference(f, base.copy())
-    assert np.abs(store.grad(name) - num).max() < 1e-6
+
+def test_gru_refuses_a_non_finite_input_array():
+    store = random_gru(2, 3, seed=34)
+    x = np.array([np.nan, 0.0])
+    with pytest.raises(NumericError, match="non-finite"):
+        gru_step(store.bind(None), "cell", Tensor(np.zeros(3)), x)
 
 
 class TestAttention:

@@ -161,12 +161,12 @@ class TestSampling:
                 q.store.get(name)[:] *= 1e4
         gaps = []
 
-        def recording_attention(src, dst, mask, out=None):
+        def recording_attention(src, dst, mask, **buffers):
             scores = src.data[..., :, None] + dst.data[..., None, :]
             scores = np.maximum(scores, ATTENTION_SLOPE * scores)
             kept = np.where(mask, scores, -np.inf).max(axis=-1)
             gaps.append((scores.max(axis=-1) - kept).max())
-            return additive_attention(src, dst, mask, out=out)
+            return additive_attention(src, dst, mask, **buffers)
 
         monkeypatch.setattr(nn, "additive_attention", recording_attention)
         g = random_graph(spawn_rng(50), 7, 0.4)

@@ -24,6 +24,7 @@ from graphorder.tensor import (
     reshape,
     sigmoid,
     sub,
+    take,
     take_along_last,
     tanh,
     tensor_sum,
@@ -309,6 +310,17 @@ class TestOutArrays:
                 op(*operands, *extra, out=np.empty(fresh.data.shape))
 
 
+    def test_attention_scratch_keeps_the_weights_and_refuses_a_tape(self):
+        """``scratch`` holds the leaky step's temporary: the weights keep
+        their bits, and a taped operand refuses it like ``out=``."""
+        _, (src, dst), (mask,) = _out_cases()["additive_attention"]
+        fresh = additive_attention(src, dst, mask).data
+        scratch = np.full(fresh.shape, np.nan)
+        assert np.array_equal(additive_attention(src, dst, mask, scratch=scratch).data, fresh)
+        with pytest.raises(InputError, match="out="):
+            additive_attention(Tensor(src, tape=Tape()), dst, mask, scratch=scratch)
+
+
 class TestGradientsAgainstFiniteDifferences:
     def test_add_broadcast(self):
         rng = np.random.default_rng(3)
@@ -385,6 +397,28 @@ class TestGradientsAgainstFiniteDifferences:
         scalar_grad_check(
             lambda x: tensor_sum(tanh(take_along_last(x, idx))), rng.normal(size=(2, 2, 3))
         )
+
+    @pytest.mark.parametrize(
+        "shape,indices,axis",
+        [
+            ((3, 4, 2), np.array([[2, 0], [2, 2]]), 1),
+            ((3, 4, 2), 1, 1),
+            ((5, 3), np.array([4, 4, 0, 4]), 0),
+            ((2, 6), np.array([5, 1, 5]), -1),
+        ],
+        ids=["repeated-2d-index", "scalar-index", "repeated-axis-0", "negative-axis"],
+    )
+    def test_take(self, shape, indices, axis):
+        """Slices taken more than once get the sum of their gradients."""
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=np.take(x, indices, axis=axis).shape)
+        assert np.array_equal(take(x, indices, axis).data, np.take(x, indices, axis=axis))
+        scalar_grad_check(lambda t: tensor_sum(mul(w, tanh(take(t, indices, axis)))), x)
+
+    def test_take_refuses_an_index_out_of_range(self):
+        with pytest.raises(InputError, match="take"):
+            take(np.zeros((2, 3)), np.array([0, 3]), 1)
 
     def test_additive_attention(self):
         rng = np.random.default_rng(14)
