@@ -1,21 +1,22 @@
 """Neural building blocks shared by the generative models and the posterior:
 Glorot initialisation, linear maps, a GRU cell, and a multi-head additive
 attention round over graph neighbourhoods (node and neighbours, self
-included).  A GRU step is one fused ``tensor.gru`` op, and each head's
-attention weights come from the fused ``tensor.additive_attention`` op
-(Velickovic et al. 2018, "Graph Attention Networks").  A tape-free
-attention stack can write its large results into the arrays of an
-``AttentionWork`` instead of allocating them.
+included).  A GRU step is one fused ``tensor.gru`` op, and an attention
+round, every head at once, one fused ``tensor.multi_head_attention`` op
+(Velickovic et al. 2018, "Graph Attention Networks") over the heads'
+parameters that ``bind_attention`` stacks once per network pass.  A
+tape-free attention stack can write its large results into the arrays of
+an ``AttentionWork`` instead of allocating them.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import Graph, adjacency_matrix
-from .tensor import ParameterStore, Tensor, add, additive_attention, concat, gru, matmul, tanh
+from .tensor import ParameterStore, Tensor, add, gru, matmul, multi_head_attention, stack, tanh
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -83,20 +84,19 @@ def neighborhood_mask(g: Graph) -> np.ndarray:
 
 class AttentionWork(NamedTuple):
     """Arrays that a tape-free ``residual_attention_stack`` writes its
-    (batch, n, ...) results into, each passed to its op as ``out=``: the
-    states ``h``, the joined head outputs ``joined`` (then their tanh), and
-    per head its output ``head_out[k]``, projected features ``z``, source
-    and target scores ``src`` and ``dst``, attention ``weights``, and the
-    leaky step's temporary ``leaky`` (passed as ``scratch=``).  With every
-    field None, the default ``ALLOCATE``, each op allocates its result,
-    which a taped call must do."""
+    results into, each with its batch rows on axis -3: the states ``h`` and
+    the joined head outputs ``joined`` (then their tanh), (rows, n, d); and
+    for ``tensor.multi_head_attention``, with heads on axis 0, the projected
+    features ``z`` (heads, rows, n, head_dim), the source and target scores
+    ``scores`` (2, heads, rows, n, 1), the attention ``weights`` and the
+    leaky step's temporary ``leaky`` (heads, rows, n, n).  With every field
+    None, the default ``ALLOCATE``, each op allocates its result, which a
+    taped call must do."""
 
     h: np.ndarray | None = None
     joined: np.ndarray | None = None
-    head_out: np.ndarray | None = None
     z: np.ndarray | None = None
-    src: np.ndarray | None = None
-    dst: np.ndarray | None = None
+    scores: np.ndarray | None = None
     weights: np.ndarray | None = None
     leaky: np.ndarray | None = None
 
@@ -104,29 +104,38 @@ class AttentionWork(NamedTuple):
     def allocate(cls, rows: int, n: int, d: int, heads: int) -> AttentionWork:
         """Uninitialised arrays for batches of up to ``rows`` rows of ``n``
         nodes, with ``heads`` heads of d // heads lanes each."""
-        head_dim = d // heads
         return cls(
             h=np.empty((rows, n, d)),
             joined=np.empty((rows, n, d)),
-            head_out=np.empty((heads, rows, n, head_dim)),
-            z=np.empty((rows, n, head_dim)),
-            src=np.empty((rows, n)),
-            dst=np.empty((rows, n)),
-            weights=np.empty((rows, n, n)),
-            leaky=np.empty((rows, n, n)),
+            z=np.empty((heads, rows, n, d // heads)),
+            scores=np.empty((2, heads, rows, n, 1)),
+            weights=np.empty((heads, rows, n, n)),
+            leaky=np.empty((heads, rows, n, n)),
         )
 
     def rows(self, b: int) -> AttentionWork:
         """Views of the first ``b`` batch rows of every array."""
-        return AttentionWork(
-            *(arr[:, :b] if field == "head_out" else arr[:b] for field, arr in zip(self._fields, self))
-        )
-
-    def head(self, k: int) -> np.ndarray | None:
-        return None if self.head_out is None else self.head_out[k]
+        return AttentionWork(*(arr[..., :b, :, :] for arr in self))
 
 
 ALLOCATE = AttentionWork()
+
+
+def bind_attention(store: ParameterStore, tape, rounds: Sequence[str], heads: int) -> dict[str, Tensor]:
+    """``store.bind(tape)`` plus, for each attention round ``name`` in
+    ``rounds``, its heads' parameters on a leading heads axis, the entries
+    that ``attention_message_pass`` reads: ``{name}.w`` (heads, in_dim,
+    head_dim), and ``{name}.a`` (2 * heads, head_dim), the heads' source
+    vectors and then their target vectors.  On a tape each is one ``stack``
+    op, whose pull hands every head's slice back to its own leaf, so the
+    store keeps its per-head names.  Bind once per network pass: the
+    stacked entries then serve all of its calls."""
+    bound = store.bind(tape)
+    for name in rounds:
+        head = [f"{name}.head{k}" for k in range(heads)]
+        bound[f"{name}.w"] = stack([bound[f"{p}.w"] for p in head])
+        bound[f"{name}.a"] = stack([bound[f"{p}.{side}"] for side in ("src", "dst") for p in head])
+    return bound
 
 
 def attention_message_pass(
@@ -134,7 +143,6 @@ def attention_message_pass(
     name: str,
     feats,
     neighbor_mask: np.ndarray,
-    heads: int,
     work: AttentionWork = ALLOCATE,
 ) -> Tensor:
     """One multi-head attention round restricted to ``neighbor_mask``.
@@ -143,19 +151,23 @@ def attention_message_pass(
     leaky_relu(src_k . W_k f_i + dst_k . W_k f_j) (negative slope
     ``tensor.ATTENTION_SLOPE``), normalises over each node's
     masked neighbourhood, and averages the projected features; head outputs
-    are concatenated.  The weights come from one ``additive_attention`` op,
-    so a taped head records five op nodes.  Permutation equivariant by
-    construction.  The result is written into ``work.joined``; see
-    ``AttentionWork``.
+    are concatenated.  All heads run as one ``tensor.multi_head_attention``
+    op on the stacked parameters ``{name}.w`` and ``{name}.a`` of
+    ``bind_attention``, so a taped round records one op node.  Permutation
+    equivariant by construction.  The stages are written into ``work``;
+    see ``AttentionWork``.
     """
-    outs = []
-    for k in range(heads):
-        z = matmul(feats, bound[f"{name}.head{k}.w"], out=work.z)
-        s_src = matmul(z, bound[f"{name}.head{k}.src"], out=work.src)
-        s_dst = matmul(z, bound[f"{name}.head{k}.dst"], out=work.dst)
-        att = additive_attention(s_src, s_dst, neighbor_mask, out=work.weights, scratch=work.leaky)
-        outs.append(matmul(att, z, out=work.head(k)))
-    return concat(outs, out=work.joined)
+    return multi_head_attention(
+        feats,
+        bound[f"{name}.w"],
+        bound[f"{name}.a"],
+        neighbor_mask,
+        out=work.joined,
+        z=work.z,
+        scores=work.scores,
+        weights=work.weights,
+        scratch=work.leaky,
+    )
 
 
 def residual_attention_stack(
@@ -164,16 +176,17 @@ def residual_attention_stack(
     feats,
     neighbor_mask: np.ndarray,
     layers: int,
-    heads: int,
     work: AttentionWork = ALLOCATE,
 ) -> Tensor:
-    """``layers`` attention rounds with tanh nonlinearity and residual sums.
+    """``layers`` attention rounds ``{name}.layer{i}`` with tanh
+    nonlinearity and residual sums; ``bound`` comes from
+    ``bind_attention`` with these rounds.
 
     Requires in_dim == heads * head_dim so outputs can be added back.  Each
     sum is written into ``work.h``, which may hold ``feats`` itself: a round
     reads the states before it adds to them."""
     h = feats
     for layer in range(layers):
-        message = attention_message_pass(bound, f"{name}.layer{layer}", h, neighbor_mask, heads, work)
+        message = attention_message_pass(bound, f"{name}.layer{layer}", h, neighbor_mask, work)
         h = add(h, tanh(message, out=work.joined), out=work.h)
     return h

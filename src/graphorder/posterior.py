@@ -21,6 +21,7 @@ from .graphs import Graph, Ordering, validate_orderings
 from .nn import (
     ALLOCATE,
     AttentionWork,
+    bind_attention,
     linear,
     neighborhood_mask,
     register_attention,
@@ -102,14 +103,21 @@ class OrderPosterior(Checkpointable):
 
     # -- shared forward: per-node logits from marked features ---- -------------------
 
+    def _bind(self, tape: Tape | None) -> dict[str, Tensor]:
+        """The parameters recorded on ``tape``, with every attention round's
+        heads stacked once for all the network calls of one pass."""
+        rounds = [f"gnn.layer{layer}" for layer in range(self.cfg.layers)]
+        return bind_attention(self.store, tape, rounds, self.cfg.heads)
+
     def _node_logits(
         self, bound, mask: np.ndarray, feats_np: np.ndarray, tape: Tape | None, work: AttentionWork = ALLOCATE
     ) -> Tensor:
         """(..., n) logits from (..., n, d_model) chosen-step features, with
-        attention restricted to the (n, n) ``neighborhood_mask`` of the graph.
-        A tape-free call may pass ``work`` for the attention stack."""
+        attention restricted to the (n, n) ``neighborhood_mask`` of the graph;
+        ``bound`` comes from ``_bind``.  A tape-free call may pass ``work``
+        for the attention stack."""
         h = add(Tensor(feats_np, tape=tape), bound["h0"], out=work.h)
-        states = residual_attention_stack(bound, "gnn", h, mask, self.cfg.layers, self.cfg.heads, work)
+        states = residual_attention_stack(bound, "gnn", h, mask, self.cfg.layers, work)
         return reshape(linear(bound, "head", states), feats_np.shape[:-1])
 
     def _step_features(self, g: Graph, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +143,7 @@ class OrderPosterior(Checkpointable):
         pis = validate_orderings(g, orders)
         feats, avail = self._step_features(g, pis)
         b, n = pis.shape
-        bound, mask = self.store.bind(tape), neighborhood_mask(g)
+        bound, mask = self._bind(tape), neighborhood_mask(g)
         logits = self._node_logits(bound, mask, feats.reshape(b * n, n, -1), tape)
         lp = masked_log_softmax(reshape(logits, (b, n, n)), avail)
         return tensor_sum(take_along_last(lp, pis), axis=-1)
@@ -153,11 +161,13 @@ class OrderPosterior(Checkpointable):
 
         There are never more than ``count`` distinct prefixes, so the
         network's work arrays and the prefix state are allocated once per
-        call with ``count`` rows, and each step uses their first rows."""
+        call with ``count`` rows, and each step uses their first rows.  The
+        attention heads' parameters are stacked once per call too, and each
+        of the n - 1 network calls runs one op per attention round."""
         self._check_graph(g)
         check_positive_ints(count=count)
         n, d = g.n, self.cfg.d_model
-        bound = self.store.bind(None)
+        bound = self._bind(None)
         mask = neighborhood_mask(g)
         uniforms = np.stack([stream.random(n) for stream in rng.spawn(count)])
         work = AttentionWork.allocate(count, n, d, self.cfg.heads)

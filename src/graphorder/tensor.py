@@ -7,13 +7,14 @@ once.  Ops are module functions; a Tensor has no operator methods:
 - elementwise and linear: ``add``, ``sub``, ``mul``, ``matmul``,
   ``sigmoid``, ``tanh``, ``log_sigmoid``;
 - shape and selection: ``tensor_sum`` (and ``mean`` built on it),
-  ``reshape``, ``concat`` (last axis), ``take`` (np.take along one axis; its
-  pull scatter-adds, so repeated indices are summed) and
-  ``take_along_last``;
-- masked: ``masked_log_softmax`` and ``additive_attention`` (below);
-- fused: ``gru``, one GRU update whose forward has the bits of the chain of
+  ``reshape``, ``concat`` (last axis), ``stack`` (a new leading axis),
+  ``take`` (np.take along one axis; its pull scatter-adds, so repeated
+  indices are summed) and ``take_along_last``;
+- masked: ``masked_log_softmax`` (below);
+- fused, each recorded as one node with one hand-written pull: ``gru``, one
+  GRU update whose forward has the bits of the chain of
   ``matmul``/``add``/``sigmoid``/``mul``/``tanh``/``sub`` ops it stands for,
-  recorded as one node with one hand-written pull.
+  and ``multi_head_attention`` (below).
 
 ``Tensor(data, tape, leaf_ref)`` builds a leaf only: its data, the tape
 that records it (if any) and, for a parameter leaf, the (store, name) that
@@ -23,23 +24,25 @@ called on tensors that carry no tape run eagerly and record nothing, which
 doubles as the no-gradient fast path for sampling and evaluation.
 
 On that path, and only there, ``add``, ``matmul``, ``tanh``, ``concat`` and
-``additive_attention`` take ``out=``: a float64 array of the result's shape
-that the op writes its result into and returns as the result's data, so a
-caller can reuse its work arrays from call to call; ``additive_attention``
-also takes ``scratch=``, an array of the same shape for its one temporary.
-``out=`` (or ``scratch=``) with an operand on a tape raises ``InputError``,
-since the tape would keep a view of an array that the caller goes on to
-overwrite.
+``multi_head_attention`` take ``out=``: a float64 array of the result's
+shape that the op writes its result into and returns as the result's data,
+so a caller can reuse its work arrays from call to call;
+``multi_head_attention`` also takes ``z=``, ``scores=``, ``weights=`` and
+``scratch=`` for its stages and its one temporary.  ``out=`` (or any of
+those) with an operand on a tape raises ``InputError``, since the tape
+would keep a view of an array that the caller goes on to overwrite.
 
 Two ops work over the last axis restricted to a boolean mask:
-``masked_log_softmax``, and ``additive_attention``, which turns the scores
-leaky_relu(src_i + dst_j) into attention weights in one (..., n, n) buffer,
-in place, and pulls the whole chain back in one step.  It shifts row i by
-the bound leaky_relu(src_i + max_j dst_j), not by the row's masked maximum,
-and multiplies exp's result by the mask, so excluded weights are exactly
-zero; only a row whose sum falls below ``ATTENTION_ROW_FLOOR`` is
-recomputed with its exact masked maximum (or, with an empty mask row,
-raises ``NumericError``).
+``masked_log_softmax``, and ``multi_head_attention``, which runs every head
+of one graph-attention round over a leading heads axis, one matmul per
+stage.  It turns the scores leaky_relu(src_i + dst_j) into attention
+weights in one (H, ..., n, n) buffer, in place, and pulls the whole round
+back in one step.  It shifts row i by the bound
+leaky_relu(src_i + max_j dst_j), not by the row's masked maximum, and
+multiplies exp's result by the mask, so excluded weights are exactly zero;
+only a row whose sum falls below ``ATTENTION_ROW_FLOOR`` is recomputed with
+its exact masked maximum (or, with an empty mask row, raises
+``NumericError``).
 
 Parameters live in a ParameterStore; ``Checkpointable`` writes and reads
 the JSON checkpoint of any object built from a config and one store.
@@ -74,9 +77,9 @@ import numpy as np
 from .errors import InputError, NumericError
 from .files import read_text, write_text_atomic
 
-# negative slope of the leaky step in ``additive_attention``
+# negative slope of the leaky step in ``multi_head_attention``
 ATTENTION_SLOPE = 0.2
-# a row of ``additive_attention`` whose sum is below this takes the exact
+# a row of ``multi_head_attention``'s weights whose sum is below this takes the exact
 # path.  Above it, the row's bound sits at most 40 + log n nats over its
 # largest score; rounding exp's argument then costs a weight a relative
 # error of about gap * eps / 2, which the floor keeps to a few dozen ulps.
@@ -329,6 +332,24 @@ def concat(tensors: Sequence, out=None) -> Tensor:
     return _result(parts, data, pull)
 
 
+def stack(tensors: Sequence) -> Tensor:
+    """Tensors of one shape stacked on a new leading axis (``np.stack``);
+    the pull hands each its slice of the gradient."""
+    parts = tuple(_wrap(t) for t in tensors)
+    if not parts:
+        raise InputError("stack needs at least one tensor")
+    try:
+        data = np.stack([p.data for p in parts])
+    except ValueError as exc:
+        raise NumericError(f"stack shape mismatch: {[p.data.shape for p in parts]}") from exc
+
+    def pull(g):
+        for p, part in zip(parts, g):
+            _acc(p, part)
+
+    return _result(parts, data, pull)
+
+
 def take_along_last(x, indices) -> Tensor:
     """Pick one entry per row along the last axis; indices shape x.shape[:-1]."""
     x = _wrap(x)
@@ -425,6 +446,8 @@ def _mask(mask, shape: tuple[int, ...]) -> np.ndarray:
     """``mask`` as a bool array; ``NumericError`` unless it broadcasts to
     ``shape``."""
     m = np.asarray(mask, dtype=bool)
+    if m.shape == shape[len(shape) - m.ndim :]:
+        return m
     try:
         fits = np.broadcast_shapes(m.shape, shape) == shape
     except ValueError:
@@ -462,35 +485,16 @@ def masked_log_softmax(x, mask) -> Tensor:
     return _result((x,), data, pull)
 
 
-def additive_attention(src, dst, mask, out=None, scratch=None) -> Tensor:
-    """Attention weights softmax_j(leaky_relu(src_i + dst_j)) with negative
-    slope ``ATTENTION_SLOPE`` over the entries of mask, for src and dst of
-    shape (..., n) and a mask that broadcasts to (..., n, n); excluded
-    weights are exactly zero.
-
-    One (..., n, n) buffer, ``out`` if given, holds the scores and is turned
-    into the weights in place.  The leaky step is max(x, slope * x), exact
-    because 0 < slope < 1; a second buffer, ``scratch`` if given (tape-free
-    only, like ``out``), holds slope * x.  Row i is shifted by the bound
-    leaky_relu(src_i + max_j dst_j) rather than by its masked maximum: the
-    leaky step is monotone, so the bound is at least every score of the row
-    and exp cannot overflow.  exp runs on every score and the mask
-    multiplies its result, so excluded weights are exactly zero.
-    A row whose sum falls below ``ATTENTION_ROW_FLOOR`` is the rare case:
-    it has no entry in the mask (``NumericError``), or every masked score
-    sits more than 40 nats below the bound, and then it is recomputed with
-    its exact masked maximum."""
-    src, dst = _wrap(src), _wrap(dst)
-    if src.data.ndim == 0 or src.data.shape != dst.data.shape:
-        raise NumericError(f"additive_attention shape mismatch: {src.data.shape} vs {dst.data.shape}")
-    _tape_free(out, (src, dst))
-    _tape_free(scratch, (src, dst))
-    x = np.add(src.data[..., :, None], dst.data[..., None, :], out=out)
-    m = _mask(mask, x.shape)
+def _attention_weights(src, dst, m, out, scratch, taped: bool):
+    """Weights softmax_j(leaky_relu(src_i + dst_j)) over the entries of the
+    mask m, for src and dst of shape (..., n), in one (..., n, n) buffer
+    (``out`` if given); also where the leaky step's input is positive, which
+    only a pull (``taped``) needs.  See ``multi_head_attention``."""
+    x = np.add(src[..., :, None], dst[..., None, :], out=out)
     np.maximum(x, np.multiply(x, ATTENTION_SLOPE, out=scratch), out=x)
-    # the leaky step keeps signs; the pull needs them only on a tape
-    pos = x > 0 if src.tape is not None or dst.tape is not None else None
-    bound = src.data + dst.data.max(axis=-1, keepdims=True)
+    # the leaky step keeps signs
+    pos = x > 0 if taped else None
+    bound = src + dst.max(axis=-1, keepdims=True)
     np.maximum(bound, ATTENTION_SLOPE * bound, out=bound)
     np.subtract(x, bound[..., None], out=x)
     np.exp(x, out=x)
@@ -500,20 +504,95 @@ def additive_attention(src, dst, mask, out=None, scratch=None) -> Tensor:
     if low.any():
         rows = np.broadcast_to(m, x.shape)[low]
         _require_support(rows)
-        scores = src.data[low][:, None] + np.broadcast_to(dst.data[..., None, :], x.shape)[low]
+        scores = src[low][:, None] + np.broadcast_to(dst[..., None, :], x.shape)[low]
         np.maximum(scores, ATTENTION_SLOPE * scores, out=scores)
         np.copyto(scores, -np.inf, where=~rows)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         x[low] = e / e.sum(axis=-1, keepdims=True)
         z[low] = 1.0
     np.divide(x, z, out=x)
+    return x, pos
+
+
+def multi_head_attention(
+    x, w, a, mask, *, out=None, z=None, scores=None, weights=None, scratch=None
+) -> Tensor:
+    """Every head of one additive attention round (Velickovic et al. 2018)
+    as one op.  For features x (..., n, d), projections w (H, d, hd) and
+    attention vectors a (2H, hd), whose first H rows are the heads' source
+    vectors src_k and last H rows their target vectors dst_k, head k
+    projects z_k = x w_k, scores pair (i, j) as
+    leaky_relu(src_k . z_ki + dst_k . z_kj) with negative slope
+    ``ATTENTION_SLOPE``, normalises each row i over the entries of mask
+    (which broadcasts to (..., n, n)), and averages: o_k = A_k z_k.  The
+    result, (..., n, H * hd), holds the heads' outputs side by side.
+
+    Each stage is one matmul over a leading heads axis: the projections z
+    (H, ..., n, hd); the scores (2, H, ..., n, 1), source then target, each
+    a matrix-vector product as in a per-head chain of ``matmul`` ops; and
+    A_k z_k, written straight into the result through a transposed view.
+    So the result has the bits of that chain.
+
+    The weights A (H, ..., n, n) are built in one buffer, in place.  The
+    leaky step is max(s, slope * s), exact because 0 < slope < 1.  Row i is
+    shifted by the bound leaky_relu(src_i + max_j dst_j) rather than by its
+    masked maximum: the leaky step is monotone, so the bound is at least
+    every score of the row and exp cannot overflow.  exp runs on every
+    score and the mask multiplies its result, so excluded weights are
+    exactly zero.  A row whose sum falls below ``ATTENTION_ROW_FLOOR`` is
+    the rare case: it has no entry in the mask (``NumericError``), or every
+    masked score sits more than 40 nats below the bound, and then it is
+    recomputed with its exact masked maximum.
+
+    Tape-free only, like ``out`` (the result), the keyword arrays receive
+    the stages: ``z``, ``scores``, ``weights``, and ``scratch`` for the
+    leaky step's slope * s, of the shapes above.  One node is recorded, and
+    its pull sends the gradient to x, w and a with matmuls."""
+    x, w, a = _wrap(x), _wrap(w), _wrap(a)
+    operands = (x, w, a)
+    for buf in (out, z, scores, weights, scratch):
+        _tape_free(buf, operands)
+    X, W, A = x.data, w.data, a.data
+    if X.ndim < 2 or W.ndim != 3 or X.shape[-1] != W.shape[1] or A.shape != (2 * W.shape[0], W.shape[2]):
+        raise NumericError(f"multi_head_attention shape mismatch: x {X.shape}, w {W.shape}, a {A.shape}")
+    heads, d, hd = W.shape
+    lead, n = X.shape[:-2], X.shape[-2]
+    over_lead = (1,) * len(lead)
+    # (..., n, heads, hd) -> (heads, ..., n, hd)
+    heads_first = (len(lead) + 1, *range(len(lead) + 1), len(lead) + 2)
+    m = _mask(mask, lead + (n, n))
+    Z = np.matmul(X, W.reshape((heads,) + over_lead + (d, hd)), out=z)
+    S = np.matmul(Z, A.reshape((2, heads) + over_lead + (hd, 1)), out=scores)
+    taped = any(t.tape is not None for t in operands)
+    P, pos = _attention_weights(S[0, ..., 0], S[1, ..., 0], m, weights, scratch, taped)
+    data = np.empty(lead + (n, heads * hd)) if out is None else out
+    np.matmul(P, Z, out=data.reshape(lead + (n, heads, hd)).transpose(heads_first))
 
     def pull(g):
-        gx = x * (g - (g * x).sum(axis=-1, keepdims=True)) * np.where(pos, 1.0, ATTENTION_SLOPE)
-        _acc(src, gx.sum(axis=-1))
-        _acc(dst, gx.sum(axis=-2))
+        G = g.reshape(lead + (n, heads, hd)).transpose(heads_first)
+        # through the weights to the score of each pair (i, j), in place
+        dS = np.matmul(G, np.swapaxes(Z, -1, -2))
+        np.subtract(dS, (dS * P).sum(axis=-1, keepdims=True), out=dS)
+        np.multiply(dS, P, out=dS)
+        np.multiply(dS, pos * (1.0 - ATTENTION_SLOPE) + ATTENTION_SLOPE, out=dS)
+        # the weights and vectors act on every row alike, so the rows fold
+        # into one axis: summed over j a pair's gradient is its source
+        # score's, summed over i its target score's
+        count = math.prod(lead) * n
+        ones = np.ones(n)
+        ds = np.stack([np.matmul(dS.reshape(-1, n), ones), np.matmul(ones, dS).reshape(-1)], axis=-1)
+        ds = ds.reshape(heads, count, 2)
+        dZ = np.matmul(np.swapaxes(P, -1, -2), G).reshape(heads, count, hd)
+        dZ += np.matmul(ds, A.reshape(2, heads, hd).transpose(1, 0, 2))
+        if x.tape is not None:
+            _acc(x, np.matmul(dZ, np.swapaxes(W, -1, -2)).sum(axis=0).reshape(X.shape))
+        if w.tape is not None:
+            _acc(w, np.matmul(X.reshape(count, d).T, dZ))
+        if a.tape is not None:
+            dA = np.matmul(np.swapaxes(Z.reshape(heads, count, hd), -1, -2), ds)
+            _acc(a, dA.transpose(2, 0, 1).reshape(A.shape))
 
-    return _result((src, dst), x, pull)
+    return _result(operands, data, pull)
 
 
 def backward(tape: Tape, root: Tensor) -> None:

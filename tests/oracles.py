@@ -346,10 +346,10 @@ def per_step_log_prob_rows(model, rows: np.ndarray, tape=None) -> Tensor:
 
 
 def chained_additive_attention(src, dst, mask, slope: float, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``tensor.additive_attention`` as the chain of ops it replaced, in
-    numpy: broadcast add, leaky ReLU, masked softmax, each with its own
-    pull.  Returns the weights and the gradients of src and dst for the
-    upstream gradient ``g``."""
+    """The attention weights of ``tensor.multi_head_attention`` as the chain
+    of ops they replaced, in numpy: broadcast add, leaky ReLU, masked
+    softmax, each with its own pull.  Returns the weights and the gradients
+    of src and dst for the upstream gradient ``g``."""
     scores = src[..., :, None] + dst[..., None, :]
     act = np.where(scores > 0, scores, slope * scores)
     mb = np.broadcast_to(np.asarray(mask, dtype=bool), act.shape)
@@ -359,3 +359,41 @@ def chained_additive_attention(src, dst, mask, slope: float, g) -> tuple[np.ndar
     d_act = p * (g - (g * p).sum(axis=-1, keepdims=True))
     d_scores = d_act * np.where(scores > 0, 1.0, slope)
     return p, d_scores.sum(axis=-1, keepdims=True)[..., 0], d_scores.sum(axis=-2, keepdims=True)[..., 0, :]
+
+
+def _shifted_bound_weights(src: np.ndarray, dst: np.ndarray, mask, slope: float, floor: float) -> np.ndarray:
+    """The weights of one head as the fused op of the per-head chain
+    computed them: every row shifted by the bound
+    leaky_relu(src_i + max_j dst_j), and a row whose sum falls below
+    ``floor`` recomputed with its exact masked maximum."""
+    x = src[..., :, None] + dst[..., None, :]
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    x = np.maximum(x, slope * x)
+    bound = src + dst.max(axis=-1, keepdims=True)
+    bound = np.maximum(bound, slope * bound)
+    x = np.exp(x - bound[..., None]) * m
+    z = x.sum(axis=-1, keepdims=True)
+    low = z[..., 0] < floor
+    if low.any():
+        scores = src[low][:, None] + np.broadcast_to(dst[..., None, :], x.shape)[low]
+        scores = np.maximum(scores, slope * scores)
+        scores = np.where(m[low], scores, -np.inf)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        x[low] = e / e.sum(axis=-1, keepdims=True)
+        z[low] = 1.0
+    return x / z
+
+
+def per_head_attention(x, w, a, mask, slope: float, floor: float) -> np.ndarray:
+    """One attention round as the per-head chain of ops that
+    ``tensor.multi_head_attention`` replaced, in numpy: for each head k its
+    own ``x @ w[k]``, the matrix-vector products of its source and target
+    vectors (rows k and H + k of a), its weights, and their product with
+    its projections; the heads' outputs joined on the last axis."""
+    heads = len(w)
+    outs = []
+    for k in range(heads):
+        z = np.matmul(x, w[k])
+        weights = _shifted_bound_weights(np.matmul(z, a[k]), np.matmul(z, a[heads + k]), mask, slope, floor)
+        outs.append(np.matmul(weights, z))
+    return np.concatenate(outs, axis=-1)

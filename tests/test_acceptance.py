@@ -29,6 +29,7 @@ from graphorder.models import (
 )
 from graphorder.nn import (
     attention_message_pass,
+    bind_attention,
     gru_step,
     linear,
     neighborhood_mask,
@@ -50,7 +51,6 @@ from graphorder.tensor import (
     Tape,
     Tensor,
     add,
-    additive_attention,
     backward,
     concat,
     log_sigmoid,
@@ -58,8 +58,10 @@ from graphorder.tensor import (
     matmul,
     mean,
     mul,
+    multi_head_attention,
     reshape,
     sigmoid,
+    stack,
     sub,
     take_along_last,
     tanh,
@@ -385,15 +387,20 @@ def tensor_op_cases(rng) -> list:
     def rand(*shape):
         return rng.uniform(-1.5, 1.5, size=shape)
 
-    def off_kink(rows, cols):
-        # |src_i + dst_j| >= 0.5: src magnitudes lie in [1, 1.5], dst in [-0.5, 0.5]
-        sign = np.where(rng.random((rows, cols)) < 0.5, -1.0, 1.0)
-        return sign * (1.0 + 0.5 * rng.random((rows, cols))), rng.uniform(-0.5, 0.5, size=(rows, cols))
-
     def row_mask(rows, cols):
         mask = rng.random((rows, cols)) < 0.6
         mask[:, 0] = True
         return mask
+
+    def attention_operands(rows, n, d, heads, head_dim):
+        """x, w and a of ``multi_head_attention`` whose scores
+        src_i + dst_j all keep 0.05 clear of the leaky step's kink."""
+        while True:
+            x, w, a = rand(rows, n, d), rand(heads, d, head_dim), rand(2 * heads, head_dim)
+            z = np.matmul(x, w[:, None])
+            s = np.matmul(z, a.reshape(2, heads, 1, head_dim, 1))[..., 0]
+            if np.abs(s[0][..., :, None] + s[1][..., None, :]).min() >= 0.05:
+                return x, w, a
 
     cases = []
     for _ in range(5):
@@ -406,6 +413,7 @@ def tensor_op_cases(rng) -> list:
         mask = row_mask(3, 5)
         att_mask = (rng.random((4, 4)) < 0.6) | np.eye(4, dtype=bool)
         w244 = rand(2, 4, 4)
+        w223 = rand(2, 2, 3)
         idx_last = np.array([1, 3, 0])
         cases.extend(
             [
@@ -443,9 +451,14 @@ def tensor_op_cases(rng) -> list:
                     (rand(3, 4),),
                 ),
                 (
-                    "additive_attention",
-                    lambda s, d, w=w244, m=att_mask: tensor_sum(mul(w * m, additive_attention(s, d, m))),
-                    off_kink(2, 4),
+                    "stack",
+                    lambda x, y, w=w223: tensor_sum(mul(w, stack([x, y]))),
+                    (rand(2, 3), rand(2, 3)),
+                ),
+                (
+                    "multi_head_attention",
+                    lambda x, wt, a, w=w244, m=att_mask: tensor_sum(mul(w, multi_head_attention(x, wt, a, m))),
+                    attention_operands(2, 4, 3, 2, 2),
                 ),
                 (
                     "masked_log_softmax",
@@ -504,7 +517,12 @@ def network_fd_cases(rng) -> list:
                 "attention_message_pass",
                 att_store,
                 lambda tape, s=att_store, w=w56, f=feats, m=mask: tensor_sum(
-                    mul(w, attention_message_pass(s.bind(tape), "att", Tensor(f, tape=tape), m, heads=2))
+                    mul(
+                        w,
+                        attention_message_pass(
+                            bind_attention(s, tape, ["att"], 2), "att", Tensor(f, tape=tape), m
+                        ),
+                    )
                 ),
             )
         )
@@ -517,7 +535,16 @@ def network_fd_cases(rng) -> list:
                 "residual_attention_stack",
                 stack_store,
                 lambda tape, s=stack_store, w=w54, f=feats, m=mask: tensor_sum(
-                    mul(w, residual_attention_stack(s.bind(tape), "stack", Tensor(f, tape=tape), m, layers=2, heads=2))
+                    mul(
+                        w,
+                        residual_attention_stack(
+                            bind_attention(s, tape, ["stack.layer0", "stack.layer1"], 2),
+                            "stack",
+                            Tensor(f, tape=tape),
+                            m,
+                            layers=2,
+                        ),
+                    )
                 ),
             )
         )

@@ -5,6 +5,7 @@ from graphorder.errors import NumericError
 from graphorder.graphs import Graph
 from graphorder.nn import (
     attention_message_pass,
+    bind_attention,
     glorot,
     gru_step,
     linear,
@@ -153,10 +154,10 @@ class TestAttention:
     def test_single_node_self_attention(self):
         store = ParameterStore()
         register_attention(store, "att", 4, 2, 2, np.random.default_rng(8))
-        bound = store.bind(None)
+        bound = bind_attention(store, None, ["att"], 2)
         g = Graph.from_edges(1, [])
         feats = np.random.default_rng(9).normal(size=(1, 4))
-        out = attention_message_pass(bound, "att", Tensor(feats), neighborhood_mask(g), 2)
+        out = attention_message_pass(bound, "att", Tensor(feats), neighborhood_mask(g))
         # with a single node the attention weight is 1: output is just the
         # concatenated per-head projections of its own feature
         expect = np.concatenate(
@@ -166,11 +167,11 @@ class TestAttention:
 
     def test_permutation_equivariance(self):
         store = self.make()
-        bound = store.bind(None)
+        bound = bind_attention(store, None, ["att"], 2)
         rng = np.random.default_rng(10)
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
         feats = rng.normal(size=(5, 6))
-        out = attention_message_pass(bound, "att", Tensor(feats), neighborhood_mask(g), 2).data
+        out = attention_message_pass(bound, "att", Tensor(feats), neighborhood_mask(g)).data
 
         perm = np.array([3, 0, 4, 1, 2])
         adj = np.zeros((5, 5), dtype=bool)
@@ -179,77 +180,83 @@ class TestAttention:
         mask_p = adj | np.eye(5, dtype=bool)
         feats_p = np.empty_like(feats)
         feats_p[perm] = feats
-        out_p = attention_message_pass(bound, "att", Tensor(feats_p), mask_p, 2).data
+        out_p = attention_message_pass(bound, "att", Tensor(feats_p), mask_p).data
         assert np.allclose(out_p[perm], out, atol=1e-12)
 
     def test_batched_matches_single(self):
         store = self.make()
-        bound = store.bind(None)
+        bound = bind_attention(store, None, ["att"], 2)
         rng = np.random.default_rng(11)
         g = cycle(4)
         mask = neighborhood_mask(g)
         feats = rng.normal(size=(3, 4, 6))
-        batched = attention_message_pass(bound, "att", Tensor(feats), mask, 2).data
+        batched = attention_message_pass(bound, "att", Tensor(feats), mask).data
         for b in range(3):
-            single = attention_message_pass(bound, "att", Tensor(feats[b]), mask, 2).data
+            single = attention_message_pass(bound, "att", Tensor(feats[b]), mask).data
             assert np.allclose(batched[b], single, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        store = self.make(seed=12)
+        """The features and every head's w, src and dst, through the
+        ``stack`` ops of ``bind_attention`` and the round's one op."""
+        for heads in (1, 3):
+            self.check_gradients(heads)
+
+    def check_gradients(self, heads):
+        store = self.make(seed=12, heads=heads)
         g = cycle(4)
         mask = neighborhood_mask(g)
         rng = np.random.default_rng(13)
-        feats = rng.normal(size=(4, 6))
-        name = "att.head0.src"
+        feats = rng.normal(size=(2, 4, 6))
+        upstream = rng.normal(size=(2, 4, 6))
+
+        def value(f):
+            out = attention_message_pass(bind_attention(store, None, ["att"], heads), "att", Tensor(f), mask)
+            return float(tensor_sum(mul(upstream, out)).data)
 
         tape = Tape()
-        bound = store.bind(tape)
-        out = tensor_sum(attention_message_pass(bound, "att", Tensor(feats, tape=tape), mask, 2))
-        backward(tape, out)
+        feats_t = Tensor(feats, tape=tape)
+        out = attention_message_pass(bind_attention(store, tape, ["att"], heads), "att", feats_t, mask)
+        backward(tape, tensor_sum(mul(upstream, out)))
         store.accumulate_from_tape(tape)
+        assert np.abs(feats_t.grad - central_difference(value, feats.copy())).max() < 1e-6
+        assert len(store.names()) == 3 * heads
+        for name in store.names():
+            base = store.get(name).copy()
 
-        base = store.get(name).copy()
+            def f(v, name=name, base=base):
+                store.get(name)[:] = v
+                val = value(feats)
+                store.get(name)[:] = base
+                return val
 
-        def f(wv):
-            store.get(name)[:] = wv
-            val = float(
-                tensor_sum(
-                    attention_message_pass(store.bind(None), "att", Tensor(feats), mask, 2)
-                ).data
-            )
-            store.get(name)[:] = base
-            return val
-
-        num = central_difference(f, base.copy())
-        assert np.abs(store.grad(name) - num).max() < 1e-6
+            assert np.abs(store.grad(name) - central_difference(f, base.copy())).max() < 1e-6, (name, heads)
 
     def test_residual_stack_shape_and_equivariance(self):
         store = ParameterStore()
         rng = np.random.default_rng(14)
         for layer in range(2):
             register_attention(store, f"stack.layer{layer}", 6, 2, 3, rng)
-        bound = store.bind(None)
+        bound = bind_attention(store, None, ["stack.layer0", "stack.layer1"], 2)
         g = cycle(5)
         feats = np.random.default_rng(15).normal(size=(5, 6))
-        out = residual_attention_stack(bound, "stack", Tensor(feats), neighborhood_mask(g), 2, 2)
+        out = residual_attention_stack(bound, "stack", Tensor(feats), neighborhood_mask(g), 2)
         assert out.data.shape == (5, 6)
         # rotating the cycle is an automorphism: rotated features give rotated output
         rot = np.roll(np.arange(5), 1)
         feats_r = feats[np.argsort(rot)]
-        out_r = residual_attention_stack(
-            bound, "stack", Tensor(feats_r), neighborhood_mask(g), 2, 2
-        ).data
+        out_r = residual_attention_stack(bound, "stack", Tensor(feats_r), neighborhood_mask(g), 2).data
         assert np.allclose(out_r, out.data[np.argsort(rot)], atol=1e-12)
 
-    def test_taped_head_records_five_op_nodes(self):
+    def test_taped_round_records_one_op_node(self):
+        """Whatever the head count: one op node per round, and one
+        ``stack`` node each for the round's w and its attention vectors."""
         g = cycle(5)
-        feats = np.random.default_rng(16).normal(size=(5, 6))
-        for heads in (1, 2):
+        for heads in (1, 2, 3, 6):
             store = self.make(n=5, dim=6, heads=heads, seed=17)
             tape = Tape()
-            feats_t = Tensor(feats, tape=tape)
-            attention_message_pass(store.bind(tape), "att", feats_t, neighborhood_mask(g), heads)
-            ops = [t for t in tape.nodes if t.pull is not None]
-            # z, both score vectors, the attention weights and their product
-            # with z per head, plus the concat of the heads
-            assert len(ops) == 5 * heads + 1
+            bound = bind_attention(store, tape, ["att"], heads)
+            leaves = 3 * heads
+            feats = Tensor(np.random.default_rng(16).normal(size=(5, 6)), tape=tape)
+            attention_message_pass(bound, "att", feats, neighborhood_mask(g))
+            assert [t.pull is None for t in tape.nodes[leaves:]] == [False, False, True, False]
+            assert all(t.pull is None for t in tape.nodes[:leaves])

@@ -18,7 +18,7 @@ from graphorder.posterior import (
     positional_encoding,
 )
 from graphorder.rng import spawn_rng
-from graphorder.tensor import ATTENTION_SLOPE, Tape, additive_attention, backward, mean as tensor_mean
+from graphorder.tensor import ATTENTION_SLOPE, Tape, backward, mean as tensor_mean, multi_head_attention
 from oracles import central_difference, random_graph, zero_store
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -161,18 +161,24 @@ class TestSampling:
                 q.store.get(name)[:] *= 1e4
         gaps = []
 
-        def recording_attention(src, dst, mask, **buffers):
-            scores = src.data[..., :, None] + dst.data[..., None, :]
+        def recording_attention(x, w, a, mask, **buffers):
+            # every head's scores, (..., heads, n, n), from the round's operands
+            heads = len(w.data)
+            z = np.matmul(x.data[..., None, :, :], w.data)
+            src, dst = np.matmul(z, a.data[:heads, :, None]), np.matmul(z, a.data[heads:, :, None])
+            scores = src + np.swapaxes(dst, -1, -2)
             scores = np.maximum(scores, ATTENTION_SLOPE * scores)
             kept = np.where(mask, scores, -np.inf).max(axis=-1)
             gaps.append((scores.max(axis=-1) - kept).max())
-            return additive_attention(src, dst, mask, **buffers)
+            return multi_head_attention(x, w, a, mask, **buffers)
 
-        monkeypatch.setattr(nn, "additive_attention", recording_attention)
+        monkeypatch.setattr(nn, "multi_head_attention", recording_attention)
         g = random_graph(spawn_rng(50), 7, 0.4)
         samples = q.sample_orderings(g, 64, spawn_rng(51))
         sampled = np.array([s.log_q for s in samples])
         teacher = log_q(q, g, [s.pi for s in samples])
+        # the sampler's n - 1 steps and the teacher-forced pass, two rounds each
+        assert len(gaps) == 2 * g.n
         assert max(gaps) > 800
         assert np.isfinite(sampled).all() and np.isfinite(teacher).all()
         assert np.allclose(sampled, teacher, rtol=0.0, atol=1e-10)
@@ -214,6 +220,19 @@ class TestGradients:
 
             fd = central_difference(f, arr.ravel().copy()).reshape(arr.shape)
             assert np.allclose(grads[name], fd, atol=1e-6), name
+
+
+    @pytest.mark.parametrize("layers, heads", [(2, 2), (3, 6)])
+    def test_taped_log_q_records_one_op_node_per_attention_round(self, layers, heads):
+        """Per round: two ``stack`` nodes, the round's one attention node,
+        tanh and the residual add; around the stack: the h0 add, the head's
+        matmul and add, two reshapes, the log-softmax, the pick and the sum.
+        So the count does not grow with the head count."""
+        q = OrderPosterior(PosteriorConfig(max_nodes=8, layers=layers, heads=heads, head_dim=2, seed=20))
+        g = random_graph(spawn_rng(52), 6, 0.5)
+        tape = Tape()
+        q.log_probs_orderings(g, [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]], tape=tape)
+        assert sum(t.pull is not None for t in tape.nodes) == 5 * layers + 8
 
 
 class TestPositionalEncoding:

@@ -6,13 +6,13 @@ import pytest
 from graphorder.errors import InputError, NumericError
 from graphorder.models import AdjacencyModel, AdjacencyModelConfig
 from graphorder.tensor import (
+    ATTENTION_ROW_FLOOR,
     ATTENTION_SLOPE,
     Checkpointable,
     ParameterStore,
     Tape,
     Tensor,
     add,
-    additive_attention,
     backward,
     concat,
     log_sigmoid,
@@ -20,16 +20,18 @@ from graphorder.tensor import (
     matmul,
     mean,
     mul,
+    multi_head_attention,
     parse_checkpoint,
     reshape,
     sigmoid,
+    stack,
     sub,
     take,
     take_along_last,
     tanh,
     tensor_sum,
 )
-from oracles import central_difference, chained_additive_attention
+from oracles import central_difference, chained_additive_attention, per_head_attention
 
 
 def scalar_grad_check(build, *arrays, tol=1e-6):
@@ -52,27 +54,66 @@ def scalar_grad_check(build, *arrays, tol=1e-6):
         assert np.abs(got - num).max() / denom < tol, f"operand {i}"
 
 
+def identity_attention(src, dst, mask, tape=None) -> tuple[Tensor, Tensor]:
+    """``multi_head_attention`` with one head per row of src and dst
+    (heads, n), x and every w_k the identity: then z_k = I, head k scores
+    pair (i, j) as exactly src[k, i] + dst[k, j], and its block of the
+    result is exactly its weights.  Returns the leaf of the attention
+    vectors and the result (n, heads * n); see ``head_view``."""
+    src, dst = np.atleast_2d(src), np.atleast_2d(dst)
+    heads, n = src.shape
+    a = Tensor(np.concatenate([src, dst]), tape=tape)
+    eye = np.eye(n)
+    return a, multi_head_attention(eye, np.broadcast_to(eye, (heads, n, n)), a, mask)
+
+
+def head_view(joined: np.ndarray, heads: int) -> np.ndarray:
+    """(..., n, heads * hd) → (heads, ..., n, hd): each head's block of a
+    joined result, as a view."""
+    return np.moveaxis(joined.reshape(joined.shape[:-1] + (heads, -1)), -2, 0)
+
+
+def joined_view(blocks: np.ndarray) -> np.ndarray:
+    """The inverse of ``head_view``."""
+    return np.moveaxis(blocks, 0, -2).reshape(blocks.shape[1:-1] + (-1,))
+
+
+def random_round(shape, heads, head_dim, rng, scale=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features of ``shape`` (..., n, d), projections (heads, d, head_dim)
+    and attention vectors (2 * heads, head_dim)."""
+    d = shape[-1]
+    return (
+        rng.normal(size=shape),
+        rng.normal(size=(heads, d, head_dim)),
+        rng.normal(size=(2 * heads, head_dim)) * scale,
+    )
+
+
 class TestForwardValues:
     def test_sigmoid_midpoint(self):
         assert sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
 
     def test_masked_softmax_uniform_over_active(self):
-        out = additive_attention(Tensor(np.zeros(3)), Tensor(np.zeros(3)), [True, True, False])
-        assert out.data == pytest.approx(np.tile([0.5, 0.5, 0.0], (3, 1)))
-        assert (out.data[:, 2] == 0.0).all()
+        _, out = identity_attention(np.zeros(3), np.zeros(3), [True, True, False])
+        weights = head_view(out.data, 1)[0]
+        assert weights == pytest.approx(np.tile([0.5, 0.5, 0.0], (3, 1)))
+        assert (weights[:, 2] == 0.0).all()
 
     def test_masked_softmax_single_active(self):
-        out = additive_attention(Tensor([3.0, -1.0]), Tensor([3.0, -1.0]), [False, True])
-        assert out.data == pytest.approx(np.tile([0.0, 1.0], (2, 1)))
+        _, out = identity_attention([3.0, -1.0], [3.0, -1.0], [False, True])
+        assert head_view(out.data, 1)[0] == pytest.approx(np.tile([0.0, 1.0], (2, 1)))
 
     def test_masked_softmax_sums_to_one(self):
+        """Every head's weights over a batch of masks, read from the
+        ``weights=`` array."""
         rng = np.random.default_rng(0)
-        src, dst = rng.normal(size=(2, 4, 7)) * 10
+        x, w, a = random_round((4, 7, 6), 3, 2, rng, scale=10.0)
         mask = rng.random((4, 7, 7)) < 0.6
         mask[..., 0] = True
-        out = additive_attention(Tensor(src), Tensor(dst), mask)
-        assert np.allclose(out.data.sum(-1), 1.0, atol=1e-12)
-        assert (out.data[~mask] == 0.0).all()
+        weights = np.full((3, 4, 7, 7), np.nan)
+        multi_head_attention(x, w, a, mask, weights=weights)
+        assert np.allclose(weights.sum(-1), 1.0, atol=1e-12)
+        assert (weights[:, ~mask] == 0.0).all()
 
     def test_masked_log_softmax_matches_softmax(self):
         rng = np.random.default_rng(1)
@@ -85,15 +126,15 @@ class TestForwardValues:
         assert np.allclose(np.exp(lp[mask]), p[mask], atol=1e-12)
 
     def test_empty_mask_row_rejected(self):
-        with pytest.raises(NumericError):
-            additive_attention(Tensor([1.0, 2.0]), Tensor([0.0, 0.0]), [[True, True], [False, False]])
+        with pytest.raises(NumericError, match="empty support"):
+            identity_attention([1.0, 2.0], [0.0, 0.0], [[True, True], [False, False]])
         with pytest.raises(NumericError):
             masked_log_softmax(Tensor([[1.0, 2.0], [0.0, 0.0]]), [[True, True], [False, False]])
 
     def test_empty_row_of_broadcast_mask_rejected(self):
         mask = np.array([[True, False, True], [False, False, False], [True, True, True]])
-        with pytest.raises(NumericError):
-            additive_attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 3))), mask)
+        with pytest.raises(NumericError, match="empty support"):
+            multi_head_attention(np.zeros((4, 3, 2)), np.ones((2, 2, 1)), np.ones((4, 1)), mask)
         with pytest.raises(NumericError):
             masked_log_softmax(Tensor(np.zeros((4, 3, 3))), mask)
 
@@ -105,7 +146,7 @@ class TestForwardValues:
 
     def test_empty_batch_with_empty_mask_row_accepted(self):
         mask = np.array([[True, False], [False, False]])
-        out = additive_attention(Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2))), mask)
+        out = multi_head_attention(np.zeros((0, 2, 2)), np.ones((2, 2, 1)), np.ones((4, 1)), mask)
         assert out.data.shape == (0, 2, 2)
         assert masked_log_softmax(Tensor(np.zeros((0, 2, 2))), mask).data.shape == (0, 2, 2)
 
@@ -284,11 +325,7 @@ def _out_cases():
             [rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4, 3))],
             [],
         ),
-        "additive_attention": (
-            additive_attention,
-            [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
-            [mask],
-        ),
+        "multi_head_attention": (multi_head_attention, list(random_round((3, 4, 6), 2, 3, rng)), [mask]),
     }
 
 
@@ -311,14 +348,26 @@ class TestOutArrays:
 
 
     def test_attention_scratch_keeps_the_weights_and_refuses_a_tape(self):
-        """``scratch`` holds the leaky step's temporary: the weights keep
-        their bits, and a taped operand refuses it like ``out=``."""
-        _, (src, dst), (mask,) = _out_cases()["additive_attention"]
-        fresh = additive_attention(src, dst, mask).data
-        scratch = np.full(fresh.shape, np.nan)
-        assert np.array_equal(additive_attention(src, dst, mask, scratch=scratch).data, fresh)
-        with pytest.raises(InputError, match="out="):
-            additive_attention(Tensor(src, tape=Tape()), dst, mask, scratch=scratch)
+        """The stage arrays ``z``, ``scores``, ``weights`` and ``scratch``
+        (the leaky step's temporary), alone or together, leave the result's
+        bits as they are and hold the stages; each refuses a taped operand
+        like ``out=``."""
+        _, (x, w, a), (mask,) = _out_cases()["multi_head_attention"]
+        fresh = multi_head_attention(x, w, a, mask).data
+        shapes = {"z": (2, 3, 4, 3), "scores": (2, 2, 3, 4, 1), "weights": (2, 3, 4, 4), "scratch": (2, 3, 4, 4)}
+        stages = {name: np.full(shape, np.nan) for name, shape in shapes.items()}
+        for name, arr in stages.items():
+            assert np.array_equal(multi_head_attention(x, w, a, mask, **{name: arr}).data, fresh), name
+        assert np.array_equal(multi_head_attention(x, w, a, mask, **stages).data, fresh)
+        z = np.matmul(x, w[:, None])
+        assert np.array_equal(stages["z"], z)
+        assert np.array_equal(stages["scores"], np.matmul(z, a.reshape(2, 2, 1, 3, 1)))
+        assert np.array_equal(np.matmul(stages["weights"], z), head_view(fresh, 2))
+        for name, arr in stages.items():
+            for taped in range(3):
+                operands = [Tensor(v, tape=Tape() if i == taped else None) for i, v in enumerate((x, w, a))]
+                with pytest.raises(InputError, match="out="):
+                    multi_head_attention(*operands, mask, **{name: arr})
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -420,18 +469,30 @@ class TestGradientsAgainstFiniteDifferences:
         with pytest.raises(InputError, match="take"):
             take(np.zeros((2, 3)), np.array([0, 3]), 1)
 
-    def test_additive_attention(self):
+    def test_multi_head_attention(self):
         rng = np.random.default_rng(14)
         mask = np.array(
             [[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 0, 1]], dtype=bool
         )
-        w = rng.normal(size=(2, 4, 4))
-        src, dst = rng.normal(size=(2, 2, 4))
+        x, w, a = random_round((2, 4, 5), 2, 3, rng)
+        g = rng.normal(size=(2, 4, 6))
         # keep every score clear of the leaky step's kink
-        assert np.abs(src[..., :, None] + dst[..., None, :]).min() > 0.01
-        scalar_grad_check(
-            lambda s, d: tensor_sum(mul(additive_attention(s, d, mask), w)), src, dst
-        )
+        scores = np.matmul(np.matmul(x, w[:, None]), a.reshape(2, 2, 1, 3, 1))[..., 0]
+        assert np.abs(scores[0][..., :, None] + scores[1][..., None, :]).min() > 0.01
+        scalar_grad_check(lambda *ops: tensor_sum(mul(multi_head_attention(*ops, mask), g)), x, w, a)
+
+    def test_stack(self):
+        rng = np.random.default_rng(17)
+        parts = [rng.normal(size=(2, 3)) for _ in range(3)]
+        g = rng.normal(size=(3, 2, 3))
+        assert np.array_equal(stack(parts).data, np.stack(parts))
+        scalar_grad_check(lambda *ts: tensor_sum(mul(g, tanh(stack(ts)))), *parts)
+
+    def test_stack_refuses_mismatched_or_no_tensors(self):
+        with pytest.raises(NumericError, match="stack shape mismatch"):
+            stack([np.zeros(2), np.zeros(3)])
+        with pytest.raises(InputError, match="at least one"):
+            stack([])
 
     def test_masked_log_softmax(self):
         rng = np.random.default_rng(15)
@@ -461,32 +522,35 @@ CHAIN_TOL = 4 * np.finfo(np.float64).eps
 
 
 def assert_matches_chain(src, dst, mask, g, label) -> np.ndarray:
-    """The fused op's weights and gradients against the chain, within
-    ``CHAIN_TOL``; excluded weights are exactly 0 and taped and tape-free
-    weights are equal.  Returns the weights."""
+    """The fused op's weights and the gradients of its src and dst vectors
+    (one head per row of src and dst, see ``identity_attention``) against
+    the chain, within ``CHAIN_TOL``; excluded weights are exactly 0 and
+    taped and tape-free weights are equal.  Returns the weights."""
     expect, expect_src, expect_dst = chained_additive_attention(src, dst, mask, ATTENTION_SLOPE, g)
+    heads = len(src)
     tape = Tape()
-    s, d = Tensor(src, tape=tape), Tensor(dst, tape=tape)
-    out = additive_attention(s, d, mask)
-    backward(tape, tensor_sum(mul(out, g)))
+    a, out = identity_attention(src, dst, mask, tape)
+    backward(tape, tensor_sum(mul(out, joined_view(g))))
+    weights = head_view(out.data, heads)
     grad_tol = CHAIN_TOL * np.abs(g).max()
-    assert np.abs(out.data - expect).max() <= CHAIN_TOL, label
-    assert np.abs(s.grad - expect_src).max() <= grad_tol, label
-    assert np.abs(d.grad - expect_dst).max() <= grad_tol, label
-    assert np.array_equal(additive_attention(src, dst, mask).data, out.data), label
-    assert (out.data[..., ~mask] == 0.0).all(), label
-    return out.data
+    assert np.abs(weights - expect).max() <= CHAIN_TOL, label
+    assert np.abs(a.grad[:heads] - expect_src).max() <= grad_tol, label
+    assert np.abs(a.grad[heads:] - expect_dst).max() <= grad_tol, label
+    assert np.array_equal(identity_attention(src, dst, mask)[1].data, out.data), label
+    assert (weights[..., ~mask] == 0.0).all(), label
+    return weights
 
 
 class TestAdditiveAttentionMatchesChain:
-    """The fused op against the add / leaky ReLU / masked softmax chain it
-    replaced."""
+    """The weights of ``multi_head_attention`` against the add / leaky ReLU
+    / masked softmax chain that they replaced."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     @pytest.mark.parametrize("lead", ["single", "batch", "rows"])
     def test_values_and_gradients_equal_chain(self, n, lead):
+        """One head, three heads and 3 n heads."""
         rng = np.random.default_rng(1000 + n)
-        shape = {"single": (n,), "batch": (3, n), "rows": (3 * n, n)}[lead]
+        shape = {"single": (1, n), "batch": (3, n), "rows": (3 * n, n)}[lead]
         for label, mask in attention_masks(n, rng).items():
             src, dst = rng.normal(size=(2,) + shape) * 2.0
             g = rng.normal(size=shape + (n,))
@@ -519,12 +583,77 @@ class TestAdditiveAttentionMatchesChain:
         assert np.allclose(out.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_rejects_mismatched_operands_and_slope(self):
-        with pytest.raises(NumericError):
-            additive_attention(np.zeros(3), np.zeros(4), np.ones((3, 3), dtype=bool))
-        with pytest.raises(NumericError):
-            additive_attention(np.zeros(3), np.zeros(3), np.ones((4, 4), dtype=bool))
+        x, w, a = random_round((3, 4), 2, 2, np.random.default_rng(18))
+        mask = np.ones((3, 3), dtype=bool)
+        for bad in ((x[:, :3], w, a), (x, w[:, :, :1], a), (x, w, a[:3]), (x[0], w, a)):
+            with pytest.raises(NumericError, match="shape mismatch"):
+                multi_head_attention(*bad, mask)
+        with pytest.raises(NumericError, match="broadcast"):
+            multi_head_attention(x, w, a, np.ones((4, 4), dtype=bool))
         # the leaky step max(x, slope * x) is exact only for 0 < slope < 1
         assert 0.0 < ATTENTION_SLOPE < 1.0
+
+
+ROUND_SHAPES = {
+    # (features, mask); a mask of None is one (n, n) mask
+    "2-d": ((5, 12), None),
+    "batched": ((4, 5, 12), None),
+    "batched-masks": ((4, 5, 12), (4, 5, 5)),
+    "broadcast": ((3, 4, 5, 12), (4, 5, 5)),
+}
+
+
+def round_mask(shape, rng) -> np.ndarray:
+    """Random neighbourhood masks of ``shape`` (..., n, n), self included."""
+    adj = rng.random(shape) < 0.4
+    return adj | np.swapaxes(adj, -1, -2) | np.eye(shape[-1], dtype=bool)
+
+
+class TestMultiHeadAttention:
+    """All heads of a round in one op, against the per-head chain it
+    replaced (``oracles.per_head_attention``)."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 3, 6])
+    @pytest.mark.parametrize("case", list(ROUND_SHAPES))
+    def test_forward_equals_per_head_chain(self, case, heads):
+        """Bit for bit: taped, tape-free, into work arrays, and into views
+        of the first rows of larger ones, as a sampler passes them."""
+        shape, mask_shape = ROUND_SHAPES[case]
+        rng = np.random.default_rng(40 + heads)
+        x, w, a = random_round(shape, heads, 12 // heads, rng)
+        lead, n, hd = shape[:-2], shape[-2], 12 // heads
+        mask = round_mask(mask_shape or (n, n), rng)
+        expect = per_head_attention(x, w, a, mask, ATTENTION_SLOPE, ATTENTION_ROW_FLOOR)
+        assert np.array_equal(multi_head_attention(x, w, a, mask).data, expect)
+        tape = Tape()
+        operands = [Tensor(v, tape=tape) for v in (x, w, a)]
+        assert np.array_equal(multi_head_attention(*operands, mask).data, expect)
+        assert sum(t.pull is not None for t in tape.nodes) == 1
+        # every array has the rows of the last leading axis on axis -3
+        for spare in (0, 3) if lead else (0,):
+            rows = lead[:-1] + (lead[-1] + spare,) if lead else ()
+            shapes = {
+                "out": rows + (n, 12),
+                "z": (heads,) + rows + (n, hd),
+                "scores": (2, heads) + rows + (n, 1),
+                "weights": (heads,) + rows + (n, n),
+                "scratch": (heads,) + rows + (n, n),
+            }
+            cut = np.s_[..., : lead[-1], :, :] if lead else np.s_[...]
+            work = {name: np.full(s, np.nan)[cut] for name, s in shapes.items()}
+            got = multi_head_attention(x, w, a, mask, **work)
+            assert got.data is work["out"]
+            assert np.array_equal(got.data, expect), spare
+
+    def test_row_below_the_floor_takes_the_exact_path(self):
+        """Row 1 does not reach node 0, whose dst sits 1e3 above the rest:
+        every exp of the row underflows below ``ATTENTION_ROW_FLOOR`` when
+        shifted by the bound, and the exact path gives its true weights."""
+        mask = np.array([[True, True, True], [False, True, True], [True, True, True]])
+        _, out = identity_attention([0.0, 0.0, 0.0], [1e3, 0.0, 0.0], mask)
+        weights = head_view(out.data, 1)[0]
+        assert np.array_equal(weights[1], [0.0, 0.5, 0.5])
+        assert np.array_equal(weights[0], [1.0, 0.0, 0.0])
 
 
 class TestParameterStore:

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphorder import evaluation, models
+from graphorder import evaluation, models, posterior
 from graphorder.graphs import Graph
+from graphorder.rng import spawn_rng
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -74,3 +75,20 @@ def test_joint_log_probs_reaches_every_wrapped_layer(tracing, family, mode, span
     assert rec.calls["models.forward"] == 1
     # one |Aut| lookup per batch; one refinement bound per ordering
     assert rec.calls[span] == (len(pis) if span == "symmetry.cr" else 1)
+
+
+def test_posterior_passes_reach_the_attention_wrapper(tracing):
+    """Stacking the heads once per call must not capture the attention
+    round where the wrapper cannot see it: a sampler call runs each round
+    at each of its n - 1 network steps, and a teacher-forced call once."""
+    layers = 3
+    q = posterior.OrderPosterior(posterior.PosteriorConfig(max_nodes=6, layers=layers, heads=2, head_dim=2))
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+    with tracing.instrument(tracing.Recorder()) as rec:
+        q.sample_orderings(g, 4, spawn_rng(3))
+    assert rec.calls["posterior.sample"] == 1
+    assert rec.calls["nn.attention"] == layers * (g.n - 1)
+    with tracing.instrument(tracing.Recorder()) as rec:
+        q.log_probs_orderings(g, [[0, 1, 2, 3, 4], [4, 2, 0, 1, 3]])
+    assert rec.calls["posterior.log_q"] == 1
+    assert rec.calls["nn.attention"] == layers
