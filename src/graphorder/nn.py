@@ -6,17 +6,19 @@ round, every head at once, one fused ``tensor.multi_head_attention`` op
 (Velickovic et al. 2018, "Graph Attention Networks") over the heads'
 parameters that ``bind_attention`` stacks once per network pass.  A
 tape-free attention stack can write its large results into the arrays of
-an ``AttentionWork`` instead of allocating them.
+an ``AttentionWork`` instead of allocating them, and can compute its last
+round for chosen query nodes only.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import Graph, adjacency_matrix
-from .tensor import ParameterStore, Tensor, add, gru, matmul, multi_head_attention, stack, tanh
+from .tensor import ParameterStore, Tensor, add, gru, matmul, multi_head_attention, reshape, stack, take, tanh
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -83,42 +85,49 @@ def neighborhood_mask(g: Graph) -> np.ndarray:
 
 
 class AttentionWork(NamedTuple):
-    """Arrays that a tape-free ``residual_attention_stack`` writes its
-    results into, each with its batch rows on axis -3: the states ``h`` and
-    the joined head outputs ``joined`` (then their tanh), (rows, n, d); and
-    for ``tensor.multi_head_attention``, with heads on axis 0, the projected
-    features ``z`` (heads, rows, n, head_dim), the source and target scores
-    ``scores`` (2, heads, rows, n, 1), the attention ``weights`` and the
-    leaky step's temporary ``leaky`` (heads, rows, n, n).  With every field
-    None, the default ``ALLOCATE``, each op allocates its result, which a
-    taped call must do."""
+    """Flat float64 arrays that a tape-free ``residual_attention_stack``
+    writes its results into.  Each round views the leading entries of each
+    array as one C-contiguous array of the shape it needs (``work_view``),
+    so a batch of b rows, or a last round of q query rows, uses a prefix of
+    every array.  For an attention round over (..., n, d) states, with q
+    query rows (q = n without ``rows``): the states ``h`` (..., n, d); the
+    joined head outputs ``joined`` (..., q, d), then their tanh; for
+    ``tensor.multi_head_attention`` the projected features ``z`` (heads,
+    ..., n, head_dim), its ``pairs`` (3, heads * ... * n), and the attention
+    ``weights`` and the leaky step's temporary ``leaky`` (heads, ..., q, n).
+    With ``rows``, the last round's states (..., q, d) go into ``z``'s array,
+    which the round no longer reads.  With every field None, the default
+    ``ALLOCATE``, each op allocates its result, which a taped call must
+    do."""
 
     h: np.ndarray | None = None
     joined: np.ndarray | None = None
     z: np.ndarray | None = None
-    scores: np.ndarray | None = None
+    pairs: np.ndarray | None = None
     weights: np.ndarray | None = None
     leaky: np.ndarray | None = None
 
     @classmethod
     def allocate(cls, rows: int, n: int, d: int, heads: int) -> AttentionWork:
         """Uninitialised arrays for batches of up to ``rows`` rows of ``n``
-        nodes, with ``heads`` heads of d // heads lanes each."""
+        nodes, ``d`` = heads * head_dim wide."""
         return cls(
-            h=np.empty((rows, n, d)),
-            joined=np.empty((rows, n, d)),
-            z=np.empty((heads, rows, n, d // heads)),
-            scores=np.empty((2, heads, rows, n, 1)),
-            weights=np.empty((heads, rows, n, n)),
-            leaky=np.empty((heads, rows, n, n)),
+            h=np.empty(rows * n * d),
+            joined=np.empty(rows * n * d),
+            z=np.empty(rows * n * d),
+            pairs=np.empty((3, heads * rows * n)),
+            weights=np.empty(heads * rows * n * n),
+            leaky=np.empty(heads * rows * n * n),
         )
-
-    def rows(self, b: int) -> AttentionWork:
-        """Views of the first ``b`` batch rows of every array."""
-        return AttentionWork(*(arr[..., :b, :, :] for arr in self))
 
 
 ALLOCATE = AttentionWork()
+
+
+def work_view(buf: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The first prod(shape) entries of the flat work array ``buf`` as a
+    C-contiguous array of ``shape``; None for None."""
+    return None if buf is None else buf[: math.prod(shape)].reshape(shape)
 
 
 def bind_attention(store: ParameterStore, tape, rounds: Sequence[str], heads: int) -> dict[str, Tensor]:
@@ -144,6 +153,7 @@ def attention_message_pass(
     feats,
     neighbor_mask: np.ndarray,
     work: AttentionWork = ALLOCATE,
+    rows=None,
 ) -> Tensor:
     """One multi-head attention round restricted to ``neighbor_mask``.
 
@@ -154,19 +164,26 @@ def attention_message_pass(
     are concatenated.  All heads run as one ``tensor.multi_head_attention``
     op on the stacked parameters ``{name}.w`` and ``{name}.a`` of
     ``bind_attention``, so a taped round records one op node.  Permutation
-    equivariant by construction.  The stages are written into ``work``;
-    see ``AttentionWork``.
+    equivariant by construction.  Tape-free, ``rows`` ((..., q) node
+    indices) computes only those nodes' outputs, (..., q, d).  The stages
+    are written into ``work``; see ``AttentionWork``.
     """
+    w = bound[f"{name}.w"]
+    heads, _, head_dim = w.data.shape
+    shape = feats.data.shape if isinstance(feats, Tensor) else np.shape(feats)
+    lead, n = shape[:-2], shape[-2]
+    q = n if rows is None else np.shape(rows)[-1]
     return multi_head_attention(
         feats,
-        bound[f"{name}.w"],
+        w,
         bound[f"{name}.a"],
         neighbor_mask,
-        out=work.joined,
-        z=work.z,
-        scores=work.scores,
-        weights=work.weights,
-        scratch=work.leaky,
+        rows=rows,
+        out=work_view(work.joined, lead + (q, heads * head_dim)),
+        z=work_view(work.z, (heads,) + lead + (n, head_dim)),
+        pairs=work.pairs,
+        weights=work_view(work.weights, (heads,) + lead + (q, n)),
+        scratch=work_view(work.leaky, (heads,) + lead + (q, n)),
     )
 
 
@@ -177,6 +194,7 @@ def residual_attention_stack(
     neighbor_mask: np.ndarray,
     layers: int,
     work: AttentionWork = ALLOCATE,
+    rows=None,
 ) -> Tensor:
     """``layers`` attention rounds ``{name}.layer{i}`` with tanh
     nonlinearity and residual sums; ``bound`` comes from
@@ -184,9 +202,22 @@ def residual_attention_stack(
 
     Requires in_dim == heads * head_dim so outputs can be added back.  Each
     sum is written into ``work.h``, which may hold ``feats`` itself: a round
-    reads the states before it adds to them."""
+    reads the states before it adds to them.  Tape-free, ``rows`` ((..., q)
+    node indices) passes to the last round only, which then sums only those
+    nodes' states: the result is (..., q, d), with the bits of those rows
+    of the full result."""
+    shape = feats.data.shape if isinstance(feats, Tensor) else np.shape(feats)
     h = feats
     for layer in range(layers):
-        message = attention_message_pass(bound, f"{name}.layer{layer}", h, neighbor_mask, work)
-        h = add(h, tanh(message, out=work.joined), out=work.h)
+        last = rows if layer == layers - 1 else None
+        message = attention_message_pass(bound, f"{name}.layer{layer}", h, neighbor_mask, work, last)
+        message = tanh(message, out=None if work.joined is None else message.data)
+        if last is None:
+            h = add(h, message, out=work_view(work.h, shape))
+        else:
+            # the query rows' states, from rows of the flattened batch
+            lead, (n, d) = shape[:-2], shape[-2:]
+            at = np.asarray(last) + n * np.arange(math.prod(lead)).reshape(lead + (1,))
+            states = take(reshape(h, (-1, d)), at, 0, out=work_view(work.z, at.shape + (d,)))
+            h = add(states, message, out=None if work.z is None else states.data)
     return h

@@ -27,6 +27,7 @@ from .nn import (
     register_attention,
     register_linear,
     residual_attention_stack,
+    work_view,
 )
 from .rng import spawn_rng
 from .tensor import (
@@ -110,15 +111,22 @@ class OrderPosterior(Checkpointable):
         return bind_attention(self.store, tape, rounds, self.cfg.heads)
 
     def _node_logits(
-        self, bound, mask: np.ndarray, feats_np: np.ndarray, tape: Tape | None, work: AttentionWork = ALLOCATE
+        self,
+        bound,
+        mask: np.ndarray,
+        feats_np: np.ndarray,
+        tape: Tape | None,
+        work: AttentionWork = ALLOCATE,
+        rows=None,
     ) -> Tensor:
         """(..., n) logits from (..., n, d_model) chosen-step features, with
         attention restricted to the (n, n) ``neighborhood_mask`` of the graph;
         ``bound`` comes from ``_bind``.  A tape-free call may pass ``work``
-        for the attention stack."""
-        h = add(Tensor(feats_np, tape=tape), bound["h0"], out=work.h)
-        states = residual_attention_stack(bound, "gnn", h, mask, self.cfg.layers, work)
-        return reshape(linear(bound, "head", states), feats_np.shape[:-1])
+        for the attention stack, and ``rows`` ((..., q) node indices) to
+        score only those nodes: the logits are then (..., q)."""
+        h = add(Tensor(feats_np, tape=tape), bound["h0"], out=work_view(work.h, feats_np.shape))
+        states = residual_attention_stack(bound, "gnn", h, mask, self.cfg.layers, work, rows)
+        return reshape(linear(bound, "head", states), states.data.shape[:-1])
 
     def _step_features(self, g: Graph, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-step marked features and availability masks for a batch of
@@ -154,13 +162,18 @@ class OrderPosterior(Checkpointable):
 
         Rows that have drawn the same prefix share one network evaluation:
         each distinct prefix has a compact id, which after a draw becomes
-        ``id * n + node`` and is renumbered by ``np.unique``.  The last node
-        is the only candidate left, with log-probability exactly zero, so the
-        last step runs no network.  Each step's logits must be finite before
-        they are drawn from.
+        ``id * (n - s) + k`` for the k-th of its n - s unchosen nodes and is
+        renumbered by ``np.unique``.  Each prefix keeps its unchosen nodes in
+        increasing order, and the network's last attention round, the head,
+        the log-softmax and the draw run on those rows only, so no mask is
+        needed: a draw walks the cumulative probabilities of the unchosen
+        nodes in the order a full row would.  The last node is the only
+        candidate left, with log-probability exactly zero, so the last step
+        runs no network.  Each step's logits must be finite before they are
+        drawn from.
 
         There are never more than ``count`` distinct prefixes, so the
-        network's work arrays and the prefix state are allocated once per
+        network's work arrays and the prefix features are allocated once per
         call with ``count`` rows, and each step uses their first rows.  The
         attention heads' parameters are stacked once per call too, and each
         of the n - 1 network calls runs one op per attention round."""
@@ -171,38 +184,46 @@ class OrderPosterior(Checkpointable):
         mask = neighborhood_mask(g)
         uniforms = np.stack([stream.random(n) for stream in rng.spawn(count)])
         work = AttentionWork.allocate(count, n, d, self.cfg.heads)
-        # marked features and chosen flags of the b distinct prefixes, in the
-        # first b rows of one of two buffers that swap at each step; row i
-        # has drawn the prefix numbered prefix[i]
+        # marked features of the b distinct prefixes, in the first b rows of
+        # one of two buffers that swap at each step, and their unchosen
+        # nodes; draw i has drawn the prefix numbered prefix[i]
         feats, feats_next = np.empty((count, n, d)), np.empty((count, n, d))
-        chosen, chosen_next = np.empty((count, n), dtype=bool), np.empty((count, n), dtype=bool)
-        feats[0], chosen[0], b = 0.0, False, 1
+        feats[0], b = 0.0, 1
+        left = np.arange(n)[None]
         prefix = np.zeros(count, dtype=np.int64)
         pis = np.zeros((count, n), dtype=np.int64)
         log_q = np.zeros(count)
-        rows = np.arange(count)
         for s in range(n - 1):
-            logits = self._node_logits(bound, mask, feats[:b], None, work.rows(b))
-            ensure_finite(logits.data, "posterior logits")
-            lp = masked_log_softmax(logits, ~chosen[:b]).data
-            probs = np.where(chosen[:b], 0.0, np.exp(lp))
-            cum = np.cumsum(probs, axis=-1)[prefix]
+            m = n - s
+            # every node is a candidate at the first step, so it needs no rows
+            logits = self._node_logits(bound, mask, feats[:b], None, work, left if s else None).data
+            ensure_finite(logits, "posterior logits")
+            top = logits.max(axis=-1, keepdims=True)
+            lp = logits - (top + np.log(np.exp(logits - top).sum(axis=-1, keepdims=True)))
+            probs = np.exp(lp)
+            cum = probs.cumsum(axis=-1)[prefix]
             r = uniforms[:, s] * cum[:, -1]
-            idx = np.minimum((cum <= r[:, None]).sum(axis=-1), n - 1)
-            for i in rows[probs[prefix, idx] <= 0.0]:
-                idx[i] = int(np.flatnonzero(probs[prefix[i]] > 0.0)[0])
-            log_q += lp[prefix, idx]
-            pis[:, s] = idx
-            _, first, prefix_next = np.unique(prefix * n + idx, return_index=True, return_inverse=True)
-            parents, picked = prefix[first], idx[first]
+            k = (cum <= r[:, None]).sum(axis=-1)
+            # r can round up to the total; then a full row's draw would take
+            # node n - 1 if it is unchosen with mass, else its first node
+            # with mass
+            for i in np.flatnonzero(k == m):
+                p = probs[prefix[i]]
+                k[i] = m - 1 if left[prefix[i], -1] == n - 1 and p[-1] > 0.0 else np.flatnonzero(p > 0.0)[0]
+            key = prefix * m + k
+            node = left.take(key)
+            log_q += lp.take(key)
+            pis[:, s] = node
+            _, first, prefix_next = np.unique(key, return_index=True, return_inverse=True)
+            parents, picked = prefix[first], k[first]
             b = len(first)
-            np.take(feats, parents, axis=0, out=feats_next[:b], mode="clip")
-            np.take(chosen, parents, axis=0, out=chosen_next[:b], mode="clip")
-            feats, feats_next, chosen, chosen_next = feats_next, feats, chosen_next, chosen
-            feats[np.arange(b), picked] = self._pe[s + 1]
-            chosen[np.arange(b), picked] = True
+            feats.take(parents, axis=0, out=feats_next[:b], mode="clip")
+            feats, feats_next = feats_next, feats
+            feats[np.arange(b), node[first]] = self._pe[s + 1]
+            kept = left[parents]
+            left = np.where(np.arange(m - 1) < picked[:, None], kept[:, :-1], kept[:, 1:])
             prefix = prefix_next
-        pis[:, n - 1] = np.argmin(chosen[prefix], axis=-1)
+        pis[:, n - 1] = left[prefix, 0]
         return [OrderingSample(tuple(pi), lq) for pi, lq in zip(pis.tolist(), log_q.tolist())]
 
 

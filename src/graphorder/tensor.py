@@ -4,17 +4,17 @@ A Tape records tensors in creation order, which is already a topological
 order, so the backward pass is a single reverse sweep that visits each node
 once.  Ops are module functions; a Tensor has no operator methods:
 
-- elementwise and linear: ``add``, ``sub``, ``mul``, ``matmul``,
-  ``sigmoid``, ``tanh``, ``log_sigmoid``;
+- elementwise and linear: ``add``, ``mul``, ``matmul``, ``tanh``,
+  ``log_sigmoid``;
 - shape and selection: ``tensor_sum`` (and ``mean`` built on it),
   ``reshape``, ``concat`` (last axis), ``stack`` (a new leading axis),
   ``take`` (np.take along one axis; its pull scatter-adds, so repeated
   indices are summed) and ``take_along_last``;
 - masked: ``masked_log_softmax`` (below);
 - fused, each recorded as one node with one hand-written pull: ``gru``, one
-  GRU update whose forward has the bits of the chain of
-  ``matmul``/``add``/``sigmoid``/``mul``/``tanh``/``sub`` ops it stands for,
-  and ``multi_head_attention`` (below).
+  GRU update whose forward has the bits of the chain of matmul, add,
+  sigmoid, mul, tanh and subtract steps it stands for, and
+  ``multi_head_attention`` (below).
 
 ``Tensor(data, tape, leaf_ref)`` builds a leaf only: its data, the tape
 that records it (if any) and, for a parameter leaf, the (store, name) that
@@ -23,20 +23,22 @@ operands' tape with the pull that sends gradients back to them.  Ops
 called on tensors that carry no tape run eagerly and record nothing, which
 doubles as the no-gradient fast path for sampling and evaluation.
 
-On that path, and only there, ``add``, ``matmul``, ``tanh``, ``concat`` and
+On that path, and only there, ``add``, ``tanh``, ``take`` and
 ``multi_head_attention`` take ``out=``: a float64 array of the result's
 shape that the op writes its result into and returns as the result's data,
 so a caller can reuse its work arrays from call to call;
-``multi_head_attention`` also takes ``z=``, ``scores=``, ``weights=`` and
-``scratch=`` for its stages and its one temporary.  ``out=`` (or any of
-those) with an operand on a tape raises ``InputError``, since the tape
-would keep a view of an array that the caller goes on to overwrite.
+``multi_head_attention`` also takes ``z=``, ``pairs=``, ``weights=`` and
+``scratch=`` for its stages and its one temporary, and ``rows=``, the query
+nodes whose rows alone it computes.  Any of these with an operand on a
+tape raises ``InputError``, since the tape would keep a view of an array
+that the caller goes on to overwrite (or, for ``rows=``, a result whose
+pull would need the rows it skipped).
 
 Two ops work over the last axis restricted to a boolean mask:
 ``masked_log_softmax``, and ``multi_head_attention``, which runs every head
 of one graph-attention round over a leading heads axis, one matmul per
 stage.  It turns the scores leaky_relu(src_i + dst_j) into attention
-weights in one (H, ..., n, n) buffer, in place, and pulls the whole round
+weights in one (H, ..., q, n) buffer, in place, and pulls the whole round
 back in one step.  It shifts row i by the bound
 leaky_relu(src_i + max_j dst_j), not by the row's masked maximum, and
 multiplies exp's result by the mask, so excluded weights are exactly zero;
@@ -52,21 +54,23 @@ result, so an op that overflows returns inf or nan and passes it on.
 ``NumericError`` is raised for non-finite values in:
 
 - tensors built by calling ``Tensor(...)``, which includes constants that
-  ops wrap (every operand of ``gru`` and ``take`` too) and the parameter
-  leaves of ``ParameterStore.bind``;
+  ops wrap (every operand of ``gru`` and ``take`` too; a Python int or
+  float is checked with ``math.isfinite``) and the parameter leaves of
+  ``ParameterStore.bind``;
 - the root of ``backward``;
 - ``ParameterStore.add``, checkpoints read by ``parse_checkpoint``, and the
   gradients and updated moments of ``ParameterStore.adam_step``.
 
 Code that turns a tape-free result into a draw or a reported number checks
-it there with ``ensure_finite``: the samplers check their logits before each
-draw, and ``exact_marginal_log_prob`` its joint log-probabilities.  The
-training estimates wrap their learning signal in ``Tensor(...)``, and
-``importance_estimate`` checks its weights.
+it there with ``ensure_finite``: the samplers check the logits of each
+draw's candidates before the draw, and ``exact_marginal_log_prob`` its
+joint log-probabilities.  The training estimates wrap their learning signal
+in ``Tensor(...)``, and ``importance_estimate`` checks its weights.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict
@@ -125,7 +129,16 @@ class Tensor:
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """``x`` if it is a tensor, else a tape-free constant: a Python int or
+    float, such as the -1.0 of ``mul(x, -1.0)``, is checked with
+    ``math.isfinite``, anything else by ``Tensor(x)``."""
+    if isinstance(x, Tensor):
+        return x
+    if type(x) is float or type(x) is int:
+        if not math.isfinite(x):
+            raise NumericError("non-finite values in tensor data")
+        return _result((), np.float64(x), None)
+    return Tensor(x)
 
 
 def _result(inputs: tuple[Tensor, ...], data: np.ndarray, pull) -> Tensor:
@@ -171,12 +184,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _tape_free(out, inputs: tuple[Tensor, ...]) -> None:
+def _tape_free(out, inputs: tuple[Tensor, ...], name: str = "out=") -> None:
     """``InputError`` if ``out`` is given and an operand is on a tape."""
     if out is not None:
         for t in inputs:
             if t.tape is not None:
-                raise InputError("out= is only for operands that carry no tape")
+                raise InputError(f"{name} is only for operands that carry no tape")
 
 
 def _elementwise(op, a: Tensor, b: Tensor, name: str, out=None) -> np.ndarray:
@@ -200,17 +213,6 @@ def add(a, b, out=None) -> Tensor:
     return _result((a, b), data, pull)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    data = _elementwise(np.subtract, a, b, "sub")
-
-    def pull(g):
-        _acc(a, _unbroadcast(g, a.data.shape))
-        _acc(b, _unbroadcast(-g, b.data.shape))
-
-    return _result((a, b), data, pull)
-
-
 def mul(a, b) -> Tensor:
     """Elementwise (broadcasting) product."""
     a, b = _wrap(a), _wrap(b)
@@ -223,10 +225,9 @@ def mul(a, b) -> Tensor:
     return _result((a, b), data, pull)
 
 
-def matmul(a, b, out=None) -> Tensor:
+def matmul(a, b) -> Tensor:
     """np.matmul semantics: batched 2-D products, 1-D operands promoted."""
     a, b = _wrap(a), _wrap(b)
-    _tape_free(out, (a, b))
     A, B = a.data, b.data
     if A.ndim == 0 or B.ndim == 0:
         raise NumericError("matmul operands must be at least 1-D")
@@ -234,7 +235,7 @@ def matmul(a, b, out=None) -> Tensor:
     b1 = B[:, None] if B.ndim == 1 else B
     if a1.shape[-1] != b1.shape[-2]:
         raise NumericError(f"matmul shape mismatch: {A.shape} @ {B.shape}")
-    data = np.matmul(A, B, out=out)
+    data = np.matmul(A, B)
 
     def pull(g):
         g1 = g
@@ -252,16 +253,6 @@ def matmul(a, b, out=None) -> Tensor:
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
-
-
-def sigmoid(x) -> Tensor:
-    x = _wrap(x)
-    data = _sigmoid(x.data)
-
-    def pull(g):
-        _acc(x, g * data * (1.0 - data))
-
-    return _result((x,), data, pull)
 
 
 def tanh(x, out=None) -> Tensor:
@@ -306,7 +297,7 @@ def mean(x, axis=None) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = _wrap(x)
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(map(int, shape))
     data = x.data.reshape(shape)
 
     def pull(g):
@@ -315,13 +306,12 @@ def reshape(x, shape) -> Tensor:
     return _result((x,), data, pull)
 
 
-def concat(tensors: Sequence, out=None) -> Tensor:
+def concat(tensors: Sequence) -> Tensor:
     """Tensors joined along the last axis."""
     parts = tuple(_wrap(t) for t in tensors)
     if not parts:
         raise InputError("concat needs at least one tensor")
-    _tape_free(out, parts)
-    data = np.concatenate([p.data for p in parts], axis=-1, out=out)
+    data = np.concatenate([p.data for p in parts], axis=-1)
     sizes = [p.data.shape[-1] for p in parts]
 
     def pull(g):
@@ -368,16 +358,25 @@ def take_along_last(x, indices) -> Tensor:
     return _result((x,), data, pull)
 
 
-def take(x, indices, axis: int) -> Tensor:
+def take(x, indices, axis: int, out=None) -> Tensor:
     """``np.take(x, indices, axis)``: the slices of x along ``axis`` at the
     integer ``indices`` (a scalar or an array, entries may repeat), in
     their place.  The pull adds each slice's gradient back at its index."""
     x = _wrap(x)
+    _tape_free(out, (x,))
     idx = np.asarray(indices, dtype=np.int64)
     try:
-        data = np.take(x.data, idx, axis=axis)
+        size = x.data.shape[axis]
     except IndexError as exc:
-        raise InputError(f"take: {exc}") from exc
+        raise InputError(f"take: axis {axis} out of range for shape {x.data.shape}") from exc
+    if idx.ndim == 0:
+        outside = not -size <= int(idx) < size
+    else:
+        outside = idx.size > 0 and (idx.min() < -size or idx.max() >= size)
+    if outside:
+        raise InputError(f"take: index out of range for axis {axis} of size {size}")
+    # in range, "wrap" reads what "raise" would, without buffering ``out``
+    data = x.data.take(idx, axis=axis, out=out, mode="wrap")
     where = (slice(None),) * (axis % x.data.ndim) + (idx,)
 
     def pull(g):
@@ -396,11 +395,12 @@ def gru(h, x, gates: Sequence[Sequence]) -> Tensor:
         z = sigmoid(a_update(h)),  r = sigmoid(a_reset(h)),
         c = tanh(a_candidate(r * h)),  out = (1 - z) * c + z * h.
 
-    The forward evaluates the numpy expressions of the ops ``matmul``,
-    ``add``, ``sigmoid``, ``mul``, ``tanh`` and ``sub`` in the order in
-    which a chain of those ops would, so its result has the same bits; one
-    pull sends the gradient to h, x and the nine parameters.  Weights must
-    be 2-D and biases 1-D; h and x broadcast over their leading axes."""
+    The forward evaluates the numpy expressions of a chain of matmul, add,
+    sigmoid (``_sigmoid``), mul, tanh and subtract ops in the order in
+    which the chain would (``tests/oracles.py::composed_gru_step``), so its
+    result has the same bits; one pull sends the gradient to h, x and the
+    nine parameters.  Weights must be 2-D and biases 1-D; h and x broadcast
+    over their leading axes."""
     h, x = _wrap(h), _wrap(x)
     params = tuple(_wrap(p) for gate in gates for p in gate)
     if [p.data.ndim for p in params] != [2, 2, 1] * 3:
@@ -485,12 +485,47 @@ def masked_log_softmax(x, mask) -> Tensor:
     return _result((x,), data, pull)
 
 
-def _attention_weights(src, dst, m, out, scratch, taped: bool):
+@functools.cache
+def _ones(n: int) -> np.ndarray:
+    """A read-only vector of n ones."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """The sums of the rows of the 2-D array x, as matrix-vector products
+    with ones.  BLAS sums a row with the same bits in every group of four
+    rows but not always in a shorter tail, so rows go in groups of four: a
+    tail is summed again with the three rows before it (or, with fewer than
+    four rows, padded with zero rows).  Each row's sum then has the same
+    bits whatever the number of rows and wherever the row sits."""
+    count, n = x.shape
+    ones = _ones(n)
+    tail = count % 4
+    if not tail:
+        return np.matmul(x, ones)
+    sums = np.empty(count)
+    if count > 4:
+        np.matmul(x[: count - tail], ones, out=sums[: count - tail])
+        np.matmul(x[count - 4 :], ones, out=sums[count - 4 :])
+    else:
+        padded = np.zeros((4, n))
+        padded[:count] = x
+        sums[:] = np.matmul(padded, ones)[:count]
+    return sums
+
+
+def _attention_weights(src, dst, left, right, m, out, scratch, taped: bool):
     """Weights softmax_j(leaky_relu(src_i + dst_j)) over the entries of the
-    mask m, for src and dst of shape (..., n), in one (..., n, n) buffer
-    (``out`` if given); also where the leaky step's input is positive, which
-    only a pull (``taped``) needs.  See ``multi_head_attention``."""
-    x = np.add(src[..., :, None], dst[..., None, :], out=out)
+    mask m, for the query rows' src (..., q) and every node's dst (..., n),
+    in one (..., q, n) buffer (``out`` if given); ``left`` (..., q, 2) and
+    ``right`` (..., 2, n) are [src_i, 1] and [1; dst_j].  Also returns where
+    the leaky step's input is positive, which only a pull (``taped``)
+    needs.  See ``multi_head_attention``."""
+    # both terms of [src_i, 1] [1; dst_j] are exact, so the product has the
+    # bits of the sum src_i + dst_j
+    x = np.matmul(left, right, out=out)
     np.maximum(x, np.multiply(x, ATTENTION_SLOPE, out=scratch), out=x)
     # the leaky step keeps signs
     pos = x > 0 if taped else None
@@ -499,9 +534,9 @@ def _attention_weights(src, dst, m, out, scratch, taped: bool):
     np.subtract(x, bound[..., None], out=x)
     np.exp(x, out=x)
     np.multiply(x, m, out=x)
-    z = x.sum(axis=-1, keepdims=True)
-    low = z[..., 0] < ATTENTION_ROW_FLOOR
-    if low.any():
+    z = _row_sums(x.reshape(src.size, x.shape[-1])).reshape(src.shape)
+    if z.size and z.min() < ATTENTION_ROW_FLOOR:
+        low = z < ATTENTION_ROW_FLOOR
         rows = np.broadcast_to(m, x.shape)[low]
         _require_support(rows)
         scores = src[low][:, None] + np.broadcast_to(dst[..., None, :], x.shape)[low]
@@ -510,12 +545,23 @@ def _attention_weights(src, dst, m, out, scratch, taped: bool):
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         x[low] = e / e.sum(axis=-1, keepdims=True)
         z[low] = 1.0
-    np.divide(x, z, out=x)
+    np.divide(x, z[..., None], out=x)
     return x, pos
 
 
+def _query_rows(rows, lead: tuple[int, ...], n: int) -> np.ndarray:
+    """``rows`` as an int array of shape ``lead`` + (q,) with q >= 1 and
+    entries in [0, n), or ``InputError``."""
+    idx = np.asarray(rows, dtype=np.intp)
+    if idx.shape[:-1] != lead or idx.ndim == len(lead) or idx.shape[-1] < 1:
+        raise InputError(f"rows of shape {idx.shape} do not fit features with leading axes {lead}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InputError(f"rows must index the {n} nodes")
+    return idx
+
+
 def multi_head_attention(
-    x, w, a, mask, *, out=None, z=None, scores=None, weights=None, scratch=None
+    x, w, a, mask, *, rows=None, out=None, z=None, pairs=None, weights=None, scratch=None
 ) -> Tensor:
     """Every head of one additive attention round (Velickovic et al. 2018)
     as one op.  For features x (..., n, d), projections w (H, d, hd) and
@@ -527,31 +573,48 @@ def multi_head_attention(
     (which broadcasts to (..., n, n)), and averages: o_k = A_k z_k.  The
     result, (..., n, H * hd), holds the heads' outputs side by side.
 
-    Each stage is one matmul over a leading heads axis: the projections z
-    (H, ..., n, hd); the scores (2, H, ..., n, 1), source then target, each
-    a matrix-vector product as in a per-head chain of ``matmul`` ops; and
-    A_k z_k, written straight into the result through a transposed view.
-    So the result has the bits of that chain.
+    Tape-free only, ``rows`` ((..., q) node indices) picks the query
+    nodes: the result is (..., q, H * hd), its row r node rows[..., r]'s.
+    The keys stay all n nodes, so only the weights' rows shrink, to (..., q,
+    n).  For q >= 2 each row has the bits of that row of the full result;
+    for q = 1 numpy computes A_k z_k as a matrix-vector product, which
+    rounds differently.
 
-    The weights A (H, ..., n, n) are built in one buffer, in place.  The
+    Each stage is one matmul over a leading heads axis: the projections z
+    (H, ..., n, hd); the scores, source then target, each a matrix-vector
+    product as in a per-head chain of ``matmul`` ops; and A_k z_k, written
+    straight into the result through a transposed view.  So the result has
+    the bits of that chain, given that chain's row sums (``_row_sums``).
+
+    The weights A (H, ..., q, n) are built in one buffer, in place.  The
+    scores src_i + dst_j are the rank-2 product [src_i, 1] [1; dst_j].  The
     leaky step is max(s, slope * s), exact because 0 < slope < 1.  Row i is
     shifted by the bound leaky_relu(src_i + max_j dst_j) rather than by its
     masked maximum: the leaky step is monotone, so the bound is at least
     every score of the row and exp cannot overflow.  exp runs on every
     score and the mask multiplies its result, so excluded weights are
-    exactly zero.  A row whose sum falls below ``ATTENTION_ROW_FLOOR`` is
-    the rare case: it has no entry in the mask (``NumericError``), or every
-    masked score sits more than 40 nats below the bound, and then it is
-    recomputed with its exact masked maximum.
+    exactly zero.  Each row is summed by a matrix-vector product with ones.
+    A row whose sum falls below ``ATTENTION_ROW_FLOOR`` is the rare case: it
+    has no entry in the mask (``NumericError``), or every masked score sits
+    more than 40 nats below the bound, and then it is recomputed with its
+    exact masked maximum.
 
     Tape-free only, like ``out`` (the result), the keyword arrays receive
-    the stages: ``z``, ``scores``, ``weights``, and ``scratch`` for the
-    leaky step's slope * s, of the shapes above.  One node is recorded, and
-    its pull sends the gradient to x, w and a with matmuls."""
+    the stages: ``z`` and ``weights`` of the shapes above, ``scratch`` for
+    the leaky step's slope * s, of the weights' shape, and ``pairs``, a
+    (3, m) float64 array with unit stride along m >= H * prod(...) * n: row
+    0 receives the query rows' source scores, row 1 ones (with ``rows``,
+    after it has held every node's source scores) and row 2 the target
+    scores, so that [src_i, 1] and [1; dst_j] are strided views of it.  One
+    node is recorded, and its pull sends the gradient to x, w and a with
+    matmuls."""
     x, w, a = _wrap(x), _wrap(w), _wrap(a)
     operands = (x, w, a)
-    for buf in (out, z, scores, weights, scratch):
-        _tape_free(buf, operands)
+    taped = any(t.tape is not None for t in operands)
+    if taped:
+        _tape_free(rows, operands, "rows=")
+        for buf in (out, z, pairs, weights, scratch):
+            _tape_free(buf, operands)
     X, W, A = x.data, w.data, a.data
     if X.ndim < 2 or W.ndim != 3 or X.shape[-1] != W.shape[1] or A.shape != (2 * W.shape[0], W.shape[2]):
         raise NumericError(f"multi_head_attention shape mismatch: x {X.shape}, w {W.shape}, a {A.shape}")
@@ -561,25 +624,54 @@ def multi_head_attention(
     # (..., n, heads, hd) -> (heads, ..., n, hd)
     heads_first = (len(lead) + 1, *range(len(lead) + 1), len(lead) + 2)
     m = _mask(mask, lead + (n, n))
+    count = heads * math.prod(lead) * n
+    if pairs is None:
+        pairs = np.empty((3, count))
+    elif pairs.dtype != np.float64 or pairs.ndim != 2 or pairs.shape[0] != 3 or pairs.shape[1] < count or (
+        count and pairs.strides[1] != pairs.itemsize
+    ):
+        raise InputError(f"pairs= must be a (3, >= {count}) float64 array with unit stride along its rows")
+    # (3, heads, ..., n) -> (heads, ..., n, 3) and (heads, ..., 3, n)
+    block = pairs[:, :count].reshape((3, heads) + lead + (n,))
+    by_row = (*range(1, block.ndim), 0)
+    by_column = (*range(1, block.ndim - 1), 0, block.ndim - 1)
     Z = np.matmul(X, W.reshape((heads,) + over_lead + (d, hd)), out=z)
-    S = np.matmul(Z, A.reshape((2, heads) + over_lead + (hd, 1)), out=scores)
-    taped = any(t.tape is not None for t in operands)
-    P, pos = _attention_weights(S[0, ..., 0], S[1, ..., 0], m, weights, scratch, taped)
-    data = np.empty(lead + (n, heads * hd)) if out is None else out
-    np.matmul(P, Z, out=data.reshape(lead + (n, heads, hd)).transpose(heads_first))
+    if rows is None:
+        q, src = n, block[0]
+        np.matmul(Z, A.reshape((2, heads) + over_lead + (hd, 1)), out=block[0::2, ..., None])
+        left = block[0:2].transpose(by_row)
+    else:
+        idx = _query_rows(rows, lead, n)
+        q = idx.shape[-1]
+        if m.shape == (n, n):
+            m = m[idx]
+        else:
+            m = np.take_along_axis(np.broadcast_to(m, lead + (n, n)), idx[..., None], axis=-2)
+        np.matmul(Z, A.reshape((2, heads) + over_lead + (hd, 1)), out=block[1:3, ..., None])
+        # the query rows' source scores, from row 1 into row 0 of pairs
+        at = idx + n * np.arange(math.prod(lead)).reshape(lead + (1,))
+        queried = pairs[0:2, : heads * at.size].reshape((2, heads) + at.shape)
+        src = queried[0]
+        block[1].reshape(heads, -1).take(at, axis=1, out=src, mode="clip")
+        left = queried.transpose(by_row)
+    pairs[1, :count] = 1.0
+    right = block[1:3].transpose(by_column)
+    P, pos = _attention_weights(src, block[2], left, right, m, weights, scratch, taped)
+    data = np.empty(lead + (q, heads * hd)) if out is None else out
+    np.matmul(P, Z, out=data.reshape(lead + (q, heads, hd)).transpose(heads_first))
 
     def pull(g):
         G = g.reshape(lead + (n, heads, hd)).transpose(heads_first)
         # through the weights to the score of each pair (i, j), in place
         dS = np.matmul(G, np.swapaxes(Z, -1, -2))
-        np.subtract(dS, (dS * P).sum(axis=-1, keepdims=True), out=dS)
+        np.subtract(dS, _row_sums((dS * P).reshape(-1, n)).reshape(P.shape[:-1] + (1,)), out=dS)
         np.multiply(dS, P, out=dS)
-        np.multiply(dS, pos * (1.0 - ATTENTION_SLOPE) + ATTENTION_SLOPE, out=dS)
+        np.multiply(dS, np.where(pos, 1.0, ATTENTION_SLOPE), out=dS)
         # the weights and vectors act on every row alike, so the rows fold
         # into one axis: summed over j a pair's gradient is its source
         # score's, summed over i its target score's
         count = math.prod(lead) * n
-        ones = np.ones(n)
+        ones = _ones(n)
         ds = np.stack([np.matmul(dS.reshape(-1, n), ones), np.matmul(ones, dS).reshape(-1)], axis=-1)
         ds = ds.reshape(heads, count, 2)
         dZ = np.matmul(np.swapaxes(P, -1, -2), G).reshape(heads, count, hd)

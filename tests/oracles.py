@@ -17,8 +17,8 @@ import numpy as np
 from graphorder.errors import InputError
 from graphorder.graphs import Graph, bit_indices, induced_subgraph, validate_ordering
 from graphorder.models import _bernoulli_log_prob, _broadcast_rows, _permuted_adjacency
-from graphorder.nn import linear
-from graphorder.tensor import Tensor, add, log_sigmoid, matmul, mean, mul, sigmoid, sub, tanh
+from graphorder.nn import gru_step, linear, neighborhood_mask
+from graphorder.tensor import Tensor, add, log_sigmoid, masked_log_softmax, mean, mul, tanh
 
 
 def all_graphs(n: int):
@@ -302,31 +302,30 @@ def per_prefix_log_prob_orderings(model, g: Graph, orders, tape=None) -> Tensor:
     return reduce(add, terms)
 
 
-def composed_gru_step(bound: dict, name: str, h, x) -> Tensor:
-    """``nn.gru_step`` as the chain of tape ops it replaced: each gate is
-    add(add(matmul(x, wx), matmul(state, wh)), b), with about 19 op nodes
-    per step."""
+def composed_gru_step(params: dict[str, np.ndarray], name: str, h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``nn.gru_step`` as the chain of ops it replaced, in numpy: each gate
+    is (x @ wx + state @ wh) + b, sigmoid is 1 / (1 + exp(-clip(v, -500,
+    500))), and the update is (1 - z) * c + z * h."""
 
-    def gate(which: str, state) -> Tensor:
-        return add(
-            add(
-                matmul(x, bound[f"{name}.{which}.wx"]),
-                matmul(state, bound[f"{name}.{which}.wh"]),
-            ),
-            bound[f"{name}.{which}.b"],
-        )
+    def gate(which: str, state: np.ndarray) -> np.ndarray:
+        return (np.matmul(x, params[f"{name}.{which}.wx"]) + np.matmul(state, params[f"{name}.{which}.wh"])) + params[
+            f"{name}.{which}.b"
+        ]
+
+    def sigmoid(v: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
 
     z = sigmoid(gate("update", h))
     r = sigmoid(gate("reset", h))
-    cand = tanh(gate("candidate", mul(r, h)))
-    return add(mul(sub(1.0, z), cand), mul(z, h))
+    cand = np.tanh(gate("candidate", r * h))
+    return (1.0 - z) * cand + z * h
 
 
 def per_step_log_prob_rows(model, rows: np.ndarray, tape=None) -> Tensor:
-    """``AdjacencyModel.log_prob_rows`` one row step at a time, with the
-    composed GRU: state k pays the continue term and the masked full-width
-    Bernoulli terms of row k, then embeds row k and steps.  A free-size
-    model pays the final stop term only below ``max_nodes``."""
+    """``AdjacencyModel.log_prob_rows`` one row step at a time: state k
+    pays the continue term and the masked full-width Bernoulli terms of row
+    k, then embeds row k and takes one GRU step.  A free-size model pays the
+    final stop term only below ``max_nodes``."""
     rows = np.asarray(rows, dtype=np.float64)
     batch, steps, width = rows.shape
     sized = model.cfg.fixed_node_count is not None
@@ -339,7 +338,7 @@ def per_step_log_prob_rows(model, rows: np.ndarray, tape=None) -> Tensor:
         mask = np.zeros(width)
         mask[: k + 1] = 1.0
         terms.append(_bernoulli_log_prob(linear(bound, "edges", state), rows[:, k, :], mask))
-        state = composed_gru_step(bound, "cell", state, tanh(linear(bound, "embed", rows[:, k, :])))
+        state = gru_step(bound, "cell", state, tanh(linear(bound, "embed", rows[:, k, :])))
     if not sized and steps + 1 < model.cfg.max_nodes:
         terms.append(log_sigmoid(model._stop_logit(bound, state)))
     return reduce(add, terms)
@@ -361,18 +360,28 @@ def chained_additive_attention(src, dst, mask, slope: float, g) -> tuple[np.ndar
     return p, d_scores.sum(axis=-1, keepdims=True)[..., 0], d_scores.sum(axis=-2, keepdims=True)[..., 0, :]
 
 
+def ones_row_sums(x: np.ndarray) -> np.ndarray:
+    """The sums over the last axis of x, keeping it, as one matrix-vector
+    product with ones over all rows padded with zero rows to a multiple of
+    four; BLAS sums each row of a group of four with the same bits."""
+    rows = x.reshape(-1, x.shape[-1])
+    padded = np.concatenate([rows, np.zeros((-len(rows) % 4, x.shape[-1]))])
+    return np.matmul(padded, np.ones(x.shape[-1]))[: len(rows)].reshape(x.shape[:-1] + (1,))
+
+
 def _shifted_bound_weights(src: np.ndarray, dst: np.ndarray, mask, slope: float, floor: float) -> np.ndarray:
     """The weights of one head as the fused op of the per-head chain
     computed them: every row shifted by the bound
-    leaky_relu(src_i + max_j dst_j), and a row whose sum falls below
-    ``floor`` recomputed with its exact masked maximum."""
+    leaky_relu(src_i + max_j dst_j), summed by ``ones_row_sums``, and a row
+    whose sum falls below ``floor`` recomputed with its exact masked
+    maximum."""
     x = src[..., :, None] + dst[..., None, :]
     m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
     x = np.maximum(x, slope * x)
     bound = src + dst.max(axis=-1, keepdims=True)
     bound = np.maximum(bound, slope * bound)
     x = np.exp(x - bound[..., None]) * m
-    z = x.sum(axis=-1, keepdims=True)
+    z = ones_row_sums(x)
     low = z[..., 0] < floor
     if low.any():
         scores = src[low][:, None] + np.broadcast_to(dst[..., None, :], x.shape)[low]
@@ -397,3 +406,37 @@ def per_head_attention(x, w, a, mask, slope: float, floor: float) -> np.ndarray:
         weights = _shifted_bound_weights(np.matmul(z, a[k]), np.matmul(z, a[heads + k]), mask, slope, floor)
         outs.append(np.matmul(weights, z))
     return np.concatenate(outs, axis=-1)
+
+
+def full_row_sample_orderings(q, g: Graph, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``OrderPosterior.sample_orderings`` as a full-row sampler: each step
+    scores every node of each distinct prefix, masks the chosen ones out of
+    the log-softmax, and walks the cumulative probabilities of the whole
+    row, falling back from node n - 1 to the first node with mass when the
+    walk runs off the end.  Returns the (count, n) orderings and their
+    log q."""
+    n = g.n
+    bound, mask = q._bind(None), neighborhood_mask(g)
+    uniforms = np.stack([stream.random(n) for stream in rng.spawn(count)])
+    feats, chosen = np.zeros((1, n, q.cfg.d_model)), np.zeros((1, n), dtype=bool)
+    prefix = np.zeros(count, dtype=np.int64)
+    pis = np.zeros((count, n), dtype=np.int64)
+    log_q = np.zeros(count)
+    for s in range(n - 1):
+        logits = q._node_logits(bound, mask, feats, None)
+        lp = masked_log_softmax(logits, ~chosen).data
+        probs = np.where(chosen, 0.0, np.exp(lp))
+        cum = np.cumsum(probs, axis=-1)[prefix]
+        idx = np.minimum((cum <= (uniforms[:, s] * cum[:, -1])[:, None]).sum(axis=-1), n - 1)
+        for i in np.flatnonzero(probs[prefix, idx] <= 0.0):
+            idx[i] = np.flatnonzero(probs[prefix[i]] > 0.0)[0]
+        log_q += lp[prefix, idx]
+        pis[:, s] = idx
+        _, first, next_prefix = np.unique(prefix * n + idx, return_index=True, return_inverse=True)
+        parents, picked, rows = prefix[first], idx[first], np.arange(len(first))
+        feats, chosen = feats[parents], chosen[parents]
+        feats[rows, picked] = q._pe[s + 1]
+        chosen[rows, picked] = True
+        prefix = next_prefix
+    pis[:, n - 1] = np.argmin(chosen[prefix], axis=-1)
+    return pis, log_q

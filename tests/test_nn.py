@@ -4,6 +4,7 @@ import pytest
 from graphorder.errors import NumericError
 from graphorder.graphs import Graph
 from graphorder.nn import (
+    AttentionWork,
     attention_message_pass,
     bind_attention,
     glorot,
@@ -93,7 +94,7 @@ def test_gru_forward_equals_composed_ops(case):
     store = random_gru(5, 8, seed=30)
     rng = np.random.default_rng(31)
     h, x = rng.normal(size=h_shape), rng.normal(size=x_shape)
-    expect = composed_gru_step(store.bind(None), "cell", Tensor(h), Tensor(x)).data
+    expect = composed_gru_step({name: store.get(name) for name in store.names()}, "cell", h, x)
     assert np.array_equal(gru_step(store.bind(None), "cell", Tensor(h), Tensor(x)).data, expect)
     tape = Tape()
     bound = store.bind(tape)
@@ -246,6 +247,29 @@ class TestAttention:
         feats_r = feats[np.argsort(rot)]
         out_r = residual_attention_stack(bound, "stack", Tensor(feats_r), neighborhood_mask(g), 2).data
         assert np.allclose(out_r, out.data[np.argsort(rot)], atol=1e-12)
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_residual_stack_rows_equal_the_rows_of_the_full_stack(self, layers):
+        """Tape-free, ``rows`` reaches the last round only and gives the
+        bits of the full stack's rows, allocating or into the leading
+        entries of one ``AttentionWork`` reused for smaller batches."""
+        store = ParameterStore()
+        rng = np.random.default_rng(18)
+        rounds = [f"stack.layer{layer}" for layer in range(layers)]
+        for name in rounds:
+            register_attention(store, name, 6, 2, 3, rng)
+        bound = bind_attention(store, None, rounds, 2)
+        mask = neighborhood_mask(cycle(7))
+        work = AttentionWork.allocate(9, 7, 6, 2)
+        for batch in (9, 4):
+            feats = rng.normal(size=(batch, 7, 6))
+            full = residual_attention_stack(bound, "stack", Tensor(feats), mask, layers).data
+            rows = np.sort(rng.permuted(np.tile(np.arange(7), (batch, 1)), axis=1)[:, :4], axis=1)
+            expect = np.take_along_axis(full, rows[..., None], axis=-2)
+            got = residual_attention_stack(bound, "stack", Tensor(feats), mask, layers, rows=rows).data
+            assert np.array_equal(got, expect)
+            got = residual_attention_stack(bound, "stack", Tensor(feats), mask, layers, work, rows).data
+            assert np.array_equal(got, expect) and np.shares_memory(got, work.z)
 
     def test_taped_round_records_one_op_node(self):
         """Whatever the head count: one op node per round, and one

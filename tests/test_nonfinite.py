@@ -18,6 +18,7 @@ from graphorder.models import (
 )
 from graphorder.posterior import OrderPosterior, PosteriorConfig
 from graphorder.rng import spawn_rng
+from graphorder.tensor import Tensor, add, mul
 from graphorder.training import TrainConfig, grad_phi, grad_theta, train_loop
 
 # the overflows below warn as they happen; the errors are what is tested
@@ -128,3 +129,19 @@ class TestExactMarginalRaises:
         overflow(model.store)
         with pytest.raises(NumericError):
             exact_marginal_log_prob(model, C5)
+
+
+@pytest.mark.parametrize("constant", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_python_constant_rejected(constant):
+    """A Python float that an op wraps is checked like any other constant."""
+    with pytest.raises(NumericError, match="non-finite"):
+        mul(Tensor([1.0, 2.0]), constant)
+    with pytest.raises(NumericError, match="non-finite"):
+        add(constant, Tensor([1.0]))
+
+
+def test_finite_python_constants_wrap_to_their_values():
+    assert np.array_equal(mul(Tensor([1.0, 2.0]), -1).data, [-1.0, -2.0])
+    assert np.array_equal(add(Tensor([1.0]), 0.5).data, [1.5])
+    assert mul(Tensor([3.0]), True).data[0] == 3.0
+

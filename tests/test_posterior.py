@@ -15,11 +15,12 @@ from graphorder.posterior import (
     OrderPosterior,
     PosteriorConfig,
     UniformOrderer,
+    draw_orderings,
     positional_encoding,
 )
 from graphorder.rng import spawn_rng
 from graphorder.tensor import ATTENTION_SLOPE, Tape, backward, mean as tensor_mean, multi_head_attention
-from oracles import central_difference, random_graph, zero_store
+from oracles import central_difference, full_row_sample_orderings, random_graph, zero_store
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -182,6 +183,52 @@ class TestSampling:
         assert max(gaps) > 800
         assert np.isfinite(sampled).all() and np.isfinite(teacher).all()
         assert np.allclose(sampled, teacher, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("count", [8, 512])
+    def test_draws_equal_the_full_row_sampler(self, count):
+        """Scoring only the unchosen nodes draws what a sampler that scores
+        whole rows and masks the chosen nodes draws; log q moves only by
+        the order in which each log-softmax sums its terms."""
+        configs = [
+            (PosteriorConfig(max_nodes=16, layers=2, heads=2, head_dim=8, seed=20), (12, 16), 1.0),
+            (PosteriorConfig(max_nodes=16, layers=2, heads=2, head_dim=8, seed=21), (9, 14), 6.0),
+            (PosteriorConfig(max_nodes=12, layers=3, heads=6, head_dim=4, seed=22), (7, 11), 3.0),
+        ]
+        for cfg, sizes, scale in configs:
+            q = OrderPosterior(cfg)
+            q.store.get("head.w")[:] *= scale
+            for n in sizes:
+                g = random_graph(spawn_rng(70, n), n, 0.3)
+                pis, lq = draw_orderings(q, g, count, spawn_rng(71, n, count))
+                want_pis, want_lq = full_row_sample_orderings(q, g, count, spawn_rng(71, n, count))
+                assert np.array_equal(pis, want_pis)
+                assert np.abs(lq - want_lq).max() <= 1e-12
+
+    def test_draw_at_the_top_of_the_walk_falls_back_like_a_full_row(self):
+        """A uniform of 1.0 walks off the end of the cumulative
+        probabilities; the draw then takes node n - 1 while it is unchosen,
+        else the first node with mass, as the full-row sampler does."""
+
+        class Streams:
+            def __init__(self, values):
+                self.values = values
+
+            def spawn(self, count):
+                return [Streams(row) for row in self.values[:count]]
+
+            def random(self, n):
+                return self.values[:n]
+
+        q = OrderPosterior(PosteriorConfig(max_nodes=9, layers=2, heads=2, head_dim=4, seed=23))
+        g = random_graph(spawn_rng(72), 9, 0.4)
+        values = spawn_rng(73).random((24, 9))
+        values[::2] = 1.0
+        values[1::4, 3:] = 1.0
+        pis, lq = draw_orderings(q, g, 24, Streams(values))
+        want_pis, want_lq = full_row_sample_orderings(q, g, 24, Streams(values))
+        assert np.array_equal(pis, want_pis)
+        assert np.abs(lq - want_lq).max() <= 1e-12
+        assert (pis[::2, 0] == 8).all() and (pis[::2, 1] == 0).all()
 
     def test_deterministic_given_seed(self):
         q = tiny_posterior(seed=17)

@@ -1,8 +1,12 @@
+import inspect
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
+from graphorder import tensor
 from graphorder.errors import InputError, NumericError
 from graphorder.models import AdjacencyModel, AdjacencyModelConfig
 from graphorder.tensor import (
@@ -15,6 +19,7 @@ from graphorder.tensor import (
     add,
     backward,
     concat,
+    gru,
     log_sigmoid,
     masked_log_softmax,
     matmul,
@@ -23,9 +28,7 @@ from graphorder.tensor import (
     multi_head_attention,
     parse_checkpoint,
     reshape,
-    sigmoid,
     stack,
-    sub,
     take,
     take_along_last,
     tanh,
@@ -91,7 +94,11 @@ def random_round(shape, heads, head_dim, rng, scale=1.0) -> tuple[np.ndarray, np
 
 class TestForwardValues:
     def test_sigmoid_midpoint(self):
-        assert sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
+        # with every weight and bias 0 both gates are sigmoid(0) = 1/2 and
+        # the candidate tanh(0) = 0, so a GRU step halves the state
+        zero = [[np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(3)]] * 3
+        h = np.array([1.0, -2.0, 4.0])
+        assert np.array_equal(gru(h, np.ones(2), zero).data, 0.5 * h)
 
     def test_masked_softmax_uniform_over_active(self):
         _, out = identity_attention(np.zeros(3), np.zeros(3), [True, True, False])
@@ -183,7 +190,7 @@ class TestForwardValues:
         with pytest.raises(NumericError):
             add(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
-    @pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("op", [add, mul], ids=["add", "mul"])
     def test_elementwise_shape_mismatch_message(self, op):
         with pytest.raises(NumericError) as info:
             op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
@@ -317,14 +324,8 @@ def _out_cases():
     mask = np.eye(4, dtype=bool) | (rng.random((4, 4)) < 0.5)
     return {
         "add": (add, [rng.normal(size=(3, 4, 5)), rng.normal(size=5)], []),
-        "matmul": (matmul, [rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 2))], []),
-        "matmul-vector": (matmul, [rng.normal(size=(3, 4, 5)), rng.normal(size=5)], []),
         "tanh": (tanh, [rng.normal(size=(3, 4))], []),
-        "concat": (
-            lambda *parts, **kw: concat(parts, **kw),
-            [rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4, 3))],
-            [],
-        ),
+        "take": (take, [rng.normal(size=(3, 4, 5))], [np.array([[2, 0], [1, 1]]), 1]),
         "multi_head_attention": (multi_head_attention, list(random_round((3, 4, 6), 2, 3, rng)), [mask]),
     }
 
@@ -348,26 +349,48 @@ class TestOutArrays:
 
 
     def test_attention_scratch_keeps_the_weights_and_refuses_a_tape(self):
-        """The stage arrays ``z``, ``scores``, ``weights`` and ``scratch``
+        """The stage arrays ``z``, ``pairs``, ``weights`` and ``scratch``
         (the leaky step's temporary), alone or together, leave the result's
         bits as they are and hold the stages; each refuses a taped operand
         like ``out=``."""
         _, (x, w, a), (mask,) = _out_cases()["multi_head_attention"]
         fresh = multi_head_attention(x, w, a, mask).data
-        shapes = {"z": (2, 3, 4, 3), "scores": (2, 2, 3, 4, 1), "weights": (2, 3, 4, 4), "scratch": (2, 3, 4, 4)}
+        shapes = {"z": (2, 3, 4, 3), "pairs": (3, 2 * 3 * 4 + 5), "weights": (2, 3, 4, 4), "scratch": (2, 3, 4, 4)}
         stages = {name: np.full(shape, np.nan) for name, shape in shapes.items()}
         for name, arr in stages.items():
             assert np.array_equal(multi_head_attention(x, w, a, mask, **{name: arr}).data, fresh), name
         assert np.array_equal(multi_head_attention(x, w, a, mask, **stages).data, fresh)
         z = np.matmul(x, w[:, None])
         assert np.array_equal(stages["z"], z)
-        assert np.array_equal(stages["scores"], np.matmul(z, a.reshape(2, 2, 1, 3, 1)))
+        scores = np.matmul(z, a.reshape(2, 2, 1, 3, 1)).reshape(2, -1)
+        pairs = stages["pairs"][:, : scores.shape[1]]
+        assert np.array_equal(pairs[0::2], scores) and (pairs[1] == 1.0).all()
         assert np.array_equal(np.matmul(stages["weights"], z), head_view(fresh, 2))
         for name, arr in stages.items():
             for taped in range(3):
                 operands = [Tensor(v, tape=Tape() if i == taped else None) for i, v in enumerate((x, w, a))]
                 with pytest.raises(InputError, match="out="):
                     multi_head_attention(*operands, mask, **{name: arr})
+
+    def test_attention_refuses_pairs_it_cannot_write_through(self):
+        _, (x, w, a), (mask,) = _out_cases()["multi_head_attention"]
+        for bad in (np.empty((3, 23)), np.empty((4, 24)), np.empty((3, 48))[:, ::2], np.empty((3, 24), dtype=np.float32)):
+            with pytest.raises(InputError, match="pairs="):
+                multi_head_attention(x, w, a, mask, pairs=bad)
+
+
+def test_docstring_names_exactly_the_ops_that_take_out():
+    """The module docstring's list of ops that take ``out=`` is the set of
+    public functions whose signature has an ``out`` parameter."""
+    doc = " ".join(tensor.__doc__.split())
+    listed = doc.split("On that path, and only there, ")[1].split(" take ``out=``")[0]
+    named = set(re.findall(r"``(\w+)``", listed))
+    with_out = {
+        name
+        for name, f in vars(tensor).items()
+        if inspect.isfunction(f) and not name.startswith("_") and "out" in inspect.signature(f).parameters
+    }
+    assert named == with_out and named
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -380,9 +403,10 @@ class TestGradientsAgainstFiniteDifferences:
         )
 
     def test_sub_mul(self):
+        # a - b as a + (-1.0) b, with a wrapped Python constant
         rng = np.random.default_rng(4)
         scalar_grad_check(
-            lambda a, b: tensor_sum(mul(sub(a, b), a)),
+            lambda a, b: tensor_sum(mul(add(a, mul(b, -1.0)), a)),
             rng.normal(size=(2, 3)),
             rng.normal(size=(2, 3)),
         )
@@ -407,7 +431,7 @@ class TestGradientsAgainstFiniteDifferences:
             rng.normal(size=sb),
         )
 
-    @pytest.mark.parametrize("op", [sigmoid, tanh, log_sigmoid])
+    @pytest.mark.parametrize("op", [tanh, log_sigmoid])
     def test_smooth_unary(self, op):
         rng = np.random.default_rng(5)
         scalar_grad_check(lambda x: tensor_sum(op(x)), rng.normal(size=(3, 3)))
@@ -609,6 +633,29 @@ def round_mask(shape, rng) -> np.ndarray:
     return adj | np.swapaxes(adj, -1, -2) | np.eye(shape[-1], dtype=bool)
 
 
+def round_work(lead, n: int, q: int, heads: int, hd: int) -> list[dict[str, np.ndarray]]:
+    """Work arrays for a round of q query rows, NaN-filled: views of the
+    first rows of larger arrays (rows of the last leading axis on axis -3,
+    3 spare), and, as ``nn.AttentionWork`` passes them, C-contiguous views
+    of the leading entries of larger flat arrays."""
+    count = heads * math.prod(lead) * n
+    shapes = {
+        "out": lead + (q, 12),
+        "z": (heads,) + lead + (n, hd),
+        "weights": (heads,) + lead + (q, n),
+        "scratch": (heads,) + lead + (q, n),
+    }
+    works = []
+    if lead:
+        spare = lead[:-1] + (lead[-1] + 3,)
+        cut = np.s_[..., : lead[-1], :, :]
+        work = {name: np.full(s[: -len(lead) - 2] + spare + s[-2:], np.nan)[cut] for name, s in shapes.items()}
+        works.append(dict(work, pairs=np.full((3, count + 3 * n * heads), np.nan)))
+    flat = {name: np.full(math.prod(s) + 7, np.nan)[: math.prod(s)].reshape(s) for name, s in shapes.items()}
+    works.append(dict(flat, pairs=np.full((3, count + 5), np.nan)[:, :count]))
+    return works
+
+
 class TestMultiHeadAttention:
     """All heads of a round in one op, against the per-head chain it
     replaced (``oracles.per_head_attention``)."""
@@ -616,8 +663,8 @@ class TestMultiHeadAttention:
     @pytest.mark.parametrize("heads", [1, 2, 3, 6])
     @pytest.mark.parametrize("case", list(ROUND_SHAPES))
     def test_forward_equals_per_head_chain(self, case, heads):
-        """Bit for bit: taped, tape-free, into work arrays, and into views
-        of the first rows of larger ones, as a sampler passes them."""
+        """Bit for bit: taped, tape-free, and into work arrays (see
+        ``round_work``)."""
         shape, mask_shape = ROUND_SHAPES[case]
         rng = np.random.default_rng(40 + heads)
         x, w, a = random_round(shape, heads, 12 // heads, rng)
@@ -629,21 +676,69 @@ class TestMultiHeadAttention:
         operands = [Tensor(v, tape=tape) for v in (x, w, a)]
         assert np.array_equal(multi_head_attention(*operands, mask).data, expect)
         assert sum(t.pull is not None for t in tape.nodes) == 1
-        # every array has the rows of the last leading axis on axis -3
-        for spare in (0, 3) if lead else (0,):
-            rows = lead[:-1] + (lead[-1] + spare,) if lead else ()
-            shapes = {
-                "out": rows + (n, 12),
-                "z": (heads,) + rows + (n, hd),
-                "scores": (2, heads) + rows + (n, 1),
-                "weights": (heads,) + rows + (n, n),
-                "scratch": (heads,) + rows + (n, n),
-            }
-            cut = np.s_[..., : lead[-1], :, :] if lead else np.s_[...]
-            work = {name: np.full(s, np.nan)[cut] for name, s in shapes.items()}
+        for work in round_work(lead, n, n, heads, hd):
             got = multi_head_attention(x, w, a, mask, **work)
             assert got.data is work["out"]
-            assert np.array_equal(got.data, expect), spare
+            assert np.array_equal(got.data, expect)
+
+    @pytest.mark.parametrize("heads", [1, 2, 6])
+    @pytest.mark.parametrize("case", list(ROUND_SHAPES))
+    def test_rows_equal_the_rows_of_the_full_round(self, case, heads):
+        """``rows=`` gives, bit for bit, the rows of the full result that
+        it names (each batch row its own nodes, in any order, repeats
+        allowed), allocating or into work arrays."""
+        shape, mask_shape = ROUND_SHAPES[case]
+        rng = np.random.default_rng(60 + heads)
+        x, w, a = random_round(shape, heads, 12 // heads, rng)
+        lead, n, hd = shape[:-2], shape[-2], 12 // heads
+        mask = round_mask(mask_shape or (n, n), rng)
+        full = multi_head_attention(x, w, a, mask).data
+        for q in (2, 3, n):
+            rows = rng.integers(0, n, size=lead + (q,))
+            expect = np.take_along_axis(full, rows[..., None], axis=-2)
+            assert np.array_equal(multi_head_attention(x, w, a, mask, rows=rows).data, expect), q
+            for work in round_work(lead, n, q, heads, hd):
+                got = multi_head_attention(x, w, a, mask, rows=rows, **work)
+                assert got.data is work["out"]
+                assert np.array_equal(got.data, expect), q
+
+    def test_rows_in_a_short_tail_keep_their_bits(self):
+        """One head and one batch row make the row sums a mat-vec over q
+        rows; with q = 2, 3, 5, 6 or 7 some rows sit in a tail of fewer than
+        four, which BLAS can round otherwise (``tensor._row_sums``)."""
+        for seed in range(10):
+            rng = np.random.default_rng(80 + seed)
+            for n in (8, 12, 16):
+                x, w, a = random_round((1, n, 4), 1, 4, rng)
+                mask = round_mask((n, n), rng)
+                full = multi_head_attention(x, w, a, mask).data
+                for q in (2, 3, 5, 6, 7):
+                    rows = rng.choice(n, size=(1, q), replace=False)
+                    expect = np.take_along_axis(full, rows[..., None], axis=-2)
+                    assert np.array_equal(multi_head_attention(x, w, a, mask, rows=rows).data, expect)
+
+    def test_rows_refused_on_a_tape_and_checked(self):
+        x, w, a = random_round((3, 4, 6), 2, 3, np.random.default_rng(61))
+        mask = np.ones((4, 4), dtype=bool)
+        rows = np.array([[0, 1], [2, 3], [3, 0]])
+        for taped in range(3):
+            operands = [Tensor(v, tape=Tape() if i == taped else None) for i, v in enumerate((x, w, a))]
+            with pytest.raises(InputError, match="rows="):
+                multi_head_attention(*operands, mask, rows=rows)
+        # too few batch rows, no query, no batch axis, a node past n, below 0
+        for bad in (rows[:2], rows[:, :0], rows[0], np.array([[0, 4], [0, 1], [0, 1]]), -rows):
+            with pytest.raises(InputError, match="rows"):
+                multi_head_attention(x, w, a, mask, rows=bad)
+
+    def test_rows_with_an_empty_mask_row(self):
+        """A query row without support raises ``NumericError``; an empty
+        row that no query names is never computed."""
+        mask = np.array([[True, True, False], [False, False, False], [True, True, True]])
+        x, w, a = np.zeros((2, 3, 2)), np.ones((2, 2, 1)), np.ones((4, 1))
+        with pytest.raises(NumericError, match="empty support"):
+            multi_head_attention(x, w, a, mask, rows=np.array([[0, 2], [1, 2]]))
+        out = multi_head_attention(x, w, a, mask, rows=np.array([[0, 2], [2, 0]])).data
+        assert out.shape == (2, 2, 2) and np.isfinite(out).all()
 
     def test_row_below_the_floor_takes_the_exact_path(self):
         """Row 1 does not reach node 0, whose dst sits 1e3 above the rest:
