@@ -21,12 +21,12 @@ from .tensor import check_positive_ints
 # orderings drawn and scored per block.  It also bounds the rows of the
 # arrays that ``OrderPosterior.sample_orderings`` allocates per call: for
 # graphs of n nodes and a posterior d = heads * head_dim wide, about
-# 8 * n * (5 * d + heads * (2 * n + 3)) bytes per row, of which the
+# 8 * n * (3 * d + 2 + heads * (2 * n + 3)) bytes per row, of which the
 # attention weights and their leaky temporary, (heads, n, n) each, grow
 # with the head count; the last round, over each prefix's unchosen nodes
-# only, uses the leading entries of these arrays.  That is 18.8 KB per
-# row (9.4 MB at 512 rows) at n = 16 for the benchmark posterior (2 heads
-# of 8), and 190 KB per row at n = 20 for the default one (6 heads of 32).
+# only, uses the leading entries of these arrays.  That is 15.0 KB per
+# row (7.5 MB at 512 rows) at n = 16 for the benchmark posterior (2 heads
+# of 8), and 131 KB per row at n = 20 for the default one (6 heads of 32).
 _IS_CHUNK = 512
 
 CLUSTERING_BINS = 100

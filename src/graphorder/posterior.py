@@ -40,7 +40,7 @@ from .tensor import (
     ensure_finite,
     masked_log_softmax,
     reshape,
-    take_along_last,
+    take,
     tensor_sum,
 )
 
@@ -80,6 +80,16 @@ class PosteriorConfig:
         return self.heads * self.head_dim
 
 
+def extend_prefixes(prefix: np.ndarray, node: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber prefixes of n-node orderings after row i, whose prefix is
+    numbered prefix[i], appends node[i].  The new prefixes are numbered
+    from 0 in the order of (old id, node), the order in which ``np.unique``
+    sorts id * n + node.  Returns the index of the first row to reach each
+    new prefix and each row's new id."""
+    _, first, ids = np.unique(prefix * n + node, return_index=True, return_inverse=True)
+    return first, ids
+
+
 class OrderPosterior(Checkpointable):
     """Attention network scoring which unchosen node to pick next."""
 
@@ -95,77 +105,90 @@ class OrderPosterior(Checkpointable):
         for i in range(cfg.layers):
             register_attention(self.store, f"gnn.layer{i}", d, cfg.heads, cfg.head_dim, rng)
         register_linear(self.store, "head", d, 1, rng)
-        # rows 1..max_nodes mark the step at which a node was chosen
+        # row k of 1..max_nodes marks a node chosen at step k; row 0, for the
+        # unchosen nodes, is zero
         self._pe = positional_encoding(np.arange(cfg.max_nodes + 1), d)
+        self._pe[0] = 0.0
 
     def _check_graph(self, g: Graph) -> None:
         if g.n > self.cfg.max_nodes:
             raise InputError(f"graph size {g.n} exceeds max_nodes {self.cfg.max_nodes}")
 
-    # -- shared forward: per-node logits from marked features ---- -------------------
+    # -- shared forward: per-node logits from marked prefixes -----------------------
 
     def _bind(self, tape: Tape | None) -> dict[str, Tensor]:
         """The parameters recorded on ``tape``, with every attention round's
-        heads stacked once for all the network calls of one pass."""
+        heads stacked once for all the network calls of one pass, and the
+        table ``features`` of input features: row k is h0 plus the
+        encoding of step k, row 0 (unchosen) h0 alone."""
         rounds = [f"gnn.layer{layer}" for layer in range(self.cfg.layers)]
-        return bind_attention(self.store, tape, rounds, self.cfg.heads)
+        bound = bind_attention(self.store, tape, rounds, self.cfg.heads)
+        bound["features"] = add(self._pe, bound["h0"])
+        return bound
 
     def _node_logits(
         self,
         bound,
         mask: np.ndarray,
-        feats_np: np.ndarray,
-        tape: Tape | None,
+        marks: np.ndarray,
         work: AttentionWork = ALLOCATE,
         rows=None,
     ) -> Tensor:
-        """(..., n) logits from (..., n, d_model) chosen-step features, with
-        attention restricted to the (n, n) ``neighborhood_mask`` of the graph;
-        ``bound`` comes from ``_bind``.  A tape-free call may pass ``work``
-        for the attention stack, and ``rows`` ((..., q) node indices) to
-        score only those nodes: the logits are then (..., q)."""
-        h = add(Tensor(feats_np, tape=tape), bound["h0"], out=work_view(work.h, feats_np.shape))
+        """(..., n) logits of the prefixes whose nodes carry ``marks``
+        (..., n): the step, from 1, at which each node was chosen, or 0.
+        Each node's input feature is row ``marks`` of the table
+        ``bound["features"]`` (``bound`` comes from ``_bind``), and
+        attention is restricted to the (n, n) ``neighborhood_mask`` of the
+        graph.  A tape-free call may pass ``work`` for the features and the
+        attention stack, and ``rows`` ((..., q) node indices) to score only
+        those nodes: the logits are then (..., q)."""
+        h = take(bound["features"], marks, 0, out=work_view(work.h, marks.shape + (self.cfg.d_model,)))
         states = residual_attention_stack(bound, "gnn", h, mask, self.cfg.layers, work, rows)
         return reshape(linear(bound, "head", states), states.data.shape[:-1])
 
-    def _step_features(self, g: Graph, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-step marked features and availability masks for a batch of
-        orderings: feats (B, n, n, d) and avail (B, n, n) over steps axis 1."""
-        b, n = pis.shape
-        d = self.cfg.d_model
-        delta = np.zeros((b, n, n, d))
-        avail_delta = np.zeros((b, n, n))
-        if n > 1:
-            b_idx = np.repeat(np.arange(b), n - 1)
-            s_idx = np.tile(np.arange(1, n), b)
-            j_idx = pis[:, : n - 1].ravel()
-            delta[b_idx, s_idx, j_idx] = self._pe[s_idx]
-            avail_delta[b_idx, s_idx, j_idx] = 1.0
-        feats = np.cumsum(delta, axis=1)
-        avail = np.cumsum(avail_delta, axis=1) < 0.5
-        return feats, avail
-
     def log_probs_orderings(self, g: Graph, orders, tape: Tape | None = None) -> Tensor:
-        """Teacher-forced log q for a batch of orderings, shape (batch,)."""
+        """Teacher-forced log q for a batch of orderings, shape (batch,).
+
+        The orderings' prefixes at steps 0..n - 2 are numbered step by step
+        with ``extend_prefixes``, as the sampler numbers its draws', and the
+        network scores each distinct prefix once, all in one call, with a
+        log-softmax over its unchosen nodes.  Each ordering picks its term
+        of every step with ``take``, whose pull sums the gradients of the
+        rows that orderings share.  The last step has one candidate, whose
+        log-probability is exactly 0, so it is not scored."""
         self._check_graph(g)
         pis = validate_orderings(g, orders)
-        feats, avail = self._step_features(g, pis)
         b, n = pis.shape
+        if n == 1:
+            return Tensor(np.zeros(b), tape=tape)
+        # chosen[i, v]: the step, from 1, at which ordering i chooses node v
+        chosen = np.empty_like(pis)
+        np.put_along_axis(chosen, pis, np.arange(1, n + 1), axis=1)
+        # the first ordering to reach each distinct prefix of each step, and
+        # each ordering's prefix id at each step
+        firsts, ids = [np.zeros(1, dtype=np.int64)], [np.zeros(b, dtype=np.int64)]
+        for s in range(1, n - 1):
+            first, prefix = extend_prefixes(ids[-1], pis[:, s - 1], n)
+            firsts.append(first)
+            ids.append(prefix)
+        sizes = [len(first) for first in firsts]
+        steps = np.repeat(np.arange(n - 1), sizes)[:, None]
+        reached = chosen[np.concatenate(firsts)]
+        marks = np.where(reached <= steps, reached, 0)
+        rows = np.stack(ids, axis=1) + np.cumsum([0] + sizes[:-1])
         bound, mask = self._bind(tape), neighborhood_mask(g)
-        logits = self._node_logits(bound, mask, feats.reshape(b * n, n, -1), tape)
-        lp = masked_log_softmax(reshape(logits, (b, n, n)), avail)
-        return tensor_sum(take_along_last(lp, pis), axis=-1)
+        lp = masked_log_softmax(self._node_logits(bound, mask, marks), marks == 0)
+        return tensor_sum(take(reshape(lp, (-1,)), rows * n + pis[:, :-1], 0), axis=-1)
 
     def sample_orderings(self, g: Graph, count: int, rng: np.random.Generator) -> list[OrderingSample]:
         """Ancestral draws; each sample consumes an independent child stream
         so any parallel split reproduces the sequential result.
 
         Rows that have drawn the same prefix share one network evaluation:
-        each distinct prefix has a compact id, which after a draw becomes
-        ``id * (n - s) + k`` for the k-th of its n - s unchosen nodes and is
-        renumbered by ``np.unique``.  Each prefix keeps its unchosen nodes in
+        each distinct prefix has a compact id, renumbered after each draw by
+        ``extend_prefixes``.  Each prefix keeps its unchosen nodes in
         increasing order, and the network's last attention round, the head,
-        the log-softmax and the draw run on those rows only, so no mask is
+        the log-softmax and the draw run on those nodes only, so no mask is
         needed: a draw walks the cumulative probabilities of the unchosen
         nodes in the order a full row would.  The last node is the only
         candidate left, with log-probability exactly zero, so the last step
@@ -173,10 +196,12 @@ class OrderPosterior(Checkpointable):
         drawn from.
 
         There are never more than ``count`` distinct prefixes, so the
-        network's work arrays and the prefix features are allocated once per
-        call with ``count`` rows, and each step uses their first rows.  The
-        attention heads' parameters are stacked once per call too, and each
-        of the n - 1 network calls runs one op per attention round."""
+        network's work arrays are allocated once per call with ``count``
+        rows, and each step uses their first rows.  A prefix is carried as
+        the marks of its nodes (see ``_node_logits``), not as features.
+        The attention heads' parameters and the feature table are built
+        once per call too, and each of the n - 1 network calls runs one op
+        per attention round."""
         self._check_graph(g)
         check_positive_ints(count=count)
         n, d = g.n, self.cfg.d_model
@@ -184,11 +209,11 @@ class OrderPosterior(Checkpointable):
         mask = neighborhood_mask(g)
         uniforms = np.stack([stream.random(n) for stream in rng.spawn(count)])
         work = AttentionWork.allocate(count, n, d, self.cfg.heads)
-        # marked features of the b distinct prefixes, in the first b rows of
-        # one of two buffers that swap at each step, and their unchosen
-        # nodes; draw i has drawn the prefix numbered prefix[i]
-        feats, feats_next = np.empty((count, n, d)), np.empty((count, n, d))
-        feats[0], b = 0.0, 1
+        # marks of the b distinct prefixes, in the first b rows of one of
+        # two buffers that swap at each step, and their unchosen nodes; draw
+        # i has drawn the prefix numbered prefix[i]
+        marks, marks_next = np.zeros((count, n), dtype=np.int64), np.empty((count, n), dtype=np.int64)
+        b = 1
         left = np.arange(n)[None]
         prefix = np.zeros(count, dtype=np.int64)
         pis = np.zeros((count, n), dtype=np.int64)
@@ -196,7 +221,7 @@ class OrderPosterior(Checkpointable):
         for s in range(n - 1):
             m = n - s
             # every node is a candidate at the first step, so it needs no rows
-            logits = self._node_logits(bound, mask, feats[:b], None, work, left if s else None).data
+            logits = self._node_logits(bound, mask, marks[:b], work, left if s else None).data
             ensure_finite(logits, "posterior logits")
             top = logits.max(axis=-1, keepdims=True)
             lp = logits - (top + np.log(np.exp(logits - top).sum(axis=-1, keepdims=True)))
@@ -214,12 +239,12 @@ class OrderPosterior(Checkpointable):
             node = left.take(key)
             log_q += lp.take(key)
             pis[:, s] = node
-            _, first, prefix_next = np.unique(key, return_index=True, return_inverse=True)
+            first, prefix_next = extend_prefixes(prefix, node, n)
             parents, picked = prefix[first], k[first]
             b = len(first)
-            feats.take(parents, axis=0, out=feats_next[:b], mode="clip")
-            feats, feats_next = feats_next, feats
-            feats[np.arange(b), node[first]] = self._pe[s + 1]
+            marks.take(parents, axis=0, out=marks_next[:b], mode="clip")
+            marks, marks_next = marks_next, marks
+            marks[np.arange(b), node[first]] = s + 1
             kept = left[parents]
             left = np.where(np.arange(m - 1) < picked[:, None], kept[:, :-1], kept[:, 1:])
             prefix = prefix_next

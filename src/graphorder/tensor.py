@@ -46,8 +46,10 @@ only a row whose sum falls below ``ATTENTION_ROW_FLOOR`` is recomputed with
 its exact masked maximum (or, with an empty mask row, raises
 ``NumericError``).
 
-Parameters live in a ParameterStore; ``Checkpointable`` writes and reads
-the JSON checkpoint of any object built from a config and one store.
+Parameters live in a ParameterStore, which keeps them, their gradients and
+Adam's moments in one flat array, so an Adam step is one vectorised pass;
+``Checkpointable`` writes and reads the JSON checkpoint of any object built
+from a config and one store.
 
 Finiteness is checked where values enter or leave the tape, not on every op
 result, so an op that overflows returns inf or nan and passes it on.
@@ -377,12 +379,13 @@ def take(x, indices, axis: int, out=None) -> Tensor:
         raise InputError(f"take: index out of range for axis {axis} of size {size}")
     # in range, "wrap" reads what "raise" would, without buffering ``out``
     data = x.data.take(idx, axis=axis, out=out, mode="wrap")
-    where = (slice(None),) * (axis % x.data.ndim) + (idx,)
 
     def pull(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, where, g)
-        _acc(x, buf)
+        # the flat place in x of each entry of the result; bincount adds the
+        # entries that share a place one by one in order, as np.add.at
+        # would, with the same bits and several times faster
+        at = np.arange(x.data.size).reshape(x.data.shape).take(idx, axis=axis)
+        _acc(x, np.bincount(at.ravel(), weights=g.ravel(), minlength=x.data.size).reshape(x.data.shape))
 
     return _result((x,), data, pull)
 
@@ -707,91 +710,115 @@ def backward(tape: Tape, root: Tensor) -> None:
 
 
 class ParameterStore:
-    """Named float64 parameter arrays with gradient buffers and Adam state."""
+    """Named float64 parameter arrays with gradient buffers and Adam state.
+
+    Parameters, gradients and Adam's two moments live in the four rows of
+    one (4, capacity) array, each parameter in one slot of consecutive
+    entries, in the order of registration.  ``get`` and ``grad`` return
+    views of a slot, so writes through them (a checkpoint load, a test, an
+    accumulated gradient) reach the store, and the views stay live through
+    every step.  Registering a parameter may move the array, so views taken
+    before the last ``add`` can go stale.  An Adam step and clearing the
+    gradients are each one pass over the used entries."""
 
     def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._data = np.zeros((4, 0))
+        self._size = 0
+        # (slot start, shape) of each parameter in registration order, and
+        # its parameter and gradient views
+        self._slots: dict[str, tuple[int, tuple[int, ...]]] = {}
+        self._views: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.step_count = 0
 
+    def _lay_out(self, name: str) -> None:
+        start, shape = self._slots[name]
+        end = start + math.prod(shape)
+        self._views[name] = (self._data[0, start:end].reshape(shape), self._data[1, start:end].reshape(shape))
+
     def add(self, name: str, values) -> np.ndarray:
-        if name in self._arrays:
+        if name in self._slots:
             raise InputError(f"parameter {name!r} already registered")
         arr = np.array(values, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         ensure_finite(arr, f"parameter {name!r}")
-        self._arrays[name] = arr
-        self._grads[name] = np.zeros_like(arr)
-        self._m[name] = np.zeros_like(arr)
-        self._v[name] = np.zeros_like(arr)
-        return arr
+        start, end = self._size, self._size + arr.size
+        if end > self._data.shape[1]:
+            # growing geometrically keeps registration linear in the size
+            grown = np.zeros((4, max(end, 2 * self._data.shape[1])))
+            grown[:, :start] = self._data[:, :start]
+            self._data = grown
+            for old in self._slots:
+                self._lay_out(old)
+        self._data[0, start:end] = arr.ravel()
+        self._slots[name] = (start, arr.shape)
+        self._lay_out(name)
+        self._size = end
+        return self._views[name][0]
 
     def names(self) -> list[str]:
-        return sorted(self._arrays)
+        return sorted(self._slots)
+
+    def _entry(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        if name not in self._views:
+            raise InputError(f"unknown parameter {name!r}")
+        return self._views[name]
 
     def get(self, name: str) -> np.ndarray:
-        if name not in self._arrays:
-            raise InputError(f"unknown parameter {name!r}")
-        return self._arrays[name]
+        return self._entry(name)[0]
 
     def grad(self, name: str) -> np.ndarray:
-        if name not in self._grads:
-            raise InputError(f"unknown parameter {name!r}")
-        return self._grads[name]
+        return self._entry(name)[1]
 
     def zero_grads(self) -> None:
-        for g in self._grads.values():
-            g[:] = 0.0
+        self._data[1, : self._size] = 0.0
 
     def grad_vector(self) -> np.ndarray:
-        """All gradients flattened in name order."""
-        return np.concatenate([self._grads[n].ravel() for n in self.names()] or [np.zeros(0)])
+        """A copy of all gradients, flattened in name order."""
+        return np.concatenate([self._views[name][1].ravel() for name in self.names()] or [np.zeros(0)])
 
     def parameter_count(self) -> int:
-        return sum(a.size for a in self._arrays.values())
+        return self._size
 
     def bind(self, tape: Tape | None) -> dict[str, Tensor]:
         """Leaf tensors for every parameter, recorded on ``tape``."""
-        return {
-            name: Tensor(arr, tape=tape, leaf_ref=(self, name))
-            for name, arr in self._arrays.items()
-        }
+        return {name: Tensor(arr, tape=tape, leaf_ref=(self, name)) for name, (arr, _) in self._views.items()}
 
     def accumulate_from_tape(self, tape: Tape) -> None:
         """Add leaf gradients found on the tape into this store's buffers."""
         for t in tape.nodes:
             if t.leaf_ref is not None and t.leaf_ref[0] is self and t.grad is not None:
-                self._grads[t.leaf_ref[1]] += t.grad
+                grad = self._views[t.leaf_ref[1]][1]
+                grad += t.grad
 
     def adam_step(self, lr: float) -> None:
-        """One Adam update with the ``ADAM_*`` constants; entries with zero
-        accumulated gradient are left untouched.  Gradients are cleared
-        afterwards.  A non-finite gradient, or a second moment that
-        overflows (a finite gradient of 1e200 squares to inf), raises
-        ``NumericError`` before that parameter or its moments change."""
+        """One Adam update with the ``ADAM_*`` constants over every entry at
+        once; entries with zero accumulated gradient are left untouched.
+        Gradients are cleared afterwards.  A non-finite gradient, or a
+        second moment that overflows (a finite gradient of 1e200 squares to
+        inf), raises ``NumericError`` naming the first such parameter in
+        registration order, and then nothing has changed: no parameter,
+        moment, gradient or ``step_count``."""
+        p, g, m, v = self._data[:, : self._size]
+        upd = g != 0.0
+        v_next = np.where(upd, ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g, v)
+        # one check covers both moments: a non-finite gradient makes v
+        # non-finite, and so does any gradient beyond 1e154 (whose square
+        # overflows), the only kind that can overflow m
+        bad = ~np.isfinite(v_next)
+        if bad.any():
+            at = int(np.argmax(bad))
+            name = next(n for n, (start, shape) in self._slots.items() if start <= at < start + math.prod(shape))
+            what = "Adam second moment" if np.isfinite(self._views[name][1]).all() else "gradient"
+            raise NumericError(f"non-finite values in {what} of {name!r}")
         self.step_count += 1
         c1 = 1.0 - ADAM_BETA1**self.step_count
         c2 = 1.0 - ADAM_BETA2**self.step_count
-        for name, g in self._grads.items():
-            upd = g != 0.0
-            if not upd.any():
-                continue
-            m, v = self._m[name], self._v[name]
-            v_next = np.where(upd, ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g, v)
-            # one check covers both moments: a non-finite gradient makes v
-            # non-finite, and so does any gradient beyond 1e154 (whose square
-            # overflows), the only kind that can overflow m
-            if not np.isfinite(v_next).all():
-                what = "Adam second moment" if np.isfinite(g).all() else "gradient"
-                raise NumericError(f"non-finite values in {what} of {name!r}")
-            m[:] = np.where(upd, ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g, m)
-            v[:] = v_next
-            step = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-            self._arrays[name] -= np.where(upd, step, 0.0)
-            g[:] = 0.0
+        m[:] = np.where(upd, ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g, m)
+        v[:] = v_next
+        step = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        p -= np.where(upd, step, 0.0)
+        g[:] = 0.0
 
 
 def parse_checkpoint(doc: dict) -> tuple[str, dict, dict[str, np.ndarray]]:

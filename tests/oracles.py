@@ -15,10 +15,24 @@ from typing import Sequence
 import numpy as np
 
 from graphorder.errors import InputError
-from graphorder.graphs import Graph, bit_indices, induced_subgraph, validate_ordering
+from graphorder.graphs import Graph, bit_indices, induced_subgraph, validate_ordering, validate_orderings
 from graphorder.models import _bernoulli_log_prob, _broadcast_rows, _permuted_adjacency
-from graphorder.nn import gru_step, linear, neighborhood_mask
-from graphorder.tensor import Tensor, add, log_sigmoid, masked_log_softmax, mean, mul, tanh
+from graphorder.nn import gru_step, linear, neighborhood_mask, residual_attention_stack
+from graphorder.tensor import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    Tensor,
+    add,
+    log_sigmoid,
+    masked_log_softmax,
+    mean,
+    mul,
+    reshape,
+    take_along_last,
+    tanh,
+    tensor_sum,
+)
 
 
 def all_graphs(n: int):
@@ -418,12 +432,13 @@ def full_row_sample_orderings(q, g: Graph, count: int, rng) -> tuple[np.ndarray,
     n = g.n
     bound, mask = q._bind(None), neighborhood_mask(g)
     uniforms = np.stack([stream.random(n) for stream in rng.spawn(count)])
-    feats, chosen = np.zeros((1, n, q.cfg.d_model)), np.zeros((1, n), dtype=bool)
+    marks = np.zeros((1, n), dtype=np.int64)
     prefix = np.zeros(count, dtype=np.int64)
     pis = np.zeros((count, n), dtype=np.int64)
     log_q = np.zeros(count)
     for s in range(n - 1):
-        logits = q._node_logits(bound, mask, feats, None)
+        chosen = marks > 0
+        logits = q._node_logits(bound, mask, marks)
         lp = masked_log_softmax(logits, ~chosen).data
         probs = np.where(chosen, 0.0, np.exp(lp))
         cum = np.cumsum(probs, axis=-1)[prefix]
@@ -434,9 +449,53 @@ def full_row_sample_orderings(q, g: Graph, count: int, rng) -> tuple[np.ndarray,
         pis[:, s] = idx
         _, first, next_prefix = np.unique(prefix * n + idx, return_index=True, return_inverse=True)
         parents, picked, rows = prefix[first], idx[first], np.arange(len(first))
-        feats, chosen = feats[parents], chosen[parents]
-        feats[rows, picked] = q._pe[s + 1]
-        chosen[rows, picked] = True
+        marks = marks[parents]
+        marks[rows, picked] = s + 1
         prefix = next_prefix
-    pis[:, n - 1] = np.argmin(chosen[prefix], axis=-1)
+    pis[:, n - 1] = np.argmin(marks[prefix], axis=-1)
     return pis, log_q
+
+
+def full_step_log_probs_orderings(q, g: Graph, orders, tape=None) -> Tensor:
+    """``OrderPosterior.log_probs_orderings`` as one network row for every
+    step of every ordering, the last step and repeated prefixes included:
+    (B, n, n, d) features, each a cumulative sum over steps of the
+    positional encoding of the step at which a node was chosen, plus h0;
+    a log-softmax over each row's unchosen nodes; each ordering's picks
+    summed over all n steps."""
+    pis = validate_orderings(g, orders)
+    b, n = pis.shape
+    d = q.cfg.d_model
+    delta = np.zeros((b, n, n, d))
+    avail_delta = np.zeros((b, n, n))
+    if n > 1:
+        b_idx = np.repeat(np.arange(b), n - 1)
+        s_idx = np.tile(np.arange(1, n), b)
+        j_idx = pis[:, : n - 1].ravel()
+        delta[b_idx, s_idx, j_idx] = q._pe[s_idx]
+        avail_delta[b_idx, s_idx, j_idx] = 1.0
+    feats = np.cumsum(delta, axis=1).reshape(b * n, n, d)
+    avail = np.cumsum(avail_delta, axis=1) < 0.5
+    bound = q._bind(tape)
+    h = add(Tensor(feats, tape=tape), bound["h0"])
+    states = residual_attention_stack(bound, "gnn", h, neighborhood_mask(g), q.cfg.layers)
+    logits = reshape(linear(bound, "head", states), (b, n, n))
+    return tensor_sum(take_along_last(masked_log_softmax(logits, avail), pis), axis=-1)
+
+
+def loop_adam_step(params, grads, m, v, step_count: int, lr: float) -> None:
+    """``ParameterStore.adam_step`` as a loop over parameters, in place on
+    dicts of arrays: a parameter with no nonzero gradient entry is skipped,
+    and the others update their nonzero entries and clear their gradient.
+    ``step_count`` is the store's count after the step."""
+    c1 = 1.0 - ADAM_BETA1**step_count
+    c2 = 1.0 - ADAM_BETA2**step_count
+    for name, g in grads.items():
+        upd = g != 0.0
+        if not upd.any():
+            continue
+        m[name][:] = np.where(upd, ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g, m[name])
+        v[name][:] = np.where(upd, ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g, v[name])
+        step = lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
+        params[name] -= np.where(upd, step, 0.0)
+        g[:] = 0.0

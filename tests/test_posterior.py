@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from graphorder import nn
+from graphorder import nn, posterior
 from graphorder.errors import InputError
 from graphorder.graphs import Graph
 from graphorder.models import log_sum_exp
@@ -20,7 +20,13 @@ from graphorder.posterior import (
 )
 from graphorder.rng import spawn_rng
 from graphorder.tensor import ATTENTION_SLOPE, Tape, backward, mean as tensor_mean, multi_head_attention
-from oracles import central_difference, full_row_sample_orderings, random_graph, zero_store
+from oracles import (
+    central_difference,
+    full_row_sample_orderings,
+    full_step_log_probs_orderings,
+    random_graph,
+    zero_store,
+)
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -269,17 +275,71 @@ class TestGradients:
             assert np.allclose(grads[name], fd, atol=1e-6), name
 
 
+    @pytest.mark.parametrize(
+        "n, count, repeats",
+        [(1, 3, 0), (2, 4, 2), (3, 6, 3), (5, 9, 4), (12, 8, 3), (13, 8, 0), (14, 16, 5), (16, 8, 2)],
+    )
+    def test_distinct_prefix_pass_matches_the_full_step_pass(self, monkeypatch, n, count, repeats):
+        """Scoring each distinct prefix once, and not the last step, agrees
+        with one row per step of every ordering in log q and in the
+        posterior gradients, also when orderings repeat; the network sees
+        one row per distinct (step, prefix) pair of steps 0..n - 2."""
+        q = OrderPosterior(PosteriorConfig(max_nodes=16, layers=2, heads=2, head_dim=4, seed=24))
+        q.store.get("head.w")[:] *= 4.0
+        g = random_graph(spawn_rng(74, n), n, 0.4)
+        pis, _ = draw_orderings(q, g, count, spawn_rng(75, n))
+        pis = np.concatenate([pis, pis[:repeats]])
+        self._check_against_full_steps(monkeypatch, q, g, pis)
+
+    def test_distinct_prefix_pass_over_all_orderings(self, monkeypatch):
+        q = OrderPosterior(PosteriorConfig(max_nodes=6, layers=3, heads=2, head_dim=3, seed=25))
+        self._check_against_full_steps(monkeypatch, q, C5, np.array(list(permutations(range(5)))))
+
+    @staticmethod
+    def _check_against_full_steps(monkeypatch, q, g, pis):
+        def scored(orders):
+            tape = Tape()
+            values = q.log_probs_orderings(g, orders, tape=tape)
+            backward(tape, tensor_mean(values))
+            q.store.accumulate_from_tape(tape)
+            grads = q.store.grad_vector()
+            q.store.zero_grads()
+            return values.data, grads
+
+        rows = []
+        stack = posterior.residual_attention_stack
+
+        def recording_stack(bound, name, feats, *args, **kwargs):
+            rows.append(feats.data.shape[0])
+            return stack(bound, name, feats, *args, **kwargs)
+
+        monkeypatch.setattr(posterior, "residual_attention_stack", recording_stack)
+        got, got_grads = scored(pis)
+        monkeypatch.undo()
+        n = g.n
+        want_tape = Tape()
+        want = full_step_log_probs_orderings(q, g, pis, tape=want_tape)
+        backward(want_tape, tensor_mean(want))
+        q.store.accumulate_from_tape(want_tape)
+        want_grads = q.store.grad_vector()
+        q.store.zero_grads()
+        assert np.abs(got - want.data).max() <= 1e-12
+        assert np.abs(got_grads - want_grads).max() <= 1e-12 * max(1.0, np.abs(want_grads).max())
+        distinct = {(s, tuple(pi[:s])) for pi in pis.tolist() for s in range(n - 1)}
+        assert rows == ([len(distinct)] if n > 1 else [])
+
     @pytest.mark.parametrize("layers, heads", [(2, 2), (3, 6)])
     def test_taped_log_q_records_one_op_node_per_attention_round(self, layers, heads):
         """Per round: two ``stack`` nodes, the round's one attention node,
-        tanh and the residual add; around the stack: the h0 add, the head's
-        matmul and add, two reshapes, the log-softmax, the pick and the sum.
-        So the count does not grow with the head count."""
+        tanh and the residual add; around the stack: the feature table's h0
+        add, the gather of each node's row of it, the head's matmul and add,
+        two reshapes, the log-softmax, the pick and the sum.  So the count
+        does not grow with the head count."""
         q = OrderPosterior(PosteriorConfig(max_nodes=8, layers=layers, heads=heads, head_dim=2, seed=20))
         g = random_graph(spawn_rng(52), 6, 0.5)
         tape = Tape()
         q.log_probs_orderings(g, [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]], tape=tape)
-        assert sum(t.pull is not None for t in tape.nodes) == 5 * layers + 8
+        assert sum(t.pull is not None for t in tape.nodes) == 5 * layers + 9
 
 
 class TestPositionalEncoding:

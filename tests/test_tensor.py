@@ -34,7 +34,7 @@ from graphorder.tensor import (
     tanh,
     tensor_sum,
 )
-from oracles import central_difference, chained_additive_attention, per_head_attention
+from oracles import central_difference, chained_additive_attention, loop_adam_step, per_head_attention
 
 
 def scalar_grad_check(build, *arrays, tol=1e-6):
@@ -830,6 +830,99 @@ class TestParameterStore:
         store.grad("w")[:] += [5.0]
         store.zero_grads()
         assert store.grad("w")[0] == 0.0
+
+
+# registered out of name order, with (1,)-shaped entries among them
+ADAM_SHAPES = {"z.w": (3, 4), "b": (1,), "a.w": (2, 3, 2), "m.b": (5,), "c": (1,), "k.w": (4, 1)}
+
+
+def mixed_store(seed: int) -> ParameterStore:
+    store = ParameterStore()
+    rng = np.random.default_rng(seed)
+    for name, shape in ADAM_SHAPES.items():
+        store.add(name, rng.normal(size=shape))
+    return store
+
+
+class TestFlatAdam:
+    """Parameters, gradients and moments live in one flat array per store;
+    the step must match the per-parameter loop it replaced bit for bit."""
+
+    def test_thirty_steps_equal_the_per_parameter_loop(self):
+        store = mixed_store(1)
+        names = list(ADAM_SHAPES)
+        params = {name: store.get(name).copy() for name in names}
+        grads = {name: np.zeros(shape) for name, shape in ADAM_SHAPES.items()}
+        m = {name: np.zeros(shape) for name, shape in ADAM_SHAPES.items()}
+        v = {name: np.zeros(shape) for name, shape in ADAM_SHAPES.items()}
+        views = {name: (store.get(name), store.grad(name)) for name in names}
+        rng = np.random.default_rng(2)
+        for step in range(1, 31):
+            for name, shape in ADAM_SHAPES.items():
+                # sparse and of mixed sign and scale; some steps leave a
+                # whole parameter without gradient
+                g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                g *= rng.random(shape) < (0.0 if rng.random() < 0.2 else 0.6)
+                grads[name][:] = g
+                store.grad(name)[:] += g
+            store.adam_step(lr=0.05)
+            loop_adam_step(params, grads, m, v, step, lr=0.05)
+            assert store.step_count == step
+            moments = store._data[2:, : store.parameter_count()]
+            for name in names:
+                assert np.array_equal(store.get(name), params[name]), name
+                assert not store.grad(name).any()
+            assert np.array_equal(moments[0], np.concatenate([m[name].ravel() for name in names]))
+            assert np.array_equal(moments[1], np.concatenate([v[name].ravel() for name in names]))
+        # views taken before the first step still read and write the store
+        for name in names:
+            param, grad = views[name]
+            assert param is store.get(name) and grad is store.grad(name)
+            assert np.array_equal(param, params[name])
+        views["b"][0][:] = 7.0
+        assert store.get("b")[0] == 7.0
+
+    def test_grad_vector_is_a_copy_in_name_order(self):
+        store = mixed_store(3)
+        for name in store.names():
+            store.grad(name)[:] = store.get(name)
+        vec = store.grad_vector()
+        assert np.array_equal(vec, np.concatenate([store.get(name).ravel() for name in store.names()]))
+        store.zero_grads()
+        assert vec.any() and not store.grad_vector().any()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["a.w", "z.w"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_rejected_step_changes_nothing(self, bad, value):
+        """The parameter with the bad gradient is first, then last, in name
+        order; the others have finite gradients and moments from one good
+        step.  The raise must leave every parameter, moment, gradient and
+        the step count as they were."""
+        store = mixed_store(4)
+        for name in store.names():
+            store.grad(name)[:] = 0.5
+        store.adam_step(lr=0.01)
+        for name in store.names():
+            store.grad(name)[:] = -0.25
+        store.grad(bad).flat[1] = value
+        before = store._data[:, : store.parameter_count()].copy()
+        what = "gradient" if value != 1e200 else "Adam second moment"
+        with pytest.raises(NumericError, match=f"{what} of '{bad}'"):
+            store.adam_step(lr=0.01)
+        assert np.array_equal(store._data[:, : store.parameter_count()], before, equal_nan=True)
+        assert store.step_count == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_error_names_the_first_bad_parameter_in_registration_order(self):
+        store = ParameterStore()
+        store.add("empty", np.zeros(0))
+        store.add("a", [1.0, 2.0])
+        store.add("b", [3.0])
+        store.grad("a")[:] = [0.0, 1e200]
+        store.grad("b")[:] = [np.nan]
+        with pytest.raises(NumericError, match="second moment of 'a'"):
+            store.adam_step(lr=0.01)
 
 
 def small_model() -> AdjacencyModel:

@@ -4,12 +4,13 @@ only when the benchmark runs."""
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphorder import evaluation, models, posterior
+from graphorder import evaluation, models, posterior, training
 from graphorder.graphs import Graph
 from graphorder.rng import spawn_rng
 
@@ -92,3 +93,23 @@ def test_posterior_passes_reach_the_attention_wrapper(tracing):
         q.log_probs_orderings(g, [[0, 1, 2, 3, 4], [4, 2, 0, 1, 3]])
     assert rec.calls["posterior.log_q"] == 1
     assert rec.calls["nn.attention"] == layers
+
+
+def test_traced_train_loop_counts_each_step(tracing):
+    """``tracing.py`` wraps ``ParameterStore.adam_step`` and
+    ``OrderPosterior.log_probs_orderings`` through the class ``__dict__``:
+    each graph of each epoch takes one Adam step per store and one
+    teacher-forced log q call, which runs each attention round once."""
+    layers, epochs = 2, 2
+    model = models.AdjacencyModel(models.AdjacencyModelConfig(max_nodes=6, hidden=4, row_embed=3))
+    q = posterior.OrderPosterior(posterior.PosteriorConfig(max_nodes=6, layers=layers, heads=2, head_dim=2))
+    graphs = [Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])]
+    cfg = training.TrainConfig(sample_count=3, epochs=epochs, seed=4)
+    with tracing.instrument(tracing.Recorder()) as rec:
+        training.train_loop(model, q, graphs, cfg)
+    assert rec.calls["training.train_loop"] == 1
+    assert rec.calls["tensor.adam"] == 2 * len(graphs) * epochs
+    assert rec.calls["posterior.log_q"] == len(graphs) * epochs
+    log_q_spans = {i for i, span in enumerate(rec.spans) if span[0] == "posterior.log_q"}
+    inside = Counter(span[3] for span in rec.spans if span[0] == "nn.attention" and span[3] in log_q_spans)
+    assert inside == {i: layers for i in log_q_spans}
