@@ -16,14 +16,16 @@ import numpy as np
 
 from graphorder.errors import InputError
 from graphorder.graphs import Graph, bit_indices, induced_subgraph, validate_ordering, validate_orderings
-from graphorder.models import _bernoulli_log_prob, _broadcast_rows, _permuted_adjacency
+from graphorder.models import _bernoulli_log_prob, _broadcast_rows, _permuted_adjacency, joint_log_probs
 from graphorder.nn import gru_step, linear, neighborhood_mask, residual_attention_stack
 from graphorder.tensor import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    Tape,
     Tensor,
     add,
+    backward,
     log_sigmoid,
     masked_log_softmax,
     mean,
@@ -276,6 +278,32 @@ def zero_store(store) -> None:
     """Set every entry of a parameter store to zero."""
     for name in store.names():
         store.get(name)[:] = 0.0
+
+
+def store_state(store) -> np.ndarray:
+    """Every parameter entry of a store, then every gradient entry."""
+    return np.concatenate([store.get(name).ravel() for name in store.names()] + [store.grad_vector()])
+
+
+def two_tape_step_gradients(model, q, g: Graph, pis, mode: str, baseline: float = 0.0):
+    """The descent gradients (model, posterior) of ``training.step`` with the
+    two scores on separate tapes: each pass records only one store's scores
+    and backpropagates -[mean(rep) + mean((signal - baseline) * log q)] into
+    that store.  Each store's gradient is zeroed before its pass and left at
+    zero."""
+    grads = []
+    for store in (model.store, q.store):
+        store.zero_grads()
+        tape = Tape()
+        rep, log_mult = joint_log_probs(model, g, pis, mode, tape=tape if store is model.store else None)
+        log_q = q.log_probs_orderings(g, pis, tape=tape if store is q.store else None)
+        signal = rep.data - log_mult - log_q.data
+        surrogate = add(mean(rep), mean(mul(Tensor(signal - baseline, tape=log_q.tape), log_q)))
+        backward(tape, mul(surrogate, -1.0))
+        store.accumulate_from_tape(tape)
+        grads.append(store.grad_vector())
+        store.zero_grads()
+    return tuple(grads)
 
 
 def central_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -38,7 +38,7 @@ from graphorder.nn import (
     register_linear,
     residual_attention_stack,
 )
-from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
+from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer, draw_orderings
 from graphorder.rng import spawn_rng
 from graphorder.symmetry import (
     automorphism_count,
@@ -65,7 +65,7 @@ from graphorder.tensor import (
     tanh,
     tensor_sum,
 )
-from graphorder.training import TrainConfig, grad_phi, grad_theta, train_loop
+from graphorder.training import TrainConfig, step, train_loop
 
 from oracles import (
     all_graphs,
@@ -584,7 +584,7 @@ def network_fd_cases(rng) -> list:
     return cases
 
 
-def estimator_z_scores(model, q, g, exact_grad, estimator, chunks, chunk_size, rng):
+def estimator_z_scores(exact_grad, estimator, chunks, chunk_size, rng):
     """Max |z| between the chunked Monte Carlo mean and the enumerated
     gradient, with a tiny absolute floor for exactly deterministic entries."""
     draws = []
@@ -635,19 +635,24 @@ def test_criterion_07_gradients_match_finite_differences_and_enumeration(report)
     q.store.accumulate_from_tape(tape)
     exact_phi = q.store.grad_vector().copy()
 
-    def theta_chunk(count, chunk_rng):
-        model.store.zero_grads()
-        return grad_theta(model, q, g, count, chunk_rng, mode="cr")
+    def chunk_of(store):
+        """One training step on ``count`` fresh orderings, read as the ascent
+        gradient that ``store`` receives."""
 
-    def phi_chunk(count, chunk_rng):
-        q.store.zero_grads()
-        return grad_phi(model, q, g, count, chunk_rng, mode="cr")
+        def chunk(count, chunk_rng):
+            model.store.zero_grads()
+            q.store.zero_grads()
+            pis, _ = draw_orderings(q, g, count, chunk_rng)
+            step(model, q, g, pis, "cr")
+            return -store.grad_vector()
+
+        return chunk
 
     z_theta, gap_theta = estimator_z_scores(
-        model, q, g, exact_theta, theta_chunk, 50, 2000, spawn_rng(ACCEPT_SEED, 107, 2)
+        exact_theta, chunk_of(model.store), 50, 2000, spawn_rng(ACCEPT_SEED, 107, 2)
     )
     z_phi, gap_phi = estimator_z_scores(
-        model, q, g, exact_phi, phi_chunk, 50, 2000, spawn_rng(ACCEPT_SEED, 107, 13)
+        exact_phi, chunk_of(q.store), 50, 2000, spawn_rng(ACCEPT_SEED, 107, 13)
     )
     elapsed = time.perf_counter() - tick
     ok = worst_fd < 1e-4 and z_theta <= 1.0 and z_phi <= 1.0

@@ -19,7 +19,8 @@ from graphorder.models import (
 from graphorder.posterior import OrderPosterior, PosteriorConfig
 from graphorder.rng import spawn_rng
 from graphorder.tensor import Tensor, add, mul
-from graphorder.training import TrainConfig, grad_phi, grad_theta, train_loop
+from graphorder.training import TrainConfig, step, train_loop
+from oracles import store_state
 
 # the overflows below warn as they happen; the errors are what is tested
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -87,18 +88,33 @@ class TestInputOverflows:
 class TestEstimatorsRaise:
     def test_train_loop(self, kind, which):
         model, q = overflowing_pair(kind, which)
-        with pytest.raises(NumericError):
+        before = [store_state(model.store), store_state(q.store)]
+        # an overflowing posterior fails in its sampler, before the step
+        match = "non-finite loss at epoch 0 graph 0" if which == "model" else "non-finite"
+        with pytest.raises(NumericError, match=match):
             train_loop(model, q, [C5], TrainConfig(sample_count=2, seed=3))
+        assert np.array_equal(store_state(model.store), before[0])
+        assert np.array_equal(store_state(q.store), before[1])
+
+    @staticmethod
+    def assert_step_raises_leaving(store_of, kind, which):
+        """``step`` on fixed orderings raises before it touches the store
+        that ``store_of(model, q)`` names: its parameters and gradients are
+        unchanged."""
+        model, q = overflowing_pair(kind, which)
+        store = store_of(model, q)
+        before = store_state(store)
+        with pytest.raises(NumericError, match="non-finite loss"):
+            step(model, q, C5, np.array([[0, 1, 2, 3, 4], [2, 4, 1, 0, 3]]), "cr")
+        assert np.array_equal(store_state(store), before)
 
     def test_grad_theta(self, kind, which):
-        model, q = overflowing_pair(kind, which)
-        with pytest.raises(NumericError):
-            grad_theta(model, q, C5, 2, spawn_rng(4))
+        """The model gradient that ``step`` accumulates."""
+        self.assert_step_raises_leaving(lambda model, q: model.store, kind, which)
 
     def test_grad_phi(self, kind, which):
-        model, q = overflowing_pair(kind, which)
-        with pytest.raises(NumericError):
-            grad_phi(model, q, C5, 2, spawn_rng(4))
+        """The posterior gradient that ``step`` accumulates."""
+        self.assert_step_raises_leaving(lambda model, q: q.store, kind, which)
 
     def test_importance_estimate(self, kind, which):
         model, q = overflowing_pair(kind, which)

@@ -23,15 +23,8 @@ from graphorder.posterior import OrderPosterior, PosteriorConfig, UniformOrderer
 from graphorder import training
 from graphorder.rng import spawn_rng
 from graphorder.tensor import ParameterStore, Tape, Tensor, backward, mean, mul, tensor_sum
-from graphorder.training import (
-    TrainConfig,
-    TrainReport,
-    grad_phi,
-    grad_theta,
-    train_loop,
-    variance_trace,
-)
-from oracles import random_graph, zero_store
+from graphorder.training import TrainConfig, TrainReport, step, train_loop, variance_trace
+from oracles import random_graph, store_state, two_tape_step_gradients, zero_store
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -53,6 +46,22 @@ def small_posterior(seed=2, max_nodes=6):
     return OrderPosterior(
         PosteriorConfig(max_nodes=max_nodes, layers=1, heads=2, head_dim=3, seed=seed)
     )
+
+
+def sequence_model(seed=1, max_nodes=6):
+    return SequenceModel(SequenceModelConfig(max_nodes=max_nodes, hidden=6, edge_hidden=4, seed=seed))
+
+
+def step_gradients(model, q, g, count, rng, mode="cr") -> tuple[np.ndarray, np.ndarray]:
+    """Ascent gradients (model, posterior) of one ``step`` on ``count``
+    orderings drawn from q: the negated store gradients.  Both stores'
+    gradients are left at zero."""
+    pis, _ = draw_orderings(q, g, count, rng)
+    step(model, q, g, pis, mode)
+    grads = -model.store.grad_vector(), -q.store.grad_vector()
+    model.store.zero_grads()
+    q.store.zero_grads()
+    return grads
 
 
 def mc_elbo(model, q, g, sample_count, rng, mode="cr") -> float:
@@ -88,6 +97,8 @@ class TestElbo:
 
 
 class TestGradTheta:
+    """The model gradient that ``step`` accumulates."""
+
     def test_matches_enumerated_expectation(self):
         model = small_model(seed=11)
         q = UniformOrderer()
@@ -100,28 +111,28 @@ class TestGradTheta:
         exact = model.store.grad_vector()
         model.store.zero_grads()
 
-        draws = []
-        for trial in range(300):
-            draws.append(grad_theta(model, q, g, 2, spawn_rng(12, trial)))
-            model.store.zero_grads()
+        draws = [step_gradients(model, q, g, 2, spawn_rng(12, trial))[0] for trial in range(300)]
         emp = np.mean(draws, axis=0)
         se = np.std(draws, axis=0, ddof=1) / math.sqrt(len(draws))
         assert np.all(np.abs(emp - exact) <= 4 * se + 1e-12)
 
     def test_fair_coin_pushes_triangle_edges_up(self):
         model = coin3()
-        grad_theta(model, UniformOrderer(), K3, 4, spawn_rng(13))
-        # ascent direction: observed edges are all ones, so edge weights rise
-        assert np.all(model.store.grad("edges.b")[:2] > 0)
+        q = UniformOrderer()
+        step(model, q, K3, draw_orderings(q, K3, 4, spawn_rng(13))[0], "cr")
+        # observed edges are all ones, so edge weights rise: descent is negative
+        assert np.all(model.store.grad("edges.b")[:2] < 0)
 
 
 class TestGradPhi:
+    """The posterior (score-function) gradient that ``step`` accumulates."""
+
     def test_constant_signal_gives_zero_gradient(self):
         """On a vertex-transitive graph every ordering carries the same
         learning signal, and symmetry forces the score to vanish."""
         q = OrderPosterior(PosteriorConfig(max_nodes=4, layers=1, heads=2, head_dim=3, seed=14))
         zero_store(q.store)
-        vec = grad_phi(coin3(), q, K3, 4, spawn_rng(15))
+        vec = step_gradients(coin3(), q, K3, 4, spawn_rng(15))[1]
         assert np.allclose(vec, 0.0, atol=1e-9)
 
     def test_matches_enumerated_expectation(self):
@@ -139,10 +150,7 @@ class TestGradPhi:
         exact = q.store.grad_vector()
         q.store.zero_grads()
 
-        draws = []
-        for trial in range(400):
-            draws.append(grad_phi(model, q, g, 2, spawn_rng(18, trial)))
-            q.store.zero_grads()
+        draws = [step_gradients(model, q, g, 2, spawn_rng(18, trial))[1] for trial in range(400)]
         emp = np.mean(draws, axis=0)
         se = np.std(draws, axis=0, ddof=1) / math.sqrt(len(draws))
         assert np.all(np.abs(emp - exact) <= 4 * se + 1e-10)
@@ -244,13 +252,14 @@ class TestTrainLoop:
     @pytest.mark.parametrize("family", ["adjacency", "sequence"])
     @pytest.mark.parametrize("use_baseline", [False, True])
     def test_first_step_descends_on_both_estimators(self, monkeypatch, family, use_baseline):
-        """The training step runs the estimators that grad_theta and grad_phi
-        compute: on the same stream its store gradients are their negation."""
+        """``step`` gives each store the gradient that a reference with the
+        model and the posterior on separate tapes gives it, so neither
+        store's gradient leaks into the other on the shared tape, at
+        baseline 0 and 0.5; and train_loop's first step is that step on the
+        same stream (its EMA baseline starts at 0)."""
 
         def fresh():
-            if family == "adjacency":
-                return small_model(63), small_posterior(64)
-            model = SequenceModel(SequenceModelConfig(max_nodes=6, hidden=6, edge_hidden=4, seed=63))
+            model = small_model(63) if family == "adjacency" else sequence_model(63)
             return model, small_posterior(64)
 
         cfg = TrainConfig(sample_count=3, epochs=1, seed=65, use_baseline=use_baseline)
@@ -266,13 +275,19 @@ class TestTrainLoop:
         trained, trained_q = fresh()
         train_loop(trained, trained_q, [g], cfg)
         monkeypatch.undo()
-        stream = lambda: spawn_rng(cfg.seed, training._TRAIN_LANE, 0, 0)
+
         model, q = fresh()
-        theta = grad_theta(model, q, g, cfg.sample_count, stream(), cfg.multiplicity_mode)
-        phi = grad_phi(model, q, g, cfg.sample_count, stream(), cfg.multiplicity_mode)
+        pis, _ = draw_orderings(q, g, cfg.sample_count, spawn_rng(cfg.seed, training._TRAIN_LANE, 0, 0))
+        step(model, q, g, pis, cfg.multiplicity_mode)
+        assert np.array_equal(captured[id(trained.store)], model.store.grad_vector())
+        assert np.array_equal(captured[id(trained_q.store)], q.store.grad_vector())
+
+        baseline = 0.5 if use_baseline else 0.0
+        theta, phi = two_tape_step_gradients(model, q, g, pis, cfg.multiplicity_mode, baseline)
+        step(model, q, g, pis, cfg.multiplicity_mode, baseline)
         assert np.any(theta != 0) and np.any(phi != 0)
-        assert np.array_equal(captured[id(trained.store)], -theta)
-        assert np.array_equal(captured[id(trained_q.store)], -phi)
+        assert np.array_equal(model.store.grad_vector(), theta)
+        assert np.array_equal(q.store.grad_vector(), phi)
 
     def test_report_shape_and_json(self):
         model, q = small_model(46), small_posterior(47)
@@ -322,6 +337,35 @@ class TestVarianceTrace:
         zero_store(q.store)
         trace = variance_trace(coin3(), q, K3, [2], trials=10, seed=56)
         assert trace[2] < 1e-18
+
+    @pytest.mark.parametrize("family", ["adjacency", "sequence"])
+    def test_batched_step_is_mean_of_single_steps(self, family):
+        """The trace's one step over S orderings estimates what the mean of S
+        one-ordering steps does, up to float reassociation."""
+        model = small_model(70) if family == "adjacency" else sequence_model(70)
+        q = small_posterior(71)
+        g = random_graph(spawn_rng(72), 5, 0.5)
+        pis, _ = draw_orderings(q, g, 8, spawn_rng(73))
+        singles = []
+        for pi in pis:
+            step(model, q, g, pi[None], "cr")
+            singles.append((model.store.grad_vector(), q.store.grad_vector()))
+            model.store.zero_grads()
+            q.store.zero_grads()
+        step(model, q, g, pis, "cr")
+        for batched, single in zip((model.store.grad_vector(), q.store.grad_vector()), zip(*singles)):
+            reference = np.mean(single, axis=0)
+            assert np.any(reference != 0)
+            assert np.allclose(batched, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
+    def test_leaves_stores_unchanged(self):
+        model, q = small_model(74), small_posterior(75)
+        g = random_graph(spawn_rng(76), 4, 0.5)
+        before = [store_state(model.store), store_state(q.store)]
+        variance_trace(model, q, g, [1, 3], trials=3, seed=77)
+        # the gradients were zero before, so zero gradients after are unchanged
+        assert np.array_equal(store_state(model.store), before[0])
+        assert np.array_equal(store_state(q.store), before[1])
 
     def test_guards(self):
         model, q = small_model(57), small_posterior(58)
