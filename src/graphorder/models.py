@@ -66,11 +66,9 @@ def cached_automorphism_count(g: Graph) -> int:
 
 
 def _bernoulli_log_prob(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None) -> Tensor:
-    """Sum over the last axis of Bernoulli log-likelihoods at ``targets``."""
-    ll = add(
-        mul(targets, log_sigmoid(logits)),
-        mul(1.0 - targets, log_sigmoid(mul(logits, -1.0))),
-    )
+    """Sum over the last axis of Bernoulli log-likelihoods at the 0/1
+    ``targets``: log sigmoid(x) for a 1 and log sigmoid(-x) for a 0."""
+    ll = log_sigmoid(mul(logits, 2.0 * targets - 1.0))
     if mask is not None:
         ll = mul(ll, mask)
     return tensor_sum(ll, axis=-1)

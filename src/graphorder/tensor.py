@@ -8,8 +8,8 @@ once.  Ops are module functions; a Tensor has no operator methods:
   ``log_sigmoid``;
 - shape and selection: ``tensor_sum`` (and ``mean`` built on it),
   ``reshape``, ``concat`` (last axis), ``stack`` (a new leading axis),
-  ``take`` (np.take along one axis; its pull scatter-adds, so repeated
-  indices are summed) and ``take_along_last``;
+  and ``take`` (np.take along one axis; its pull scatter-adds, so repeated
+  indices are summed);
 - masked: ``masked_log_softmax`` (below);
 - fused, each recorded as one node with one hand-written pull: ``gru``, one
   GRU update whose forward has the bits of the chain of matmul, add,
@@ -340,24 +340,6 @@ def stack(tensors: Sequence) -> Tensor:
             _acc(p, part)
 
     return _result(parts, data, pull)
-
-
-def take_along_last(x, indices) -> Tensor:
-    """Pick one entry per row along the last axis; indices shape x.shape[:-1]."""
-    x = _wrap(x)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.shape != x.data.shape[:-1]:
-        raise InputError("take_along_last index shape must match leading axes")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[-1]):
-        raise InputError("take_along_last index out of range")
-    data = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
-
-    def pull(g):
-        buf = np.zeros_like(x.data)
-        np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
-        _acc(x, buf)
-
-    return _result((x,), data, pull)
 
 
 def take(x, indices, axis: int, out=None) -> Tensor:

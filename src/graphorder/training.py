@@ -4,9 +4,12 @@ Per graph: draw S orderings from q, then ``step`` scores them under the model
 and the posterior on one tape and accumulates both descent gradients: the
 model's of the mean joint log-probability, and the posterior's
 score-function estimator whose learning signal is log p(G, pi) minus
-log q(pi | G).  Both gradients are computed from pre-update parameters; the
-posterior updates first.  The training loop and the gradient-variance trace
-both run ``step``, so the estimator they measure is the one that trains.
+log q(pi | G), less a baseline b.  By default b = 0; ``use_baseline`` sets
+b to an exponential moving average (EMA) of the per-graph ELBO, 0.9 of the
+previous value plus 0.1 of the last graph's, starting at 0.  Both gradients
+are computed from pre-update parameters; the posterior updates first.  The
+training loop and the gradient-variance trace both run ``step``, so the
+estimator they measure is the one that trains.
 """
 
 from __future__ import annotations
@@ -93,8 +96,10 @@ def step(
     The ascent surrogate is mean(rep) + mean((signal - baseline) * log q).
     Its gradient is E_q[grad log p(G, pi)] for the model, whose multiplicity
     term is constant in the parameters, plus the score-function gradient
-    E_q[(signal - baseline) grad log q] for the posterior.  A non-finite mean
-    signal raises ``NumericError`` before either store is touched."""
+    E_q[(signal - baseline) grad log q] for the posterior; a baseline that
+    does not depend on ``pis`` leaves the expectation unchanged and moves
+    only the estimator's variance.  A non-finite mean signal raises
+    ``NumericError`` before either store is touched."""
     global _last_step
     tape = Tape()
     rep, log_mult = joint_log_probs(model, g, pis, mode, tape=tape)
@@ -139,8 +144,8 @@ def train_loop(
         elbos = []
         for index, g in enumerate(graphs):
             rng = spawn_rng(cfg.seed, _TRAIN_LANE, epoch, index)
-            pis, _ = draw_orderings(q, g, cfg.sample_count, rng)
             try:
+                pis, _ = draw_orderings(q, g, cfg.sample_count, rng)
                 elbo = float(np.mean(step(model, q, g, pis, cfg.multiplicity_mode, baseline)))
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch} graph {index}") from exc

@@ -31,7 +31,7 @@ from graphorder.tensor import (
     mean,
     mul,
     reshape,
-    take_along_last,
+    take,
     tanh,
     tensor_sum,
 )
@@ -507,8 +507,9 @@ def full_step_log_probs_orderings(q, g: Graph, orders, tape=None) -> Tensor:
     bound = q._bind(tape)
     h = add(Tensor(feats, tape=tape), bound["h0"])
     states = residual_attention_stack(bound, "gnn", h, neighborhood_mask(g), q.cfg.layers)
-    logits = reshape(linear(bound, "head", states), (b, n, n))
-    return tensor_sum(take_along_last(masked_log_softmax(logits, avail), pis), axis=-1)
+    lp = masked_log_softmax(reshape(linear(bound, "head", states), (b, n, n)), avail)
+    rows = np.arange(b * n).reshape(b, n)
+    return tensor_sum(take(reshape(lp, (-1,)), rows * n + pis, 0), axis=-1)
 
 
 def loop_adam_step(params, grads, m, v, step_count: int, lr: float) -> None:

@@ -61,7 +61,6 @@ from graphorder.tensor import (
     multi_head_attention,
     reshape,
     stack,
-    take_along_last,
     tanh,
     tensor_sum,
 )
@@ -412,7 +411,6 @@ def tensor_op_cases(rng) -> list:
         att_mask = (rng.random((4, 4)) < 0.6) | np.eye(4, dtype=bool)
         w244 = rand(2, 4, 4)
         w223 = rand(2, 2, 3)
-        idx_last = np.array([1, 3, 0])
         cases.extend(
             [
                 ("add", lambda x, y, w=w23: tensor_sum(mul(w, add(x, y))), (rand(2, 3), rand(3))),
@@ -440,11 +438,6 @@ def tensor_op_cases(rng) -> list:
                     "concat",
                     lambda x, y, w=w25: tensor_sum(mul(w, concat([x, y]))),
                     (rand(2, 2), rand(2, 3)),
-                ),
-                (
-                    "take_along_last",
-                    lambda x, i=idx_last: tensor_sum(mul(np.array([1.0, -2.0, 0.5]), take_along_last(x, i))),
-                    (rand(3, 4),),
                 ),
                 (
                     "stack",

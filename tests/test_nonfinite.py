@@ -90,7 +90,8 @@ class TestEstimatorsRaise:
         model, q = overflowing_pair(kind, which)
         before = [store_state(model.store), store_state(q.store)]
         # an overflowing posterior fails in its sampler, before the step
-        match = "non-finite loss at epoch 0 graph 0" if which == "model" else "non-finite"
+        cause = "loss" if which == "model" else "values in posterior logits"
+        match = f"non-finite {cause} at epoch 0 graph 0"
         with pytest.raises(NumericError, match=match):
             train_loop(model, q, [C5], TrainConfig(sample_count=2, seed=3))
         assert np.array_equal(store_state(model.store), before[0])

@@ -30,7 +30,6 @@ from graphorder.tensor import (
     reshape,
     stack,
     take,
-    take_along_last,
     tanh,
     tensor_sum,
 )
@@ -462,13 +461,6 @@ class TestGradientsAgainstFiniteDifferences:
             lambda a, b: tensor_sum(tanh(concat([a, b]))),
             rng.normal(size=(2, 3)),
             rng.normal(size=(2, 2)),
-        )
-
-    def test_take_along_last(self):
-        rng = np.random.default_rng(13)
-        idx = np.array([[0, 2], [1, 1]])
-        scalar_grad_check(
-            lambda x: tensor_sum(tanh(take_along_last(x, idx))), rng.normal(size=(2, 2, 3))
         )
 
     @pytest.mark.parametrize(
