@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     ResourceError,
 )
-from .evaluation import STATISTICS, averaged_adjacency, importance_estimate, mmd
+from .evaluation import STATISTICS, averaged_adjacency, importance_estimate, mmd_raw
 from .files import read_text, write_text_atomic
 from .models import (
     AdjacencyModel,
@@ -363,6 +363,7 @@ def _cmd_loglik(args) -> None:
                 "exact": _json_real(exact),
                 "isEstimate": est.log_lik,
                 "stderr": _json_real(est.stderr),
+                "ess": est.ess,
                 "L": est.sample_count,
             }
         )
@@ -382,13 +383,10 @@ def _cmd_mmd(args) -> None:
     ref = load_dataset(_require_file(args.ref, "reference dataset"))
     gen = load_dataset(_require_file(args.gen, "generated dataset"))
     names = list(STATISTICS) if args.stat == "all" else [args.stat]
-    pairs = [
-        {
-            "statistic": name,
-            "mmd": mmd(list(ref), list(gen), name, bandwidth=args.sigma),
-        }
-        for name in names
-    ]
+    pairs = []
+    for name in names:
+        raw = mmd_raw(list(ref), list(gen), name, bandwidth=args.sigma)
+        pairs.append({"statistic": name, "mmd": max(raw, 0.0), "mmdRaw": raw})
     doc = {"ref": args.ref, "gen": args.gen, "sigma": args.sigma, "pairs": pairs}
     _emit(json.dumps(doc, indent=2), args.out)
 

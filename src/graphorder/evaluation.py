@@ -35,15 +35,20 @@ ORBIT_COUNT = 11
 
 @dataclass(frozen=True)
 class ImportanceEstimate:
-    """Importance-sampled log-likelihood with a jackknife standard error.
+    """Importance-sampled log-likelihood with a jackknife standard error and
+    the Kish effective sample size of the drawn weights.
 
     The standard error is None when sample_count == 1 (leave-one-out is
-    undefined) and may be inf when a single draw dominates the average.
+    undefined) and may be inf when a single draw dominates the average.  The
+    ESS runs from 1 (one weight dominates) to sample_count (equal weights).
+    Both read only the weights that were drawn, so neither can detect
+    probability mass that the proposal misses.
     """
 
     log_lik: float
     stderr: float | None
     sample_count: int
+    ess: float
 
 
 def jackknife_log_mean_stderr(log_weights: np.ndarray) -> float:
@@ -59,6 +64,12 @@ def jackknife_log_mean_stderr(log_weights: np.ndarray) -> float:
         return math.inf
     variance = (count - 1) / count * np.sum((loo - loo.mean()) ** 2)
     return float(np.sqrt(variance))
+
+
+def kish_ess(log_weights: np.ndarray) -> float:
+    """Kish effective sample size (sum w)^2 / sum w^2 of the weights
+    exp(log_weights), as exp(2 lse(log w) - lse(2 log w)) in log space."""
+    return math.exp(2.0 * log_sum_exp(log_weights) - log_sum_exp(2.0 * log_weights))
 
 
 def importance_estimate(
@@ -82,7 +93,7 @@ def importance_estimate(
     stacked = np.concatenate(log_weights)
     estimate = log_sum_exp(stacked) - np.log(sample_count)
     stderr = jackknife_log_mean_stderr(stacked) if sample_count > 1 else None
-    return ImportanceEstimate(float(estimate), stderr, sample_count)
+    return ImportanceEstimate(float(estimate), stderr, sample_count, kish_ess(stacked))
 
 
 # orbit ids: path end/mid (0, 1), star leaf/center (2, 3), 4-cycle (4),
@@ -224,15 +235,17 @@ def _pairwise_wasserstein1(xs: list[np.ndarray], ys: list[np.ndarray]) -> np.nda
     return out
 
 
-def mmd(graphs_a, graphs_b, statistic: str, bandwidth: float = 1.0) -> float:
+def mmd_raw(graphs_a, graphs_b, statistic: str, bandwidth: float = 1.0) -> float:
     """Squared maximum mean discrepancy between two graph sets under a
     Gaussian kernel on the Wasserstein distance of the statistic that
-    ``STATISTICS`` names, looked up at call time.
+    ``STATISTICS`` names, looked up at call time, before any clamp.
 
     Biased V-statistic estimate: zero exactly on identical sets and
-    symmetric in its arguments.  The statistic runs once per graph and all
-    pairwise distances are computed together; each kernel mean is a
-    ``math.fsum``, so it does not depend on the order of the pairs."""
+    symmetric in its arguments.  The Gaussian kernel on W1 need not be
+    positive semi-definite, so the estimate can be negative; ``mmd`` clamps
+    it to 0.  The statistic runs once per graph and all pairwise distances
+    are computed together; each kernel mean is a ``math.fsum``, so it does
+    not depend on the order of the pairs."""
     if not 0 < bandwidth < math.inf:
         raise InputError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     if statistic not in STATISTICS:
@@ -249,12 +262,17 @@ def mmd(graphs_a, graphs_b, statistic: str, bandwidth: float = 1.0) -> float:
         terms = np.exp(-(d * d) / (2.0 * bandwidth * bandwidth))
         return math.fsum(terms.ravel().tolist()) / terms.size
 
-    value = (
+    return (
         kernel_mean(hists_a, hists_a)
         + kernel_mean(hists_b, hists_b)
         - 2.0 * kernel_mean(hists_a, hists_b)
     )
-    return max(value, 0.0)
+
+
+def mmd(graphs_a, graphs_b, statistic: str, bandwidth: float = 1.0) -> float:
+    """``mmd_raw`` clamped to 0: a negative estimate, which the kernel's
+    indefiniteness allows, reads 0.0."""
+    return max(mmd_raw(graphs_a, graphs_b, statistic, bandwidth), 0.0)
 
 
 def averaged_adjacency(q: OrderingModel, g: Graph, sample_count: int, rng) -> np.ndarray:

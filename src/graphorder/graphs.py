@@ -9,7 +9,7 @@ tests, induced subgraphs, and connectivity checks cheap at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -170,7 +170,8 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
 
 
 def color_refinement(g: Graph, initial: Sequence[int] | None = None) -> Coloring:
-    """Stable coloring from iterated neighbour-multiset refinement.
+    """Stable coloring from iterated neighbour-multiset refinement: the last
+    of ``refinement_rounds``.
 
     Colors are dense ids assigned by lexicographic order of the
     (old color, sorted neighbour colors) signatures, so they are deterministic
@@ -182,17 +183,24 @@ def color_refinement(g: Graph, initial: Sequence[int] | None = None) -> Coloring
             raise InputError("initial coloring must assign every node a color")
         ids = {c: i for i, c in enumerate(sorted(set(initial)))}
         colors = [ids[c] for c in initial]
-    return refine_neighbor_lists([bit_indices(row) for row in g.adj], colors)
+    *_, stable = refinement_rounds([bit_indices(row) for row in g.adj], colors)
+    return stable
 
 
-def refine_neighbor_lists(
+def refinement_rounds(
     nbrs: Sequence[Sequence[int]], colors: list[int] | None = None
-) -> Coloring:
-    """``color_refinement`` of the graph in which node u's neighbours are
-    ``nbrs[u]``, from dense color ids ``colors``.
+) -> Iterator[Coloring]:
+    """The colorings of refinement of the graph in which node u's neighbours
+    are ``nbrs[u]``, round by round, from dense color ids ``colors``.
 
-    With no colors it starts from the dense rank of each node's degree,
-    which is what one pass from a single class assigns.
+    The first round is ``colors``, or with none the dense rank of each
+    node's degree, which is what one pass from a single class assigns.  Each
+    pass gives every node the dense rank of its (old color, sorted neighbour
+    colors) signature.  The old color leads the signature, so a round only
+    splits the classes of the round before it: it never merges two, and a
+    node alone in its class stays alone.  The rounds end at the first
+    coloring that a pass does not split, so the last one is stable and is
+    what ``color_refinement`` returns.
     """
     if colors is None:
         degrees = [len(row) for row in nbrs]
@@ -200,12 +208,12 @@ def refine_neighbor_lists(
         colors = [ids[d] for d in degrees]
     classes = len(set(colors))
     while True:
-        sigs = [(colors[u], tuple(sorted(colors[v] for v in row))) for u, row in enumerate(nbrs)]
+        yield tuple(colors)
+        sigs = [(colors[u], tuple(sorted([colors[v] for v in row]))) for u, row in enumerate(nbrs)]
         ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ids[s] for s in sigs]
         if len(ids) == classes:
-            return tuple(new)
-        colors, classes = new, len(ids)
+            return
+        colors, classes = [ids[s] for s in sigs], len(ids)
 
 
 def find_isomorphism(

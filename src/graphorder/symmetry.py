@@ -20,8 +20,12 @@ reads each step's orbit size from ``_newest_orbit_size``, a bounded memo of
 out the order inside the prefix, which is exact: relabelling the nodes of a
 graph does not change the size of any node's orbit.  ``sequence_multiplicity_cr``
 builds no prefix graphs: it grows neighbour lists by ordering position, one
-node per step, and refines each prefix's lists with
-``graphs.refine_neighbor_lists``, the loop behind ``color_refinement``.
+node per step, and walks each prefix's colorings round by round with
+``graphs.refinement_rounds``, the loop behind ``color_refinement``.  It
+stops at the first round that leaves the newest node alone in its class.
+That is exact: a round only splits the classes of the round before it, so
+a node alone in one round is alone in the stable coloring, and its factor
+is 1 either way.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .graphs import (
     color_refinement,
     find_isomorphism,
     induced_subgraph,
-    refine_neighbor_lists,
+    refinement_rounds,
     validate_ordering,
 )
 
@@ -146,7 +150,11 @@ def sequence_multiplicity_cr(g: Graph, order: Sequence[int]) -> int:
     product of refinement-class sizes of the newest node in each prefix.
 
     Position i of the ordering is node i of every prefix; ``nbrs`` holds the
-    prefix's neighbour lists by position and grows by one node per step."""
+    prefix's neighbour lists by position and grows by one node per step.
+    Each prefix's refinement runs only until a round leaves the newest node
+    alone in its class, whose factor is then 1: rounds only split classes,
+    so it would stay alone in the stable coloring.  Otherwise the factor is
+    the size of its class in the stable round."""
     pi = validate_ordering(g, order)
     nbrs: list[list[int]] = []
     value = 1
@@ -158,8 +166,11 @@ def sequence_multiplicity_cr(g: Graph, order: Sequence[int]) -> int:
             # both nodes of a 2-node prefix have the same degree
             value *= 2
         elif t > 1:
-            colors = refine_neighbor_lists(nbrs)
-            value *= colors.count(colors[t])
+            for colors in refinement_rounds(nbrs):
+                size = colors.count(colors[t])
+                if size == 1:
+                    break
+            value *= size
     return value
 
 

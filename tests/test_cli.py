@@ -12,7 +12,7 @@ import pytest
 
 from graphorder import cli
 from graphorder.cli import main, parse_run_config, resolve_run_config
-from graphorder.data import load_dataset
+from graphorder.data import format_graphs, gen_er, load_dataset
 from graphorder.errors import InputError, NumericError
 from graphorder.models import (
     MULTIPLICITY_MODES,
@@ -21,6 +21,7 @@ from graphorder.models import (
     load_model,
 )
 from graphorder.posterior import OrderPosterior, PosteriorConfig
+from graphorder.rng import spawn_rng
 from graphorder.training import TrainConfig
 from oracles import zero_store
 
@@ -376,6 +377,8 @@ class TestLoglikCommand:
         assert row["isEstimate"] == pytest.approx(math.log(1 / 8), abs=1e-9)
         assert row["exact"] == pytest.approx(math.log(1 / 8), abs=1e-9)
         assert row["stderr"] == pytest.approx(0.0, abs=1e-12)
+        assert row["ess"] == pytest.approx(16, rel=1e-12)
+        assert set(row) == {"index", "nodes", "exact", "isEstimate", "stderr", "ess", "L"}
         assert row["L"] == 16
         assert doc["meanIsEstimate"] == pytest.approx(math.log(1 / 8), abs=1e-9)
         assert set(doc) == {"checkpoint", "data", "proposal", "seed", "graphs", "meanIsEstimate"}
@@ -457,7 +460,7 @@ class TestMmdCommand:
         assert code == 0
         doc = json.loads(out)
         assert {pair["statistic"] for pair in doc["pairs"]} == {"degree", "clustering", "orbit"}
-        assert all(pair["mmd"] == 0.0 for pair in doc["pairs"])
+        assert all(pair["mmd"] == 0.0 and pair["mmdRaw"] == 0.0 for pair in doc["pairs"])
 
     def test_single_statistic_positive(self, capsys, k3_file, p3_file):
         code, out, _ = run(
@@ -466,6 +469,17 @@ class TestMmdCommand:
         assert code == 0
         (pair,) = json.loads(out)["pairs"]
         assert pair["statistic"] == "degree" and pair["mmd"] > 0
+        assert pair["mmdRaw"] == pair["mmd"]
+
+    def test_negative_raw_estimate_is_reported(self, capsys, tmp_path):
+        rng = spawn_rng(192, 0)
+        ref, gen = tmp_path / "ref.graph", tmp_path / "gen.graph"
+        for path in (ref, gen):
+            path.write_text(format_graphs(gen_er(3, int(rng.integers(4, 9)), 0.4, rng).graphs))
+        code, out, _ = run(capsys, ["mmd", "--ref", str(ref), "--gen", str(gen), "--stat", "degree"])
+        assert code == 0
+        (pair,) = json.loads(out)["pairs"]
+        assert pair["mmdRaw"] < 0 and pair["mmd"] == 0.0
 
     def test_dataset_not_utf8_is_one_error_line(self, capsys, tmp_path, k3_file):
         path = tmp_path / "bad.graph"

@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from graphorder.data import gen_er
 from graphorder.errors import InputError, ResourceError
 from graphorder.evaluation import (
     STATISTICS,
@@ -17,7 +18,9 @@ from graphorder.evaluation import (
     degree_statistic,
     importance_estimate,
     jackknife_log_mean_stderr,
+    kish_ess,
     mmd,
+    mmd_raw,
     orbit4_counts,
     orbit_statistic,
     wasserstein1,
@@ -114,6 +117,22 @@ class TestImportanceLogLik:
     def test_jackknife_needs_two_samples(self):
         with pytest.raises(InputError):
             jackknife_log_mean_stderr(np.array([0.5]))
+
+    @pytest.mark.parametrize("g", [K3, Graph.from_edges(3, [])], ids=["complete", "empty"])
+    def test_ess_is_sample_count_for_constant_weights(self, g):
+        # every ordering of an empty or complete graph has the same ratio
+        for coin in (coin3(), coin3_sequence()):
+            est = importance_estimate(coin, UniformOrderer(), g, 40, spawn_rng(14))
+            assert est.ess == pytest.approx(40, rel=1e-12), coin.kind
+
+    def test_ess_is_one_for_a_dominant_weight(self):
+        assert kish_ess(np.array([0.0, -2000.0, -2000.0])) == pytest.approx(1.0, rel=1e-12)
+        assert kish_ess(np.array([0.0, -50.0, -60.0, -70.0])) == pytest.approx(1.0, rel=1e-12)
+
+    def test_ess_matches_direct_computation(self):
+        log_w = spawn_rng(15).normal(-3.0, 1.5, size=200)
+        w = np.exp(log_w)
+        assert kish_ess(log_w) == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-12)
 
     def test_stderr_shrinks_with_sample_count(self):
         model = AdjacencyModel(AdjacencyModelConfig(max_nodes=6, hidden=8, row_embed=4, seed=3))
@@ -252,6 +271,24 @@ class TestMmd:
             loop = kernel_mean(a, a, bandwidth) + kernel_mean(b, b, bandwidth) - 2 * kernel_mean(a, b, bandwidth)
             assert mmd(a, b, stat, bandwidth) == pytest.approx(max(loop, 0.0), abs=1e-12)
             assert mmd(a, a, stat, bandwidth) == 0.0
+
+    def test_negative_estimate_reads_zero(self):
+        # the Gaussian kernel on W1 is not positive semi-definite: three ER
+        # graphs of 5 nodes against three of 6 give a negative estimate
+        rng = spawn_rng(192, 0)
+        a = list(gen_er(3, int(rng.integers(4, 9)), 0.4, rng))
+        b = list(gen_er(3, int(rng.integers(4, 9)), 0.4, rng))
+        assert mmd_raw(a, b, "degree") == pytest.approx(-0.0093, abs=5e-5)
+        assert mmd(a, b, "degree") == 0.0
+
+    @pytest.mark.parametrize("stat", sorted(STATISTICS))
+    def test_raw_equals_clamped_when_nonnegative(self, stat):
+        a = [random_graph(spawn_rng(13, i), 8, 0.3) for i in range(5)]
+        b = [random_graph(spawn_rng(14, i), 8, 0.7) for i in range(5)]
+        for x, y in ((a, b), (a, a), (b, a)):
+            raw = mmd_raw(x, y, stat)
+            assert raw >= 0.0
+            assert mmd(x, y, stat) == raw
 
     def test_symmetry(self):
         a = [random_graph(spawn_rng(13, i), 8, 0.3) for i in range(5)]

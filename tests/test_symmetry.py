@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from graphorder.data import gen_community_small
 from graphorder.errors import InputError, ResourceError
-from graphorder.graphs import Graph
+from graphorder.graphs import Graph, bit_indices, refinement_rounds
 from graphorder.rng import spawn_rng
 from graphorder.symmetry import (
     _newest_orbit_size,
@@ -100,6 +100,22 @@ class TestColorRefinement:
         assert set(colors) == set(range(len(set(colors))))
 
 
+def hypercube(d):
+    return Graph.from_edges(1 << d, [(u, u ^ 1 << k) for u in range(1 << d) for k in range(d) if u < u ^ 1 << k])
+
+
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def disjoint_union(*parts):
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(offset + u, offset + v) for u in range(g.n) for v in bit_indices(g.adj[u]) if u < v]
+        offset += g.n
+    return Graph.from_edges(offset, edges)
+
+
 class TestRefinementMatchesLoopOracle:
     """Refinement over neighbour lists, and cr multiplicities from neighbour
     lists grown along the ordering, against one refinement loop over
@@ -135,6 +151,42 @@ class TestRefinementMatchesLoopOracle:
     def test_color_refinement_from_initial(self, g, data):
         initial = data.draw(st.lists(st.integers(-2, 3), min_size=g.n, max_size=g.n))
         assert color_refinement(g, initial) == loop_color_refinement(g, initial)
+
+    @given(graphs(1, 8), st.data())
+    def test_rounds_refine_to_the_loop_oracle(self, g, data):
+        """Each round splits the classes of the round before it, keeping
+        their order, and the last round is the stable coloring."""
+        initial = None
+        if data.draw(st.booleans()):
+            drawn = data.draw(st.lists(st.integers(-2, 3), min_size=g.n, max_size=g.n))
+            ids = {c: i for i, c in enumerate(sorted(set(drawn)))}
+            initial = [ids[c] for c in drawn]
+        rounds = list(refinement_rounds([bit_indices(row) for row in g.adj], initial))
+        if initial is not None:
+            assert rounds[0] == tuple(initial)
+        for before, after in zip(rounds, rounds[1:]):
+            assert len(set(after)) > len(set(before))
+            for u in range(g.n):
+                for v in range(g.n):
+                    if before[u] < before[v]:
+                        assert after[u] < after[v]
+        assert rounds[-1] == loop_color_refinement(g, initial)
+
+    # regular or nearly regular graphs (FIXED holds Petersen): the newest
+    # node of a prefix often shares its class for several rounds, so the
+    # walk seldom stops early
+    LATE_SPLITTING = (
+        [cycle(n) for n in range(8, 17)]
+        + [hypercube(4), complete_bipartite(4, 4), disjoint_union(cycle(6), cycle(6), cycle(12))]
+        + FIXED
+    )
+
+    @pytest.mark.parametrize("g", LATE_SPLITTING, ids=lambda g: f"n{g.n}m{g.edge_count}")
+    def test_cr_multiplicity_late_splitting_graphs(self, g):
+        rng = spawn_rng(29, g.n, g.edge_count)
+        for _ in range(20):
+            pi = rng.permutation(g.n)
+            assert sequence_multiplicity_cr(g, pi) == per_prefix_multiplicity_cr(g, pi), pi
 
     def test_cr_multiplicity_every_ordering_up_to_five_nodes(self):
         # one graph per isomorphism class: a relabelled graph with the
